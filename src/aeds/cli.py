@@ -200,10 +200,9 @@ def read_container(blob, side_table=None, sink=None):
     r = BitReader(blob, 80)
     if flags & FLAG_EMBEDDED:
         tlen = r.read_leb128()
-        table_bytes = bytes(r.read(8) for _ in range(tlen))
-        table = codec.deserialize_table(table_bytes)
+        table = codec.deserialize_table(r.read_bytes(tlen))
     else:
-        digest = bytes(r.read(8) for _ in range(32))
+        digest = r.read_bytes(32)
         if side_table is None:
             raise MalformedStream("container references a side table file; "
                                   "pass one with --table")
@@ -215,7 +214,7 @@ def read_container(blob, side_table=None, sink=None):
     running = 0
     for _ in range(n_blocks):
         blen = r.read_leb128()
-        stream = Bitstream(bytes(r.read(8) for _ in range(blen)))
+        stream = Bitstream(r.read_bytes(blen))
         piece = bytes(codec.decode(table, stream))
         running = zlib.crc32(piece, running)
         if sink is None:

@@ -22,7 +22,6 @@ from .errors import (
     MalformedStream,
     MalformedTable,
     MissingSymbol,
-    PrefixViolation,
     TableError,
     TrailingGarbage,
     TruncatedStream,
@@ -30,7 +29,7 @@ from .errors import (
     UnmatchedCodeword,
     VersionMismatch,
 )
-from .model import AedsTable, Codeword
+from .model import UNMATCHED, AedsTable, Codeword
 
 STREAM_MAGIC = b"AEDS"
 STREAM_VERSION = 1
@@ -64,8 +63,11 @@ class BitWriter:
         self._fill = fill
 
     def write_bytes(self, data):
-        for b in data:
-            self.write(b, 8)
+        if self._fill:
+            for b in data:
+                self.write(b, 8)
+        else:
+            self._buf += data
 
     def write_leb128(self, value):
         if value < 0:
@@ -116,10 +118,23 @@ class BitReader:
         return bit
 
     def read(self, nbits):
-        value = 0
-        for _ in range(nbits):
-            value = (value << 1) | self.read_bit()
-        return value
+        start, end = self._pos, self._pos + nbits
+        if end > self._end:
+            raise TruncatedStream("bit stream exhausted")
+        self._pos = end
+        last = (end + 7) >> 3
+        value = int.from_bytes(self._data[start >> 3:last], "big")
+        return (value >> (8 * last - end)) & ((1 << nbits) - 1)
+
+    def read_bytes(self, n):
+        """The next ``n`` whole bytes (a slice when the reader is aligned)."""
+        if self._pos & 7:
+            return self.read(8 * n).to_bytes(n, "big")
+        start = self._pos >> 3
+        if 8 * (start + n) > self._end:
+            raise TruncatedStream("bit stream exhausted")
+        self._pos += 8 * n
+        return bytes(self._data[start:start + n])
 
     def read_leb128(self):
         value, shift = 0, 0
@@ -153,15 +168,6 @@ class ErgodicityReport:
 class ValidationReport:
     well_formed: bool
     ergodicity: ErgodicityReport
-
-
-def _check_prefix_free(table):
-    for x in range(table.n_states):
-        entries = table.decoder_entries[x]
-        words = sorted((w.bits for w, _, _ in entries))
-        for a, b in zip(words, words[1:]):
-            if b.startswith(a):
-                raise PrefixViolation(x, a, b)
 
 
 def _transition_graph(table):
@@ -227,7 +233,7 @@ def validate_aeds(table):
     for x, row in enumerate(table.encoder):
         if len(row) != len(table.symbols):
             raise MissingSymbol(f"state {x} misses symbols")
-    _check_prefix_free(table)
+    table.decoding_tries()  # building the decoder index checks prefixes
     # Re-derive the decoder and make sure each entry is reachable from the
     # encoder grid exactly once.
     seen = set()
@@ -243,7 +249,6 @@ def validate_aeds(table):
             seen.add((origin, s))
     if len(seen) != table.n_states * len(table.symbols):
         raise InconsistentTables("decoder does not cover the encoder")
-    table.decoding_tries()  # force trie construction (re-checks prefixes)
     return ValidationReport(True, ergodicity(table))
 
 
@@ -266,7 +271,7 @@ class Bitstream:
         self.data = bytes(data)
         reader = BitReader(self.data)
         try:
-            magic = bytes(reader.read(8) for _ in range(4))
+            magic = reader.read_bytes(4)
             if magic != STREAM_MAGIC:
                 raise MalformedStream(f"bad stream magic {magic!r}")
             version = reader.read(8)
@@ -379,36 +384,65 @@ def encode(table, sequence, initial_state_policy=POLICY_FIRST_STATE):
 
 
 def decode(table, stream):
-    """Recover the symbol sequence; consumes exactly the declared payload."""
+    """Recover the symbol sequence; consumes exactly the declared payload.
+
+    Each symbol is one lookup (two or more for codewords longer than a
+    state's table width) in ``table.decoding_tries()``, indexed by bits
+    peeked from a local accumulator that is refilled 8 bytes at a time.
+    Zero bytes past the end of the stream keep every refill whole (a
+    refill starts at most one byte past the end, or the end check before
+    it raises); a codeword that consumes them makes the stream truncated.
+    """
     if stream.n_states != table.n_states:
         raise MalformedStream(
             f"stream was written for {stream.n_states} states, "
             f"table has {table.n_states}")
-    tries = table.decoding_tries()
+    nodes = table.decoding_tries()
     symbols = table.symbols
-    reader = stream.payload_reader()
+    data = stream.data + bytes(16)
+    end = 8 * len(stream.data)
+    pos = stream.payload_start >> 3
+    acc = data[pos]
+    nbits = 8 - (stream.payload_start & 7)
+    pos += 1
     x = stream.initial_state
     out = []
+    append = out.append
     for _ in range(stream.length):
-        node = tries[x]
-        if node is None:
-            raise UnmatchedCodeword(x, "")
-        taken, depth = 0, 0
-        while not isinstance(node, tuple):
-            bit = reader.read_bit()
-            taken = (taken << 1) | bit
-            depth += 1
-            node = node[bit]
-            if node is None:
-                raise UnmatchedCodeword(x, format(taken, f"0{depth}b"))
-        s, origin = node
-        out.append(symbols[s])
-        x = origin
+        while True:
+            k, mask, slots = nodes[x]
+            if nbits < k:
+                if 8 * pos - nbits > end:
+                    raise TruncatedStream("bit stream exhausted")
+                acc = (((acc & ((1 << nbits) - 1)) << 64)
+                       | int.from_bytes(data[pos:pos + 8], "big"))
+                pos += 8
+                nbits += 64
+            s, x, n = slots[(acc >> (nbits - k)) & mask]
+            nbits -= n
+            if s >= 0:
+                break
+            if s == UNMATCHED:
+                raise _unmatched(stream.data, 8 * pos - nbits, *x)
+        append(symbols[s])
+    if 8 * pos - nbits > end:
+        raise TruncatedStream("bit stream exhausted")
+    reader = BitReader(stream.data, 8 * pos - nbits)
     if reader.bits_left >= 8:
         raise TrailingGarbage(f"{reader.bits_left} bits after the payload")
     if reader.bits_left and reader.read(reader.bits_left):
         raise TrailingGarbage("nonzero padding bits")
     return out
+
+
+def _unmatched(data, position, state, offset, depth):
+    """The error for a parse at bit ``position`` that has followed the
+    first ``offset`` bits of a symbol and finds no codeword of ``state``
+    starting with its first ``depth`` bits.  Reading those bits raises
+    TruncatedStream instead if the stream ends before them."""
+    prefix = BitReader(data, position - offset).read(depth)
+    return UnmatchedCodeword(state, format(prefix, f"0{depth}b")
+                             if depth else "")
 
 
 def trace_lengths(table, sequence, initial_state=0):
@@ -459,10 +493,10 @@ def _read_symbol(r):
         return r.read_leb128()
     if tag == _SYM_STR:
         n = r.read_leb128()
-        return bytes(r.read(8) for _ in range(n)).decode("utf-8")
+        return r.read_bytes(n).decode("utf-8")
     if tag == _SYM_BYTES:
         n = r.read_leb128()
-        return bytes(r.read(8) for _ in range(n))
+        return r.read_bytes(n)
     raise MalformedTable(f"unknown symbol tag {tag}")
 
 
@@ -506,7 +540,7 @@ def deserialize_table(data):
         raise HashMismatch("table bytes fail their content hash")
     r = BitReader(body)
     try:
-        if bytes(r.read(8) for _ in range(4)) != TABLE_MAGIC:
+        if r.read_bytes(4) != TABLE_MAGIC:
             raise MalformedTable("bad table magic")
         version = r.read(8)
         if version != TABLE_VERSION:
@@ -523,8 +557,7 @@ def deserialize_table(data):
                 nxt = r.read_leb128()
                 length = r.read_leb128()
                 nbytes = (length + 7) // 8
-                value = int.from_bytes(bytes(r.read(8) for _ in range(nbytes)),
-                                       "big")
+                value = int.from_bytes(r.read_bytes(nbytes), "big")
                 row.append((Codeword(value, length), nxt))
             rows.append(row)
     except TruncatedStream:

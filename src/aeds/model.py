@@ -19,6 +19,12 @@ from .errors import (
 
 PROB_SUM_TOL = 1e-12
 
+# Decoder index (AedsTable.decoding_tries): widest lookup table per node,
+# and the markers of the two non-leaf slot kinds.
+LOOKUP_BITS = 12
+SUBTABLE = -1
+UNMATCHED = -2
+
 
 class Codeword:
     """A finite bit string, possibly empty, stored as (value, length).
@@ -182,7 +188,7 @@ class AedsTable:
     """
 
     __slots__ = ("symbols", "n_states", "encoder", "decoder_entries",
-                 "state_names", "_index", "_tries")
+                 "state_names", "_index", "_lookup")
 
     def __init__(self, symbols, encoder, state_names=None):
         symbols = tuple(symbols)
@@ -218,7 +224,7 @@ class AedsTable:
                            tuple(tuple(e) for e in entries))
         object.__setattr__(self, "state_names", state_names)
         object.__setattr__(self, "_index", {s: i for i, s in enumerate(symbols)})
-        object.__setattr__(self, "_tries", None)
+        object.__setattr__(self, "_lookup", None)
 
     def __setattr__(self, *_):
         raise AttributeError("AedsTable is immutable")
@@ -236,46 +242,72 @@ class AedsTable:
     def state_name(self, x):
         return self.state_names[x] if self.state_names else f"state{x}"
 
-    # -- decoding tries ----------------------------------------------------
+    # -- decoder index -----------------------------------------------------
 
     def decoding_tries(self):
-        """Per-state binary tries over the decoder codeword sets.
+        """Per-state lookup tables over the decoder codeword sets.
 
-        A trie node is either a leaf tuple (symbol_index, origin_state) or
-        an internal two-slot list [child0, child1].  Raises PrefixViolation
-        if some state's codewords are not prefix-free.
+        Returns a tuple of nodes ``(k, mask, slots)`` with ``mask = 2^k - 1``.
+        Node x < n_states is the first-level table of state x; the nodes
+        after them are subtables.  The decoder peeks the next k bits and
+        reads ``slots[bits]``, which is one of
+
+        * ``(symbol_index, origin_state, n)``: a codeword ends within these
+          k bits after ``n`` of them (n may be 0 for a zero-bit codeword);
+        * ``(SUBTABLE, node, k)``: the codewords continue in ``node`` after
+          all k bits are consumed;
+        * ``(UNMATCHED, (state, offset, depth), 0)``: no codeword of
+          ``state`` starts with the first ``depth`` bits of the symbol,
+          whose first ``offset`` bits were consumed by earlier levels.
+
+        k is the smallest of the longest codeword, ``LOOKUP_BITS`` and the
+        widest table with at most two slots per codeword, so the index is
+        linear in the total codeword length.  Raises PrefixViolation if
+        some state's codewords are not prefix-free.
         """
-        if self._tries is None:
-            object.__setattr__(self, "_tries",
-                               tuple(self._build_trie(x)
-                                     for x in range(self.n_states)))
-        return self._tries
+        if self._lookup is None:
+            object.__setattr__(self, "_lookup", self._build_index())
+        return self._lookup
 
-    def _build_trie(self, state):
-        entries = self.decoder_entries[state]
-        if not entries:
-            return None
-        root = [None, None]
-        for word, s, origin in entries:
-            if word.length == 0:
-                if len(entries) > 1:
-                    other = next(w for w, _, _ in entries if w != word)
-                    raise PrefixViolation(state, word.bits, other.bits)
-                return (s, origin)
-            node = root
-            for i in range(word.length):
-                bit = word.bit_at(i)
-                if i == word.length - 1:
-                    if node[bit] is not None:
-                        raise PrefixViolation(state, word.bits, word.bits)
-                    node[bit] = (s, origin)
-                else:
-                    if node[bit] is None:
-                        node[bit] = [None, None]
-                    elif isinstance(node[bit], tuple):
-                        raise PrefixViolation(state, word.bits[:i + 1], word.bits)
-                    node = node[bit]
-        return root
+    def _build_index(self):
+        nodes = [None] * self.n_states
+        work = [(x, x, 0, self.decoder_entries[x])
+                for x in range(self.n_states)]
+        while work:  # a worklist, not recursion: codewords can be very long
+            at, state, offset, entries = work.pop()
+            k = min(max((w.length for w, _, _ in entries), default=offset)
+                    - offset, LOOKUP_BITS, len(entries).bit_length())
+            mask = (1 << k) - 1
+            slots = [None] * (1 << k)
+            groups = {}
+            for entry in entries:
+                word, s, origin = entry
+                rest = word.length - offset
+                if rest > k:
+                    groups.setdefault((word.value >> (rest - k)) & mask,
+                                      []).append(entry)
+                    continue
+                base = (word.value & ((1 << rest) - 1)) << (k - rest)
+                span = 1 << (k - rest)
+                taken = next(filter(None, slots[base:base + span]), None)
+                if taken is not None:
+                    self._collision(state, taken, word)
+                slots[base:base + span] = [(s, origin, rest)] * span
+            for bits, group in groups.items():
+                if slots[bits] is not None:
+                    self._collision(state, slots[bits], group[0][0])
+                slots[bits] = (SUBTABLE, len(nodes), k)
+                work.append((len(nodes), state, offset + k, group))
+                nodes.append(None)
+            if None in slots:
+                _fill_unmatched(slots, k, state, offset, entries)
+            nodes[at] = (k, mask, tuple(slots))
+        return tuple(nodes)
+
+    def _collision(self, state, leaf, word):
+        s, origin, _ = leaf
+        first, second = sorted((self.encoder[origin][s][0], word))
+        raise PrefixViolation(state, first.bits, second.bits)
 
     # -- structure queries -------------------------------------------------
 
@@ -305,6 +337,22 @@ class AedsTable:
     def __repr__(self):
         return (f"AedsTable({self.n_states} states, "
                 f"{len(self.symbols)} symbols)")
+
+
+def _fill_unmatched(slots, k, state, offset, entries):
+    """Mark the empty slots of one lookup node with the depth at which a
+    bit-by-bit parse finds no codeword left to follow."""
+    prefixes = set()
+    for word, _, _ in entries:
+        rest = min(word.length - offset, k)
+        bits = (word.value >> (word.length - offset - rest)) & ((1 << rest) - 1)
+        for d in range(rest + 1):
+            prefixes.add((d, bits >> (rest - d)))
+    for i, slot in enumerate(slots):
+        if slot is None:
+            depth = next(d for d in range(k + 1)
+                         if (d, i >> (k - d)) not in prefixes)
+            slots[i] = (UNMATCHED, (state, offset, offset + depth), 0)
 
 
 class SAedsPartition:

@@ -273,7 +273,7 @@ def deserialize_tans(data):
     r = BitReader(body)
     from .codec import _read_symbol
     try:
-        if bytes(r.read(8) for _ in range(4)) != TANS_MAGIC:
+        if r.read_bytes(4) != TANS_MAGIC:
             raise MalformedTable("bad tANS magic")
         version = r.read(8)
         if version != TANS_VERSION:
@@ -283,7 +283,7 @@ def deserialize_tans(data):
         symbols = [_read_symbol(r) for _ in range(n_sym)]
         counts = [r.read_leb128() for _ in range(n_sym)]
         plen = r.read_leb128()
-        policy = bytes(r.read(8) for _ in range(plen)).decode("utf-8")
+        policy = r.read_bytes(plen).decode("utf-8")
         slots = [(r.read_leb128(), r.read_leb128()) for _ in range(n)]
     except TruncatedStream:
         raise MalformedTable("tANS bytes end early") from None
