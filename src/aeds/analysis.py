@@ -14,12 +14,9 @@ import numpy as np
 from .codec import ergodicity
 from .errors import AlphabetMismatch, KindMismatch, NoConvergence, NotErgodic
 from .model import SourceDistribution, entropy, relative_entropy
+from .prefix_codes import SIGMA, phased_in_redundancy
 
 LG_E = math.log2(math.e)
-
-# Peak redundancy of the phased-in code over a uniform source,
-# lg lg e + 1 - lg e.
-SIGMA = math.log2(LG_E) + 1.0 - LG_E
 
 DIRECT_SOLVE_LIMIT = 1024
 POWER_ITER_LIMIT = 10 ** 6
@@ -486,7 +483,6 @@ def check_bound(table, p, which, report=None, layout=None,
     if which == "case3":
         if n & (n - 1):
             raise KindMismatch("state count is not a power of two")
-        from .prefix_codes import phased_in_redundancy
         corr = 0.0
         for s, block in enumerate(part.subsets):
             ns = len(block)

@@ -8,6 +8,9 @@ Container layout (byte oriented):
     file is used) | block count LEB128 | per block: byte length LEB128 +
     one framed bitstream
 
+The flags byte is 1 (embedded table), 0 (side table) or 2 (empty input,
+nothing follows the checksum); no byte may follow the last block.
+
 Files are split into blocks of 2^20 symbols; each block carries its own
 stream header, so decompression never needs more than one block in memory.
 """
@@ -20,7 +23,7 @@ import zlib
 
 from . import analysis, codec, constructors, model, prefix_codes, tans
 from .codec import BitReader, BitWriter, Bitstream
-from .errors import AedsError, HashMismatch, MalformedStream
+from .errors import AedsError, HashMismatch, MalformedStream, TrailingGarbage
 
 CONTAINER_MAGIC = b"AEDC"
 CONTAINER_VERSION = 1
@@ -126,42 +129,9 @@ def build_table(p, codec_name, n_states, tolerance=1e-9, verbose=True):
 # container
 
 
-def _encode_blocks(reader, table, sink):
-    """Second compression pass: read BLOCK_SYMBOLS at a time, frame each
-    block on its own, and count blocks and payload bits."""
-    n_blocks = 0
-    payload_bits = 0
-    while True:
-        chunk = reader(BLOCK_SYMBOLS)
-        if not chunk:
-            break
-        stream = codec.encode(table, chunk)
-        w = BitWriter()
-        w.write_leb128(len(stream.data))
-        w.write_bytes(stream.data)
-        sink(w.getvalue())
-        n_blocks += 1
-        payload_bits += stream.exact_payload_bits
-    return n_blocks, payload_bits
-
-
-def write_container(data, table, embed=True):
-    """In-memory convenience wrapper around the streaming writer."""
-    out = bytearray()
-    pos = 0
-
-    def reader(n):
-        nonlocal pos
-        chunk = data[pos:pos + n]
-        pos += n
-        return chunk
-
-    write_container_stream(reader, out.extend, zlib.crc32(data), len(data),
-                           table, embed=embed)
-    return bytes(out)
-
-
 def write_container_stream(reader, sink, crc, size, table, embed=True):
+    """Write the container header and table, then read BLOCK_SYMBOLS at a
+    time and frame each block on its own; returns the payload bits."""
     head = bytearray(CONTAINER_MAGIC)
     head.append(CONTAINER_VERSION)
     if size == 0:
@@ -180,7 +150,14 @@ def write_container_stream(reader, sink, crc, size, table, embed=True):
         w.write_bytes(blob[-32:])  # digest only; table travels separately
     w.write_leb128(-(-size // BLOCK_SYMBOLS))
     sink(bytes(head) + w.getvalue())
-    _, payload_bits = _encode_blocks(reader, table, sink)
+    payload_bits = 0
+    while chunk := reader(BLOCK_SYMBOLS):
+        stream = codec.encode(table, chunk)
+        w = BitWriter()
+        w.write_leb128(len(stream.data))
+        w.write_bytes(stream.data)
+        sink(w.getvalue())
+        payload_bits += stream.exact_payload_bits
     return payload_bits
 
 
@@ -192,13 +169,16 @@ def read_container(blob, side_table=None, sink=None):
     if blob[4] != CONTAINER_VERSION:
         raise MalformedStream(f"container version {blob[4]}")
     flags = blob[5]
+    if flags not in (0, FLAG_EMBEDDED, FLAG_EMPTY):
+        raise MalformedStream(f"unknown container flags {flags:#04x}")
     crc = int.from_bytes(blob[6:10], "big")
-    if flags & FLAG_EMPTY:
+    r = BitReader(blob, 80)
+    if flags == FLAG_EMPTY:
         if crc != zlib.crc32(b""):
             raise HashMismatch("empty container with nonzero checksum")
+        _check_end(r)
         return b""
-    r = BitReader(blob, 80)
-    if flags & FLAG_EMBEDDED:
+    if flags == FLAG_EMBEDDED:
         tlen = r.read_leb128()
         table = codec.deserialize_table(r.read_bytes(tlen))
     else:
@@ -221,9 +201,15 @@ def read_container(blob, side_table=None, sink=None):
             out += piece
         else:
             sink(piece)
+    _check_end(r)
     if running != crc:
         raise HashMismatch("decompressed data fails its checksum")
     return bytes(out)
+
+
+def _check_end(r):
+    if r.bits_left:
+        raise TrailingGarbage(f"{r.bits_left // 8} bytes after the container")
 
 
 # ---------------------------------------------------------------------------
@@ -249,9 +235,14 @@ def cmd_compress(args):
             write_container_stream(lambda n: b"", out.write, crc, 0, None)
         print("empty input: wrote a header-only container")
         return EXIT_OK
-    p = model.validate_distribution(
-        [(b, counts[b]) for b in range(256) if counts[b]])
-    table = build_table(p, args.codec, args.states, args.tolerance)
+    present = [b for b in range(256) if counts[b]]
+    if len(present) == 1:
+        # one byte value: a single state whose only codeword is empty
+        p = None
+        table = model.AedsTable(present, [[(model.EMPTY_WORD, 0)]])
+    else:
+        p = model.validate_distribution((b, counts[b]) for b in present)
+        table = build_table(p, args.codec, args.states, args.tolerance)
     if args.table_out:
         with open(args.table_out, "wb") as fh:
             fh.write(codec.serialize_table(table))
@@ -261,11 +252,13 @@ def cmd_compress(args):
             src.read, out.write, crc, size, table,
             embed=args.table_out is None)
     written = os.path.getsize(args.output)
-    try:
-        mean_bits = analysis.stationary_distribution(table, p).mean_bits
-        analytic = f"{mean_bits:.6f}"
-    except AedsError:
-        analytic = "n/a (chain not ergodic)"
+    analytic = "n/a"
+    if p is not None:
+        try:
+            mean_bits = analysis.stationary_distribution(table, p).mean_bits
+            analytic = f"{mean_bits:.6f}"
+        except AedsError:
+            analytic = "n/a (chain not ergodic)"
     print(f"symbols: {size}")
     print(f"analytic bits/symbol: {analytic}")
     print(f"payload bits/symbol: {payload_bits / size:.6f}")
@@ -424,9 +417,6 @@ def _parser():
     c.add_argument("--codec", choices=CODECS, default="type1")
     c.add_argument("--states", type=int, default=2,
                    help="state budget N for the table builders")
-    c.add_argument("--seed", type=int, default=0,
-                   help="accepted for interface stability; compression "
-                        "is deterministic")
     c.add_argument("--tolerance", type=float, default=1e-9)
     c.add_argument("--table-out", default=None,
                    help="write the table to a side file and store only "

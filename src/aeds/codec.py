@@ -367,15 +367,8 @@ def encode(table, sequence, initial_state_policy=POLICY_FIRST_STATE):
     elif initial_state_policy == POLICY_FIRST_STATE:
         start = 0
     elif initial_state_policy == POLICY_MINIMIZE:
-        enc = table.encoder
-        best, start = None, 0
-        for cand in range(table.n_states):
-            x, total = cand, 0
-            for s in reversed(indices):
-                word, x = enc[x][s]
-                total += word.length
-            if best is None or total < best:
-                best, start = total, cand
+        start = min(range(table.n_states), key=lambda cand: sum(
+            w.length for w in _backward_pass(table, indices, cand)[1]))
     else:
         raise ValueError(f"unknown policy {initial_state_policy!r}")
 
@@ -448,14 +441,8 @@ def _unmatched(data, position, state, offset, depth):
 def trace_lengths(table, sequence, initial_state=0):
     """Per-symbol codeword lengths of an encode from a pinned start state,
     independent of the bit writer (used by tests and rate accounting)."""
-    lengths = []
     indices = [table.symbol_index(s) for s in sequence]
-    x = initial_state
-    for s in reversed(indices):
-        word, x = table.encoder[x][s]
-        lengths.append(word.length)
-    lengths.reverse()
-    return lengths
+    return [w.length for w in _backward_pass(table, indices, initial_state)[1]]
 
 
 # ---------------------------------------------------------------------------
@@ -517,10 +504,31 @@ def _table_body(table):
     return w.getvalue()
 
 
+def _seal(body):
+    """``body`` followed by its sha-256 digest."""
+    return body + hashlib.sha256(body).digest()
+
+
+def _unseal(data, magic, what):
+    """The body of a sealed blob that must start with ``magic``.
+
+    ``what`` names the blob in error messages ("table", "tANS table");
+    its first word alone names the magic and the hash.
+    """
+    label = what.split()[0]
+    if len(data) < 32 + 6:
+        raise MalformedTable(f"too short to hold a {what}")
+    body = data[:-32]
+    if body[:4] != magic:
+        raise MalformedTable(f"bad {label} magic")
+    if hashlib.sha256(body).digest() != data[-32:]:
+        raise HashMismatch(f"{label} bytes fail their content hash")
+    return body
+
+
 def serialize_table(table):
     """Canonical bytes: header, alphabet, encoder grid, sha-256 trailer."""
-    body = _table_body(table)
-    return body + hashlib.sha256(body).digest()
+    return _seal(_table_body(table))
 
 
 def table_digest(table):
@@ -529,19 +537,8 @@ def table_digest(table):
 
 
 def deserialize_table(data):
-    if len(data) < 32 + 6:
-        raise MalformedTable("too short to hold a table")
-    body, digest = data[:-32], data[-32:]
-    if hashlib.sha256(body).digest() != digest:
-        # Distinguish truncation/garbage from a pure hash problem by
-        # checking the magic first.
-        if body[:4] != TABLE_MAGIC:
-            raise MalformedTable("bad table magic")
-        raise HashMismatch("table bytes fail their content hash")
-    r = BitReader(body)
+    r = BitReader(_unseal(data, TABLE_MAGIC, "table"), 32)
     try:
-        if r.read_bytes(4) != TABLE_MAGIC:
-            raise MalformedTable("bad table magic")
         version = r.read(8)
         if version != TABLE_VERSION:
             raise VersionMismatch(f"table version {version}")

@@ -26,7 +26,7 @@ from .errors import (
     TableError,
     TooFewStates,
 )
-from .model import AedsTable, Codeword
+from .model import EMPTY_WORD, AedsTable, Codeword, validate_distribution
 from .prefix_codes import build_huffman, phased_in_words
 
 _ZERO = Codeword(0, 1)
@@ -386,39 +386,6 @@ def build_large_n(p, counts):
 # per-state code rebalancing (space-for-rate trade)
 
 
-def _huffman_lengths(weights):
-    import heapq
-    if len(weights) == 1:
-        return [0]
-    lengths = [0] * len(weights)
-    groups = {i: [i] for i in range(len(weights))}
-    heap = [(w, i) for i, w in enumerate(weights)]
-    heapq.heapify(heap)
-    counter = len(weights)
-    while len(heap) > 1:
-        w1, i1 = heapq.heappop(heap)
-        w2, i2 = heapq.heappop(heap)
-        for leaf in groups[i1] + groups[i2]:
-            lengths[leaf] += 1
-        groups[counter] = groups.pop(i1) + groups.pop(i2)
-        heapq.heappush(heap, (w1 + w2, counter))
-        counter += 1
-    return lengths
-
-
-def _canonical_words(lengths):
-    """Prefix codewords realizing the given lengths, shortest first."""
-    order = sorted(range(len(lengths)), key=lambda i: (lengths[i], i))
-    words = [None] * len(lengths)
-    code, prev = 0, 0
-    for i in order:
-        code <<= lengths[i] - prev
-        prev = lengths[i]
-        words[i] = Codeword(code, lengths[i])
-        code += 1
-    return words
-
-
 def optimize_decoder_codes(table, p):
     """Replace every per-state codeword set by the optimal code for the
     conditional weights the chain actually feeds it.
@@ -431,9 +398,11 @@ def optimize_decoder_codes(table, p):
     q = report.probs
     grid = [[None] * len(table.symbols) for _ in range(table.n_states)]
     for x, entries in enumerate(table.decoder_entries):
-        weights = [p.probs[s] * q[origin] for _, s, origin in entries]
-        lengths = _huffman_lengths(weights)
-        words = _canonical_words(lengths)
-        for (_, s, origin), word in zip(entries, words):
-            grid[origin][s] = (word, x)
+        words = [EMPTY_WORD]  # a lone entry needs no bits
+        if len(entries) > 1:
+            weights = [p.probs[s] * q[origin] for _, s, origin in entries]
+            words = build_huffman(
+                validate_distribution(enumerate(weights))).codewords()
+        for i, (_, s, origin) in enumerate(entries):
+            grid[origin][s] = (words[i], x)
     return AedsTable(table.symbols, grid)

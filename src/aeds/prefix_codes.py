@@ -7,7 +7,8 @@ from dataclasses import dataclass
 from .errors import AlphabetMismatch, DegenerateAlphabet, InvalidWeight
 from .model import Codeword, SourceDistribution
 
-# Peak redundancy of a phased-in code over a uniform source.
+# Peak redundancy of a phased-in code over a uniform source,
+# lg lg e + 1 - lg e.
 SIGMA = math.log2(math.log2(math.e)) + 1.0 - math.log2(math.e)
 
 

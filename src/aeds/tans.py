@@ -6,17 +6,18 @@ State counts must be powers of two here; the table constructors in
 ``constructors`` cover general N.
 """
 
-import hashlib
-
 from .codec import (
     BitReader,
     BitWriter,
     Bitstream,
     MalformedTable,
     TruncatedStream,
+    _read_symbol,
+    _seal,
+    _unseal,
+    _write_symbol,
 )
 from .errors import (
-    HashMismatch,
     NotPowerOfTwo,
     TableError,
     TooFewStates,
@@ -247,7 +248,6 @@ def serialize_tans(table):
     w.write(TANS_VERSION, 8)
     w.write_leb128(table.n_states)
     w.write_leb128(len(table.symbols))
-    from .codec import _write_symbol
     for s in table.symbols:
         _write_symbol(w, s)
     for c in table.counts:
@@ -258,23 +258,12 @@ def serialize_tans(table):
     for s, y in table.D:
         w.write_leb128(s)
         w.write_leb128(y - table.counts[s])
-    body = w.getvalue()
-    return body + hashlib.sha256(body).digest()
+    return _seal(w.getvalue())
 
 
 def deserialize_tans(data):
-    if len(data) < 32 + 6:
-        raise MalformedTable("too short to hold a tANS table")
-    body, digest = data[:-32], data[-32:]
-    if hashlib.sha256(body).digest() != digest:
-        if body[:4] != TANS_MAGIC:
-            raise MalformedTable("bad tANS magic")
-        raise HashMismatch("tANS bytes fail their content hash")
-    r = BitReader(body)
-    from .codec import _read_symbol
+    r = BitReader(_unseal(data, TANS_MAGIC, "tANS table"), 32)
     try:
-        if r.read_bytes(4) != TANS_MAGIC:
-            raise MalformedTable("bad tANS magic")
         version = r.read(8)
         if version != TANS_VERSION:
             raise VersionMismatch(f"tANS version {version}")
@@ -289,6 +278,9 @@ def deserialize_tans(data):
         raise MalformedTable("tANS bytes end early") from None
     except (ValueError, UnicodeDecodeError) as exc:
         raise MalformedTable(str(exc)) from None
+    # n slots were read, so counts that pass this bound the allocations
+    if any(c < 1 for c in counts) or sum(counts) != n:
+        raise MalformedTable("counts must be positive and sum to N")
     C = [[None] * c for c in counts]
     D = [None] * n
     for i, (s, y_off) in enumerate(slots):

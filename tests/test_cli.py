@@ -1,10 +1,14 @@
+import io
 import random
 import subprocess
 import sys
+import zlib
 
 import pytest
 
-from aeds.cli import main
+from aeds.cli import build_table, main, read_container, write_container_stream
+from aeds.errors import MalformedStream, TrailingGarbage
+from aeds.model import validate_distribution
 
 SIX_WEIGHTS = [35, 15, 15, 15, 10, 10]
 
@@ -119,12 +123,51 @@ def test_missing_input_is_a_data_error(tmp_path):
     assert rc == 3
 
 
-def test_single_valued_file_is_rejected(tmp_path):
+def test_single_valued_file_round_trips(tmp_path, capsys, monkeypatch):
+    import aeds.cli as cli_mod
+    monkeypatch.setattr(cli_mod, "BLOCK_SYMBOLS", 256)
     src = tmp_path / "mono"
-    src.write_bytes(b"\x00" * 100)
-    rc = main(["compress", "--input", str(src),
-               "--output", str(tmp_path / "x")])
-    assert rc == 3
+    src.write_bytes(b"\x07" * 1000)
+    out = tmp_path / "mono.aedc"
+    back = tmp_path / "mono.back"
+    assert main(["compress", "--input", str(src), "--output", str(out),
+                 "--codec", "large-n", "--states", "64"]) == 0
+    assert "analytic bits/symbol: n/a\n" in capsys.readouterr().out
+    assert main(["decompress", "--input", str(out),
+                 "--output", str(back)]) == 0
+    assert back.read_bytes() == src.read_bytes()
+
+
+def test_seed_option_is_gone(tmp_path):
+    src, _ = make_input(tmp_path, size=100)
+    with pytest.raises(SystemExit) as err:
+        main(["compress", "--seed", "1", "--input", str(src),
+              "--output", str(tmp_path / "x")])
+    assert err.value.code == 2
+
+
+def container(data):
+    p = validate_distribution((b, 1 + data.count(b)) for b in b"abcdr")
+    table = build_table(p, "type2", 2, verbose=False)
+    out = bytearray()
+    write_container_stream(io.BytesIO(data).read, out.extend,
+                           zlib.crc32(data), len(data), table)
+    return bytes(out)
+
+
+def test_container_rejects_trailing_bytes_and_unknown_flags():
+    data = b"abracadabra" * 50
+    for blob in (container(data), container(b"")):
+        assert read_container(blob) == (data if len(blob) > 10 else b"")
+        with pytest.raises(TrailingGarbage):
+            read_container(blob + bytes(23))
+        with pytest.raises(TrailingGarbage):
+            read_container(blob + b"x")
+        for flags in (0x40 | blob[5], 3, 4, 0xFF):
+            bad = bytearray(blob)
+            bad[5] = flags
+            with pytest.raises(MalformedStream):
+                read_container(bytes(bad))
 
 
 def test_usage_errors_exit_two(tmp_path):

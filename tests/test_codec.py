@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 
@@ -27,6 +28,7 @@ from aeds.errors import (
 )
 from aeds.model import AedsTable, Codeword, demo_table, validate_distribution
 from aeds.prefix_codes import build_huffman
+from aeds.tans import build_tans, deserialize_tans, serialize_tans
 
 from conftest import random_sequence, random_source, random_table
 
@@ -317,3 +319,42 @@ def test_very_long_codewords_roundtrip():
     assert decode(table, stream) == seq
     back = deserialize_table(serialize_table(table))
     assert back.encoder == table.encoder
+
+
+def test_minimize_length_picks_lowest_index_shortest_start():
+    rng = random.Random(31)
+    ties = 0
+    for _ in range(60):
+        table = random_table(rng)
+        seq = [rng.choice(table.symbols) for _ in range(rng.randint(0, 4))]
+        totals = [sum(trace_lengths(table, seq, x))
+                  for x in range(table.n_states)]
+        want = totals.index(min(totals))
+        ties += totals.count(min(totals)) > 1
+        got = encode(table, seq, initial_state_policy="minimize-length")
+        assert got == encode(table, seq, initial_state_policy=want)
+        assert got.exact_payload_bits == min(totals)
+    assert ties > 10
+
+
+SEALED_BLOBS = {
+    "table": (demo_table, serialize_table, deserialize_table),
+    "tans": (lambda: build_tans(SIX, 16), serialize_tans, deserialize_tans),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(SEALED_BLOBS))
+def test_sealed_blob_errors(kind):
+    build, serialize, deserialize = SEALED_BLOBS[kind]
+    blob = serialize(build())
+    assert serialize(deserialize(blob)) == blob
+    for bad in (blob[:37], b"", b"XXXX" + blob[4:]):
+        with pytest.raises(MalformedTable):
+            deserialize(bad)
+    body = b"XXXX" + blob[4:-32]
+    with pytest.raises(MalformedTable):
+        deserialize(body + hashlib.sha256(body).digest())
+    flipped = bytearray(blob)
+    flipped[len(blob) // 2] ^= 0x01
+    with pytest.raises(HashMismatch):
+        deserialize(bytes(flipped))

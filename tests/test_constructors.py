@@ -31,7 +31,7 @@ from aeds.errors import (
 )
 from aeds.model import validate_distribution
 from aeds.prefix_codes import build_huffman, tree_metrics
-from aeds.tans import build_tans, tans_to_aeds
+from aeds.tans import build_tans, quantize_counts, tans_to_aeds
 
 from conftest import huffman_oracle_mean, random_sequence, random_source
 
@@ -325,3 +325,24 @@ def test_optimize_decoder_codes_never_hurts():
         validate_aeds(tuned)
         after = stationary_distribution(tuned, p).mean_bits
         assert after <= before + 1e-12
+
+
+def test_optimize_decoder_codes_pinned_rates():
+    six = validate_distribution(enumerate((.3, .25, .15, .15, .1, .05)))
+    zipf = validate_distribution((b, 1 / (b + 1) ** 1.2) for b in range(256))
+    tree = build_huffman(six)
+    cases = [
+        (six, build_type1(tree, six, 2), 2.41875),
+        (six, build_type1(tree, six, 3), 2.405102040816327),
+        (six, build_type1(tree, six, 4), 2.400735294117647),
+        (six, build_type1(tree, six, 8), 2.400383790201634),
+        (zipf, build_saeds_case2(zipf, quantize_counts(zipf, 512)),
+         5.323421400883337),
+        (zipf, tans_to_aeds(build_tans(zipf, 256)), 5.309169018589701),
+        (zipf, build_large_n(zipf, quantize_counts(zipf, 512))[0],
+         5.324142675172766),
+    ]
+    for p, table, want in cases:
+        tuned = optimize_decoder_codes(table, p)
+        got = stationary_distribution(tuned, p).mean_bits
+        assert got == pytest.approx(want, abs=1e-12)

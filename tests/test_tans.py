@@ -1,12 +1,15 @@
+import hashlib
 import itertools
 import random
 
 import pytest
 
-from aeds.codec import encode, validate_aeds
-from aeds.errors import NotPowerOfTwo, TooFewStates
+from aeds.codec import BitWriter, encode, validate_aeds
+from aeds.errors import MalformedTable, NotPowerOfTwo, TooFewStates
 from aeds.model import validate_distribution
 from aeds.tans import (
+    TANS_MAGIC,
+    TANS_VERSION,
     build_tans,
     deserialize_tans,
     quantize_counts,
@@ -182,3 +185,36 @@ def test_tans_serialization_roundtrip():
         back = deserialize_tans(blob)
         assert back.C == t.C and back.D == t.D and back.spread == t.spread
         assert serialize_tans(back) == blob
+
+
+def forged_tans(n, counts, slots):
+    """A correctly hashed tANS blob over integer symbols 0..len(counts)-1
+    declaring ``n`` states, the given counts and (symbol, offset) slots."""
+    w = BitWriter()
+    w.write_bytes(TANS_MAGIC)
+    w.write(TANS_VERSION, 8)
+    w.write_leb128(n)
+    w.write_leb128(len(counts))
+    for s in range(len(counts)):
+        w.write(0, 8)  # integer symbol tag
+        w.write_leb128(s)
+    for c in counts:
+        w.write_leb128(c)
+    w.write_leb128(len(b"sorted-interval"))
+    w.write_bytes(b"sorted-interval")
+    for s, y_off in slots:
+        w.write_leb128(s)
+        w.write_leb128(y_off)
+    body = w.getvalue()
+    return body + hashlib.sha256(body).digest()
+
+
+def test_deserialize_forged_counts():
+    slots = [(0, 0), (1, 0)]
+    assert deserialize_tans(forged_tans(2, [1, 1], slots)).D == \
+        ((0, 1), (1, 1))
+    # a huge count must be rejected before anything is allocated for it
+    for n, counts in ((2, [1 << 62, 1]), (2, [0, 2]), (2, [2, 1]),
+                      (1 << 62, [1 << 61, 1 << 61]), (3, [1, 1])):
+        with pytest.raises(MalformedTable):
+            deserialize_tans(forged_tans(n, counts, slots))
