@@ -42,24 +42,30 @@ class StationaryReport:
         return self.mean_bits_encoder_view
 
 
-def _chain_edges(table, p):
-    """Edge list (src, dst, weight) of the encoding chain x -> F(x, s)."""
-    src, dst, w = [], [], []
-    for x, row in enumerate(table.encoder):
-        for s, (_, nxt) in enumerate(row):
-            src.append(x)
-            dst.append(nxt)
-            w.append(p.probs[s])
-    return np.array(src), np.array(dst), np.array(w)
+def _chain_arrays(encoder):
+    """The chain's next states and codeword lengths as (N, |A|) integer
+    arrays; the one read of an encoder grid cell by cell."""
+    shape = (len(encoder), len(encoder[0]))
+    nexts = np.empty(shape, dtype=np.int64)
+    lengths = np.empty(shape, dtype=np.int64)
+    for x, row in enumerate(encoder):
+        nexts[x] = [nxt for _, nxt in row]
+        lengths[x] = [word.length for word, _ in row]
+    return nexts, lengths
 
 
-def _solve_direct(table, p):
-    n = table.n_states
-    mat = np.zeros((n, n))
-    for x, row in enumerate(table.encoder):
-        for s, (_, nxt) in enumerate(row):
-            mat[nxt, x] += p.probs[s]
-    a = np.eye(n) - mat
+def _step(nexts, w, q):
+    """State weights after one more symbol: Q(x) p(s) moves to F(x, s).
+    ``w`` holds p once per state, in the x-major order of ``nexts``."""
+    return np.bincount(nexts.ravel(), weights=np.repeat(q, nexts.shape[1]) * w,
+                       minlength=len(q))
+
+
+def _solve_direct(nexts, w):
+    n, m = nexts.shape
+    a = np.zeros((n, n))
+    np.add.at(a, (nexts.ravel(), np.repeat(np.arange(n), m)), w)
+    np.subtract(np.eye(n), a, out=a)  # I - P without a second matrix
     a[-1, :] = 1.0
     b = np.zeros(n)
     b[-1] = 1.0
@@ -68,31 +74,50 @@ def _solve_direct(table, p):
     if float(np.max(np.abs(check))) > 1e-12 * n:
         warnings.warn(f"balance system is ill-conditioned "
                       f"(solve residual {np.max(np.abs(check)):.2e})",
-                      RuntimeWarning, stacklevel=3)
+                      RuntimeWarning, stacklevel=4)
     q = np.maximum(q, 0.0)
     q /= q.sum()
     return q
 
 
-def _solve_power(table, p, start=None):
-    n = table.n_states
-    src, dst, w = _chain_edges(table, p)
-    q = np.full(n, 1.0 / n) if start is None else np.asarray(start, float)
-    for it in range(POWER_ITER_LIMIT):
-        nxt = np.bincount(dst, weights=q[src] * w, minlength=n)
+def _solve_power(nexts, w):
+    n = len(nexts)
+    q = np.full(n, 1.0 / n)
+    for _ in range(POWER_ITER_LIMIT):
+        nxt = _step(nexts, w, q)
         nxt /= nxt.sum()
         residual = float(np.max(np.abs(nxt - q)))
         q = nxt
         if residual <= POWER_ITER_RESIDUAL:
-            return q, residual, it + 1
+            return q
     raise NoConvergence(residual, POWER_ITER_LIMIT)
 
 
-def _length_views(table, p, q):
-    enc_view = 0.0
-    for x, row in enumerate(table.encoder):
-        enc_view += q[x] * math.fsum(
-            p.probs[s] * word.length for s, (word, _) in enumerate(row))
+def _solve_chain(encoder, p, method):
+    """Solve Q = QP for the chain of an encoder grid (``table.encoder`` or
+    rows of the same shape).  Returns Q, the method used, the residual of
+    one more step and the average length grouped by encoder state."""
+    report = ergodicity(encoder)
+    if not (report.irreducible and report.aperiodic):
+        raise NotErgodic(f"chain is not ergodic: {report}")
+    if method == "auto":
+        method = ("direct-solve" if len(encoder) <= DIRECT_SOLVE_LIMIT
+                  else "power-iteration")
+    nexts, lengths = _chain_arrays(encoder)
+    probs = np.array(p.probs)
+    w = np.tile(probs, len(encoder))
+    if method == "direct-solve":
+        q = _solve_direct(nexts, w)
+    elif method == "power-iteration":
+        q = _solve_power(nexts, w)
+    else:
+        raise ValueError(f"unknown method {method!r}")
+    residual = float(np.max(np.abs(_step(nexts, w, q) - q)))
+    return q, method, residual, float(q @ (lengths @ probs))
+
+
+def _decoder_view(table, p, q):
+    """Average length grouped by decoder state, from ``decoder_entries``."""
     dec_view = 0.0
     skipped = []
     for x, entries in enumerate(table.decoder_entries):
@@ -103,7 +128,7 @@ def _length_views(table, p, q):
         acc = math.fsum(p.probs[s] * q[origin] / q[x] * word.length
                         for word, s, origin in entries)
         dec_view += q[x] * acc
-    return enc_view, dec_view, tuple(skipped)
+    return dec_view, tuple(skipped)
 
 
 def stationary_distribution(table, p, method="auto"):
@@ -116,22 +141,8 @@ def stationary_distribution(table, p, method="auto"):
     """
     if tuple(p.symbols) != table.symbols:
         raise AlphabetMismatch("distribution and table alphabets differ")
-    report = ergodicity(table)
-    if not (report.irreducible and report.aperiodic):
-        raise NotErgodic(f"chain is not ergodic: {report}")
-    if method == "auto":
-        method = ("direct-solve" if table.n_states <= DIRECT_SOLVE_LIMIT
-                  else "power-iteration")
-    if method == "direct-solve":
-        q = _solve_direct(table, p)
-    elif method == "power-iteration":
-        q, _, _ = _solve_power(table, p)
-    else:
-        raise ValueError(f"unknown method {method!r}")
-    src, dst, w = _chain_edges(table, p)
-    residual = float(np.max(np.abs(
-        np.bincount(dst, weights=q[src] * w, minlength=table.n_states) - q)))
-    enc_view, dec_view, skipped = _length_views(table, p, q)
+    q, method, residual, enc_view = _solve_chain(table.encoder, p, method)
+    dec_view, skipped = _decoder_view(table, p, q)
     return StationaryReport(tuple(q), method, residual,
                             enc_view, dec_view, skipped)
 
@@ -594,18 +605,13 @@ def monte_carlo_rate(table, p, n, seed, batches=100, warmup=1000):
     lanes; each lane is one batch for the batch-means standard error.  A
     short warmup run is discarded so the lanes forget their common start.
     """
-    rep = ergodicity(table)
+    rep = ergodicity(table.encoder)
     if not (rep.irreducible and rep.aperiodic):
         raise NotErgodic("monte carlo needs an ergodic chain")
     steps = max(n // batches, 1)
     rng = np.random.default_rng(seed)
     n_sym = len(p.symbols)
-    lengths = np.empty((table.n_states, n_sym), dtype=np.int64)
-    nexts = np.empty((table.n_states, n_sym), dtype=np.int64)
-    for x, row in enumerate(table.encoder):
-        for s, (word, nxt) in enumerate(row):
-            lengths[x, s] = word.length
-            nexts[x, s] = nxt
+    nexts, lengths = _chain_arrays(table.encoder)
     probs = np.array(p.probs)
     probs = probs / probs.sum()
     states = np.zeros(batches, dtype=np.int64)

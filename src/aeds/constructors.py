@@ -15,7 +15,7 @@ large-N variant); ``codec.validate_aeds`` accepts everything built here.
 import math
 from dataclasses import dataclass
 
-from .analysis import q_star, stationary_distribution
+from .analysis import _solve_chain, q_star, stationary_distribution
 from .errors import (
     DegenerateSingleSymbol,
     InvalidWeight,
@@ -115,7 +115,7 @@ def _consecutive_positions(counts, order=None):
 
 
 def _assemble(symbols, n_states, positions, forward, codes):
-    """Build the encoder grid from per-state forward sets and codeword lists.
+    """Fill the encoder grid from per-state forward sets and codeword lists.
 
     positions[s][j] is the global id of the j-th state of symbol s;
     forward[s][j] lists the states whose symbol-s transition lands there,
@@ -133,42 +133,37 @@ def _assemble(symbols, n_states, positions, forward, codes):
     for x, row in enumerate(grid):
         if any(cell is None for cell in row):
             raise TableError(f"state {x} unreachable for some symbol")
-    return AedsTable(symbols, grid)
+    return grid
 
 
-def _rank_codes_by_mass(forward, codes, q):
-    """Give the short codewords of every set to its heaviest members.
+def _rank_codes_by_mass(grid, positions, forward, codes, q):
+    """Give the short codewords of every set to its heaviest members,
+    rewriting their cells of ``grid``.
 
     The stationary weights depend only on the forward-set structure, so
     re-handing codewords never moves ``q``; this is a single well-defined
     pass.  Ties break on state id.
     """
-    out = []
-    for fw_s, words_s in zip(forward, codes):
-        new = []
-        for members, words in zip(fw_s, words_s):
-            order = sorted(range(len(members)),
-                           key=lambda i: (-q[members[i]], members[i]))
+    for s, (pos, fw, words_s) in enumerate(zip(positions, forward, codes)):
+        for x, members, words in zip(pos, fw, words_s):
+            heavy_first = sorted(members, key=lambda y: (-q[y], y))
             ranked = sorted(words, key=lambda w: (w.length, w.value))
-            assigned = [None] * len(members)
-            for rank, i in enumerate(order):
-                assigned[i] = ranked[rank]
-            new.append(assigned)
-        out.append(new)
-    return out
+            for y, word in zip(heavy_first, ranked):
+                grid[y][s] = (word, x)
 
 
 def _build_with_mass_ranked_codes(p, counts, forward, codes, order=None):
-    """Assemble, solve the chain, then re-hand codewords inside every
+    """Fill the grid, solve its chain, then re-hand codewords inside every
     forward set so the short ones sit on the heaviest members."""
     positions = _consecutive_positions(counts, order)
-    table = _assemble(p.symbols, sum(counts), positions, forward, codes)
+    grid = _assemble(p.symbols, sum(counts), positions, forward, codes)
     try:
-        report = stationary_distribution(table, p)
+        q = _solve_chain(grid, p, "auto")[0]
     except NotErgodic:
-        return table
-    codes = _rank_codes_by_mass(forward, codes, report.probs)
-    return _assemble(p.symbols, sum(counts), positions, forward, codes)
+        pass  # the unranked table still codes; only the ranking needs Q
+    else:
+        _rank_codes_by_mass(grid, positions, forward, codes, q.tolist())
+    return AedsTable(p.symbols, grid)
 
 
 # ---------------------------------------------------------------------------
@@ -197,7 +192,8 @@ def build_huffman_matching_saeds(p, max_states=1 << 16):
         codes.append([[Codeword(i, l) for i in range(size)]
                       for _ in range(counts[s])])
     positions = _consecutive_positions(counts)
-    return _assemble(p.symbols, n, positions, forward, codes)
+    return AedsTable(p.symbols,
+                     _assemble(p.symbols, n, positions, forward, codes))
 
 
 def build_saeds_case1(p, counts):
@@ -281,7 +277,8 @@ def build_saeds_case3(p, counts):
         forward.append(fw)
         codes.append(cs)
     positions = _consecutive_positions(counts)
-    return _assemble(p.symbols, n, positions, forward, codes)
+    return AedsTable(p.symbols,
+                     _assemble(p.symbols, n, positions, forward, codes))
 
 
 # ---------------------------------------------------------------------------
@@ -376,7 +373,8 @@ def build_large_n(p, counts):
 
     forward = [plan[0] for plan in plans]
     codes = [plan[1] for plan in plans]
-    table = _assemble(p.symbols, n, positions, forward, codes)
+    table = AedsTable(p.symbols,
+                      _assemble(p.symbols, n, positions, forward, codes))
     layout = LargeNLayout(n, tuple(specs),
                           tuple(tuple(pos) for pos in positions))
     return table, layout

@@ -46,7 +46,7 @@ class PrefixViolation(TableError):
 
 
 class InconsistentTables(TableError):
-    """Encoder and decoder disagree about an entry."""
+    """A table's state-divided partition breaks its laws."""
 
 
 class MissingSymbol(TableError):

@@ -183,8 +183,8 @@ class AedsTable:
     ``encoder[x][s]`` holds the pair (codeword, next_state) used when symbol
     index ``s`` is consumed at state ``x`` during the backward encoding pass.
     The decoder side is derived: every encoder entry (x, s) -> (w, x') makes
-    the decoder at x' map w back to (s, x).  Construction only checks shape;
-    ``codec.validate_aeds`` performs the full consistency and prefix checks.
+    the decoder at x' map w back to (s, x).  Construction checks shape and
+    next-state range; ``codec.validate_aeds`` adds the prefix check.
     """
 
     __slots__ = ("symbols", "n_states", "encoder", "decoder_entries",

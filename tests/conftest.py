@@ -53,7 +53,7 @@ def random_table(rng, n_states=None, n_symbols=None, require_ergodic=True):
         table = AedsTable([f"s{i}" for i in range(m)], grid)
         if not require_ergodic:
             return table
-        rep = ergodicity(table)
+        rep = ergodicity(table.encoder)
         if rep.irreducible and rep.aperiodic:
             return table
     raise RuntimeError("could not draw an ergodic table")

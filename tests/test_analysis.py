@@ -252,6 +252,35 @@ def test_monte_carlo_matches_five_state_analytics():
     assert abs(est.bits_per_symbol - analytic) <= 3 * est.stderr
 
 
+SIX = validate_distribution(
+    [("a", 0.35), ("b", 0.15), ("c", 0.15), ("d", 0.15), ("e", 0.1),
+     ("f", 0.1)])
+
+
+def test_stationary_solves_pinned():
+    # Pinned to the last bit: both solvers add the weight entering a state
+    # in (state, symbol) order.  In the five-state table several symbols of
+    # several states lead to state 0, so another order moves Q.
+    table = build_type2(build_huffman(SIX), SIX)
+    rep = stationary_distribution(table, SIX)
+    assert rep.method == "direct-solve"
+    assert rep.probs == (0.2592592592592592, 0.09074074074074066,
+                         0.31363088057901084, 0.20386007237635703,
+                         0.13250904704463212)
+    assert abs(rep.mean_bits - 2.445628378680248) <= 1e-12
+    rep = stationary_distribution(table, SIX, method="power-iteration")
+    assert rep.probs == (0.2592592592592593, 0.09074074074074073,
+                         0.3136308805790011, 0.2038600723766526,
+                         0.13250904704434624)
+    assert abs(rep.mean_bits - 2.44562837867978) <= 1e-12
+
+
+def test_monte_carlo_pinned():
+    table = build_type2(build_huffman(SIX), SIX)
+    assert monte_carlo_rate(table, SIX, 10 ** 5, seed=11).bits_per_symbol \
+        == 2.44873
+
+
 def test_power_iteration_agrees_with_direct():
     p = validate_distribution([("a", 3), ("b", 3), ("c", 2)])
     table, _ = build_large_n(p, [12, 12, 8])

@@ -6,8 +6,9 @@ import zlib
 
 import pytest
 
+from aeds import codec
 from aeds.cli import build_table, main, read_container, write_container_stream
-from aeds.errors import MalformedStream, TrailingGarbage
+from aeds.errors import HashMismatch, MalformedStream, TrailingGarbage
 from aeds.model import validate_distribution
 
 SIX_WEIGHTS = [35, 15, 15, 15, 10, 10]
@@ -115,6 +116,36 @@ def test_side_table_and_wrong_table(tmp_path):
           "--codec", "type1", "--table-out", str(other_table)])
     assert main(["decompress", "--input", str(out), "--output", str(back),
                  "--table", str(other_table)]) == 3
+
+
+def test_side_table_digest_is_its_trailer(tmp_path, monkeypatch):
+    src, data = make_input(tmp_path, size=4000)
+    out, side = tmp_path / "out.aedc", tmp_path / "codes.tbl"
+    assert main(["compress", "--input", str(src), "--output", str(out),
+                 "--codec", "type2", "--table-out", str(side)]) == 0
+    calls = []
+    serialize = codec.serialize_table
+
+    def counting(table):
+        calls.append(table)
+        return serialize(table)
+    monkeypatch.setattr(codec, "serialize_table", counting)
+    back = tmp_path / "back.dat"
+    assert main(["decompress", "--input", str(out), "--output", str(back),
+                 "--table", str(side)]) == 0
+    assert back.read_bytes() == data
+    assert calls == []
+    # The same table with its state count as an overlong LEB128 (5 states:
+    # 0x85 0x00 instead of 0x05) and a valid hash of its own still parses,
+    # but it is not the file the container's digest names.
+    body = side.read_bytes()[:-32]
+    assert body[5] == 5
+    body = body[:5] + bytes([0x85, 0x00]) + body[6:]
+    forged = codec._seal(body)
+    assert codec.deserialize_table(forged).encoder == \
+        codec.deserialize_table(side.read_bytes()).encoder
+    with pytest.raises(HashMismatch):
+        read_container(out.read_bytes(), side_table=forged)
 
 
 def test_missing_input_is_a_data_error(tmp_path):

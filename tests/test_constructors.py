@@ -29,7 +29,7 @@ from aeds.errors import (
     StateBudgetExceeded,
     TooFewStates,
 )
-from aeds.model import validate_distribution
+from aeds.model import AedsTable, validate_distribution
 from aeds.prefix_codes import build_huffman, tree_metrics
 from aeds.tans import build_tans, quantize_counts, tans_to_aeds
 
@@ -188,6 +188,21 @@ def test_case2_reduces_to_case1_on_integer_ratios():
     a = build_saeds_case1(p, [4, 4])
     b = build_saeds_case2(p, [4, 4])
     assert a.encoder == b.encoder
+
+
+@pytest.mark.parametrize("build", [build_saeds_case1, build_saeds_case2])
+def test_mass_ranked_builders_construct_one_table(build, monkeypatch):
+    made = []
+    init = AedsTable.__init__
+
+    def counting(self, *args, **kwargs):
+        made.append(1)
+        init(self, *args, **kwargs)
+    monkeypatch.setattr(AedsTable, "__init__", counting)
+    p = validate_distribution([("a", 0.5), ("b", 0.3), ("c", 0.2)])
+    table = build(p, [4, 2, 2])
+    assert len(made) == 1
+    assert check_bound(table, p, "case1").holds
 
 
 def test_case3_plan_example():

@@ -1,4 +1,5 @@
-"""Every demo script runs to completion and prints something."""
+"""Every demo script runs to completion, prints something and cleans up
+its temporary files."""
 
 import os
 import pathlib
@@ -17,7 +18,9 @@ def test_all_seven_demos_found():
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda path: path.stem)
 def test_demo_runs(demo, tmp_path):
-    env = dict(os.environ, TMPDIR=str(tmp_path))
+    tmpdir = tmp_path / "tmp"
+    tmpdir.mkdir()
+    env = dict(os.environ, TMPDIR=str(tmpdir))
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, str(demo)], cwd=tmp_path,
@@ -25,3 +28,4 @@ def test_demo_runs(demo, tmp_path):
                           timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip()
+    assert not any(tmpdir.iterdir()), "demo left files in its TMPDIR"
