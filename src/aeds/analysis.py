@@ -11,7 +11,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .codec import ergodicity
 from .errors import AlphabetMismatch, KindMismatch, NoConvergence, NotErgodic
 from .model import SourceDistribution, entropy, relative_entropy
 from .prefix_codes import SIGMA, phased_in_redundancy
@@ -40,18 +39,6 @@ class StationaryReport:
     @property
     def mean_bits(self):
         return self.mean_bits_encoder_view
-
-
-def _chain_arrays(encoder):
-    """The chain's next states and codeword lengths as (N, |A|) integer
-    arrays; the one read of an encoder grid cell by cell."""
-    shape = (len(encoder), len(encoder[0]))
-    nexts = np.empty(shape, dtype=np.int64)
-    lengths = np.empty(shape, dtype=np.int64)
-    for x, row in enumerate(encoder):
-        nexts[x] = [nxt for _, nxt in row]
-        lengths[x] = [word.length for word, _ in row]
-    return nexts, lengths
 
 
 def _step(nexts, w, q):
@@ -93,42 +80,40 @@ def _solve_power(nexts, w):
     raise NoConvergence(residual, POWER_ITER_LIMIT)
 
 
-def _solve_chain(encoder, p, method):
-    """Solve Q = QP for the chain of an encoder grid (``table.encoder`` or
-    rows of the same shape).  Returns Q, the method used, the residual of
-    one more step and the average length grouped by encoder state."""
-    report = ergodicity(encoder)
-    if not (report.irreducible and report.aperiodic):
-        raise NotErgodic(f"chain is not ergodic: {report}")
+def _solve_chain(nexts, p, method):
+    """Solve Q = QP for the ergodic chain of a next-state array.  Returns
+    Q, the method used and the residual of one more step."""
     if method == "auto":
-        method = ("direct-solve" if len(encoder) <= DIRECT_SOLVE_LIMIT
+        method = ("direct-solve" if len(nexts) <= DIRECT_SOLVE_LIMIT
                   else "power-iteration")
-    nexts, lengths = _chain_arrays(encoder)
-    probs = np.array(p.probs)
-    w = np.tile(probs, len(encoder))
+    w = np.tile(np.array(p.probs), len(nexts))
     if method == "direct-solve":
         q = _solve_direct(nexts, w)
     elif method == "power-iteration":
         q = _solve_power(nexts, w)
     else:
         raise ValueError(f"unknown method {method!r}")
-    residual = float(np.max(np.abs(_step(nexts, w, q) - q)))
-    return q, method, residual, float(q @ (lengths @ probs))
+    return q, method, float(np.max(np.abs(_step(nexts, w, q) - q)))
 
 
-def _decoder_view(table, p, q):
-    """Average length grouped by decoder state, from ``decoder_entries``."""
-    dec_view = 0.0
-    skipped = []
-    for x, entries in enumerate(table.decoder_entries):
-        if q[x] < 1e-300:
-            if entries:
-                skipped.append(x)
-            continue
-        acc = math.fsum(p.probs[s] * q[origin] / q[x] * word.length
-                        for word, s, origin in entries)
-        dec_view += q[x] * acc
-    return dec_view, tuple(skipped)
+def _require_ergodic(table, what):
+    report = table.ergodicity()
+    if not report.ergodic:
+        raise NotErgodic(f"{what} needs an ergodic chain: {report}")
+
+
+def _decoder_view(table, probs, q):
+    """Average length grouped by decoder state: the mean length of the
+    codewords each state parses, weighted by Q of that state.  States with
+    Q below 1e-300 are skipped and returned."""
+    n, m = table.nexts.shape
+    into = table.nexts.ravel()
+    kept = q[into] >= 1e-300
+    flow = np.repeat(q, m) * np.tile(probs, n) * table.lengths.ravel()
+    per_state = np.bincount(into[kept], weights=flow[kept] / q[into[kept]],
+                            minlength=n)
+    skipped = (q < 1e-300) & (np.bincount(into, minlength=n) > 0)
+    return float(q @ per_state), tuple(np.flatnonzero(skipped).tolist())
 
 
 def stationary_distribution(table, p, method="auto"):
@@ -141,22 +126,20 @@ def stationary_distribution(table, p, method="auto"):
     """
     if tuple(p.symbols) != table.symbols:
         raise AlphabetMismatch("distribution and table alphabets differ")
-    q, method, residual, enc_view = _solve_chain(table.encoder, p, method)
-    dec_view, skipped = _decoder_view(table, p, q)
+    _require_ergodic(table, "the stationary distribution")
+    q, method, residual = _solve_chain(table.nexts, p, method)
+    probs = np.array(p.probs)
     return StationaryReport(tuple(q), method, residual,
-                            enc_view, dec_view, skipped)
+                            float(q @ (table.lengths @ probs)),
+                            *_decoder_view(table, probs, q))
 
 
 def symbol_masses(table, p, q):
     """Per-symbol stationary mass: sum of Q(x) over the states reached by
     encoding that symbol (equals p(s) for state-divided tables)."""
-    masses = [0.0] * len(table.symbols)
     part = table.saeds_partition()
-    if part is None:
-        return None
-    for s, block in enumerate(part.subsets):
-        masses[s] = math.fsum(q[x] for x in block)
-    return masses
+    return None if part is None else [math.fsum(q[x] for x in block)
+                                      for block in part.subsets]
 
 
 # ---------------------------------------------------------------------------
@@ -437,17 +420,6 @@ def _bound(name, left, right, tol=1e-9, **details):
     return BoundReport(name, left, right, slack >= -tol, slack, details)
 
 
-def _partition_or_raise(table):
-    part = table.saeds_partition()
-    if part is None:
-        raise KindMismatch("table is not state-divided")
-    return part
-
-
-def _ratio_distribution(p, part, n):
-    return SourceDistribution(p.symbols, [len(b) / n for b in part.subsets])
-
-
 def check_bound(table, p, which, report=None, layout=None,
                 gamma=4, eta=1.0, rate="inverse"):
     """Evaluate one of the analytic upper bounds against the solved chain.
@@ -464,10 +436,13 @@ def check_bound(table, p, which, report=None, layout=None,
     L = report.mean_bits_encoder_view
     H = entropy(p)
 
-    if which in ("case1", "case2", "case3"):
-        part = _partition_or_raise(table)
-        ratio = _ratio_distribution(p, part, n)
-        D = relative_entropy(p, ratio)
+    if which in ("case1", "case2", "case3", "target-identity", "target-gap",
+                 "large-n"):
+        part = table.saeds_partition()
+        if part is None:
+            raise KindMismatch("table is not state-divided")
+        ratio = [len(b) / n for b in part.subsets]
+        D = relative_entropy(p, SourceDistribution(p.symbols, ratio))
 
     if which == "case1":
         for s, block in enumerate(part.subsets):
@@ -516,11 +491,8 @@ def check_bound(table, p, which, report=None, layout=None,
             plan = layout.per_symbol[s]
             tail = math.fsum(target[i] for i in range(plan.head_size, n))
             ideal += prob * (plan.kappa - 1.0 + tail)
-        part = _partition_or_raise(table)
-        ratio = _ratio_distribution(p, part, n)
-        ref = H + relative_entropy(p, ratio)
-        return _bound("target-identity", abs(ideal - ref), 1e-9, tol=0.0,
-                      ideal=ideal, reference=ref)
+        return _bound("target-identity", abs(ideal - (H + D)), 1e-9, tol=0.0,
+                      ideal=ideal, reference=H + D)
 
     if which == "target-gap":
         # If the solved chain tracks the target within a budget, the rate
@@ -533,13 +505,9 @@ def check_bound(table, p, which, report=None, layout=None,
         if rate not in budgets:
             raise ValueError(f"unknown rate {rate!r}")
         premise_budget, conclusion_budget = budgets[rate]
-        part = _partition_or_raise(table)
-        ratio = _ratio_distribution(p, part, n)
-        D = relative_entropy(p, ratio)
-        rep = _bound(f"target-gap[{rate}]", L, H + D + conclusion_budget,
-                     premise_gap=gap, premise_budget=premise_budget,
-                     premise_holds=gap < premise_budget)
-        return rep
+        return _bound(f"target-gap[{rate}]", L, H + D + conclusion_budget,
+                      premise_gap=gap, premise_budget=premise_budget,
+                      premise_holds=gap < premise_budget)
 
     if which == "harmonic-target":
         # The normalized harmonic weights stay within lg(e)/2N^2 above the
@@ -564,9 +532,6 @@ def check_bound(table, p, which, report=None, layout=None,
         return up, low
 
     if which == "large-n":
-        part = _partition_or_raise(table)
-        ratio = _ratio_distribution(p, part, n)
-        D = relative_entropy(p, ratio)
         shifted = q_star_shifted(n, gamma)
         dominated = all(qi <= si + 1e-12 for qi, si in zip(q, shifted))
         return _bound(f"large-n[gamma={gamma}]", L,
@@ -605,13 +570,11 @@ def monte_carlo_rate(table, p, n, seed, batches=100, warmup=1000):
     lanes; each lane is one batch for the batch-means standard error.  A
     short warmup run is discarded so the lanes forget their common start.
     """
-    rep = ergodicity(table.encoder)
-    if not (rep.irreducible and rep.aperiodic):
-        raise NotErgodic("monte carlo needs an ergodic chain")
+    _require_ergodic(table, "monte carlo")
     steps = max(n // batches, 1)
     rng = np.random.default_rng(seed)
     n_sym = len(p.symbols)
-    nexts, lengths = _chain_arrays(table.encoder)
+    nexts, lengths = table.nexts, table.lengths
     probs = np.array(p.probs)
     probs = probs / probs.sum()
     states = np.zeros(batches, dtype=np.int64)

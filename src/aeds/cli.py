@@ -11,8 +11,8 @@ Container layout (byte oriented):
 The flags byte is 1 (embedded table), 0 (side table) or 2 (empty input,
 nothing follows the checksum); no byte may follow the last block.
 
-Files are split into blocks of 2^20 symbols; each block carries its own
-stream header, so decompression never needs more than one block in memory.
+Files are split into blocks of 2^20 symbols, and a block declaring more
+is rejected before it is decoded; each block carries its own stream header.
 """
 
 import argparse
@@ -48,8 +48,8 @@ FIGURES = ("delta-type1", "delta-type2", "worst-case", "uniform-n2",
 def _one_state_table(p, tree):
     """Plain prefix coding expressed as a single-state machine."""
     words = tree.codewords()
-    row = [(words[s], 0) for s in p.symbols]
-    return model.AedsTable(p.symbols, [row])
+    return model.AedsTable.from_rows(p.symbols,
+                                     [[(words[s], 0) for s in p.symbols]])
 
 
 def _pow2_counts(p, n_states):
@@ -195,6 +195,9 @@ def read_container(blob, side_table=None, sink=None):
     for _ in range(n_blocks):
         blen = r.read_leb128()
         stream = Bitstream(r.read_bytes(blen))
+        if stream.length > BLOCK_SYMBOLS:
+            raise MalformedStream(f"a block declares {stream.length} "
+                                  f"symbols, more than {BLOCK_SYMBOLS}")
         piece = bytes(codec.decode(table, stream))
         running = zlib.crc32(piece, running)
         if sink is None:
@@ -239,7 +242,7 @@ def cmd_compress(args):
     if len(present) == 1:
         # one byte value: a single state whose only codeword is empty
         p = None
-        table = model.AedsTable(present, [[(model.EMPTY_WORD, 0)]])
+        table = model.AedsTable(present, [[0]], [[0]], [[0]])
     else:
         p = model.validate_distribution((b, counts[b]) for b in present)
         table = build_table(p, args.codec, args.states, args.tolerance)

@@ -12,8 +12,9 @@ forward order, so memory is proportional to the payload.
 """
 
 import hashlib
-import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import (
     AlphabetMismatch,
@@ -27,7 +28,7 @@ from .errors import (
     UnmatchedCodeword,
     VersionMismatch,
 )
-from .model import UNMATCHED, AedsTable, Codeword
+from .model import UNMATCHED, AedsTable, ErgodicityReport
 
 STREAM_MAGIC = b"AEDS"
 STREAM_VERSION = 1
@@ -40,7 +41,8 @@ TABLE_VERSION = 1
 
 
 class BitWriter:
-    """Accumulates bits MSB-first into a bytearray."""
+    """Accumulates bits MSB-first into a bytearray, moving them out of an
+    integer accumulator as whole bytes once 32 or more have gathered."""
 
     __slots__ = ("_buf", "_acc", "_fill")
 
@@ -50,32 +52,29 @@ class BitWriter:
         self._fill = 0
 
     def write(self, value, nbits):
-        if nbits == 0:
-            return
-        acc = (self._acc << nbits) | value
-        fill = self._fill + nbits
-        while fill >= 8:
-            fill -= 8
-            self._buf.append((acc >> fill) & 0xFF)
-        self._acc = acc & ((1 << fill) - 1)
-        self._fill = fill
+        self.write_words(((value, nbits),))
+
+    def write_words(self, words):
+        """Write (value, bit count) pairs in order."""
+        buf, acc, fill = self._buf, self._acc, self._fill
+        for value, nbits in words:
+            acc = (acc << nbits) | value
+            fill += nbits
+            if fill >= 32:
+                keep = fill & 7
+                buf += (acc >> keep).to_bytes((fill - keep) >> 3, "big")
+                acc &= (1 << keep) - 1
+                fill = keep
+        self._acc, self._fill = acc, fill
 
     def write_bytes(self, data):
         if self._fill:
-            for b in data:
-                self.write(b, 8)
+            self.write_words((b, 8) for b in data)
         else:
             self._buf += data
 
     def write_leb128(self, value):
-        if value < 0:
-            raise ValueError("LEB128 encodes nonnegative integers only")
-        while True:
-            chunk = value & 0x7F
-            value >>= 7
-            self.write(chunk | (0x80 if value else 0), 8)
-            if not value:
-                return
+        self.write_bytes(_leb128(value))
 
     @property
     def bit_length(self):
@@ -83,10 +82,9 @@ class BitWriter:
 
     def getvalue(self):
         """Zero-pad to a byte boundary and return the bytes."""
-        out = bytes(self._buf)
-        if self._fill:
-            out += bytes([(self._acc << (8 - self._fill)) & 0xFF])
-        return out
+        pad = -self._fill % 8
+        return bytes(self._buf) + (self._acc << pad).to_bytes(
+            (self._fill + pad) >> 3, "big")
 
 
 class BitReader:
@@ -156,70 +154,9 @@ def state_index_bits(n_states):
 
 
 @dataclass(frozen=True)
-class ErgodicityReport:
-    irreducible: bool
-    aperiodic: bool
-    period: int | None = None
-
-
-@dataclass(frozen=True)
 class ValidationReport:
     well_formed: bool
     ergodicity: ErgodicityReport
-
-
-def _transition_graph(encoder):
-    """Successor sets of the encoding chain x -> F(x, s) over all symbols."""
-    return [sorted({nxt for _, nxt in row}) for row in encoder]
-
-
-def _strongly_connected(succ):
-    n = len(succ)
-
-    def reachable(adj):
-        seen = [False] * n
-        stack = [0]
-        seen[0] = True
-        while stack:
-            u = stack.pop()
-            for v in adj[u]:
-                if not seen[v]:
-                    seen[v] = True
-                    stack.append(v)
-        return all(seen)
-
-    rev = [[] for _ in range(n)]
-    for u, vs in enumerate(succ):
-        for v in vs:
-            rev[v].append(u)
-    return reachable(succ) and reachable(rev)
-
-
-def _period(succ):
-    """gcd of cycle lengths of a strongly connected digraph."""
-    n = len(succ)
-    level = [None] * n
-    level[0] = 0
-    order = [0]
-    g = 0
-    for u in order:
-        for v in succ[u]:
-            if level[v] is None:
-                level[v] = level[u] + 1
-                order.append(v)
-            else:
-                g = math.gcd(g, level[u] + 1 - level[v])
-    return abs(g) if g else 0
-
-
-def ergodicity(encoder):
-    """Irreducibility and period of the chain of an encoder grid: rows of
-    (codeword, next state) pairs such as ``table.encoder``."""
-    succ = _transition_graph(encoder)
-    if not _strongly_connected(succ):
-        return ErgodicityReport(False, False, None)
-    period = _period(succ)
-    return ErgodicityReport(True, period == 1, period)
 
 
 def validate_aeds(table):
@@ -234,7 +171,7 @@ def validate_aeds(table):
     if not isinstance(table, AedsTable):
         raise TableError("validate_aeds expects an AedsTable")
     table.decoding_tries()  # building the decoder index checks prefixes
-    return ValidationReport(True, ergodicity(table.encoder))
+    return ValidationReport(True, table.ergodicity())
 
 
 # ---------------------------------------------------------------------------
@@ -274,15 +211,16 @@ class Bitstream:
         self.payload_start = reader.position
 
     @classmethod
-    def assemble(cls, n_states, initial_state, length, payload_words):
+    def assemble(cls, n_states, initial_state, length, payload):
+        """Frame a payload given as (value, bit count) pairs in decode
+        order."""
         w = BitWriter()
         w.write_bytes(STREAM_MAGIC)
         w.write(STREAM_VERSION, 8)
         w.write_leb128(n_states)
         w.write(initial_state, state_index_bits(n_states))
         w.write_leb128(length)
-        for word in payload_words:
-            w.write(word.value, word.length)
+        w.write_words(payload)
         total = w.bit_length
         stream = cls(w.getvalue())
         stream.exact_payload_bits = total - stream.payload_start
@@ -318,16 +256,18 @@ POLICY_FIRST_STATE = "index0"
 POLICY_MINIMIZE = "minimize-length"
 
 
-def _backward_pass(table, indices, start):
-    """Run the backward recursion; return (final_state, words_forward)."""
-    enc = table.encoder
-    x = start
-    rev = []
+def _backward_pass(into, m, indices, start):
+    """Run the backward recursion over ``into``, the x-major list of next
+    states times m = |A|; return (final_state, the cells x|A| + s visited,
+    in forward order)."""
+    at = start * m
+    cells = []
     for s in reversed(indices):
-        word, x = enc[x][s]
-        rev.append(word)
-    rev.reverse()
-    return x, rev
+        cell = at + s
+        cells.append(cell)
+        at = into[cell]
+    cells.reverse()
+    return at // m, cells
 
 
 def encode(table, sequence, initial_state_policy=POLICY_FIRST_STATE):
@@ -344,7 +284,9 @@ def encode(table, sequence, initial_state_policy=POLICY_FIRST_STATE):
             indices.append(table.symbol_index(s))
         except AlphabetMismatch:
             raise UnknownSymbol(t, s) from None
-
+    m = len(table.symbols)
+    into = (table.nexts.ravel() * m).tolist()
+    lengths = table.lengths.ravel().tolist()
     if isinstance(initial_state_policy, int):
         start = initial_state_policy
         if not 0 <= start < table.n_states:
@@ -352,13 +294,15 @@ def encode(table, sequence, initial_state_policy=POLICY_FIRST_STATE):
     elif initial_state_policy == POLICY_FIRST_STATE:
         start = 0
     elif initial_state_policy == POLICY_MINIMIZE:
-        start = min(range(table.n_states), key=lambda cand: sum(
-            w.length for w in _backward_pass(table, indices, cand)[1]))
+        start = min(range(table.n_states), key=lambda cand: sum(map(
+            lengths.__getitem__, _backward_pass(into, m, indices, cand)[1])))
     else:
         raise ValueError(f"unknown policy {initial_state_policy!r}")
 
-    x0, words = _backward_pass(table, indices, start)
-    return Bitstream.assemble(table.n_states, x0, len(indices), words)
+    x0, cells = _backward_pass(into, m, indices, start)
+    values = table.values.ravel().tolist()
+    return Bitstream.assemble(table.n_states, x0, len(indices), zip(
+        map(values.__getitem__, cells), map(lengths.__getitem__, cells)))
 
 
 def decode(table, stream):
@@ -426,8 +370,10 @@ def _unmatched(data, position, state, offset, depth):
 def trace_lengths(table, sequence, initial_state=0):
     """Per-symbol codeword lengths of an encode from a pinned start state,
     independent of the bit writer (used by tests and rate accounting)."""
-    indices = [table.symbol_index(s) for s in sequence]
-    return [w.length for w in _backward_pass(table, indices, initial_state)[1]]
+    indices, m = [table.symbol_index(s) for s in sequence], len(table.symbols)
+    cells = _backward_pass((table.nexts.ravel() * m).tolist(), m, indices,
+                           initial_state)[1]
+    return table.lengths.ravel()[cells].tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -480,13 +426,32 @@ def _table_body(table):
     w.write_leb128(len(table.symbols))
     for s in table.symbols:
         _write_symbol(w, s)
-    for row in table.encoder:
-        for word, nxt in row:
-            w.write_leb128(nxt)
-            w.write_leb128(word.length)
-            nbytes = (word.length + 7) // 8
-            w.write_bytes(word.value.to_bytes(nbytes, "big"))
-    return w.getvalue()
+    return w.getvalue() + _grid_bytes(table)
+
+
+def _grid_bytes(table):
+    """The encoder grid, cell by cell in x-major order: the next state and
+    the codeword length as LEB128, then the value in ceil(length / 8)
+    big-endian bytes."""
+    out = bytearray()
+    for nxt, length, value in zip(*(a.ravel().tolist() for a in (
+            table.nexts, table.lengths, table.values))):
+        out += _leb128(nxt)
+        out += _leb128(length)
+        out += value.to_bytes((length + 7) >> 3, "big")
+    return bytes(out)
+
+
+def _leb128(value):
+    """The LEB128 bytes of a nonnegative integer."""
+    if value < 0:
+        raise ValueError("LEB128 encodes nonnegative integers only")
+    out = bytearray()
+    while value > 0x7F:
+        out.append(0x80 | (value & 0x7F))
+        value >>= 7
+    out.append(value)
+    return out
 
 
 def _seal(body):
@@ -522,7 +487,8 @@ def table_digest(table):
 
 
 def deserialize_table(data):
-    r = BitReader(_unseal(data, TABLE_MAGIC, "table"), 32)
+    body = _unseal(data, TABLE_MAGIC, "table")
+    r = BitReader(body, 32)
     try:
         version = r.read(8)
         if version != TABLE_VERSION:
@@ -532,23 +498,41 @@ def deserialize_table(data):
         if n < 1 or n_sym < 1:
             raise MalformedTable("empty table")
         symbols = [_read_symbol(r) for _ in range(n_sym)]
-        rows = []
-        for _ in range(n):
-            row = []
-            for _ in range(n_sym):
-                nxt = r.read_leb128()
-                length = r.read_leb128()
-                nbytes = (length + 7) // 8
-                value = int.from_bytes(r.read_bytes(nbytes), "big")
-                row.append((Codeword(value, length), nxt))
-            rows.append(row)
-    except TruncatedStream:
+        pos, grid = r.position >> 3, ([], [], [])  # see _grid_bytes
+        for _ in range(n * n_sym):
+            nxt, pos = ((body[pos], pos + 1) if body[pos] < 0x80
+                        else _leb128_at(body, pos))
+            length, pos = ((body[pos], pos + 1) if body[pos] < 0x80
+                           else _leb128_at(body, pos))
+            stop = pos + ((length + 7) >> 3)
+            if stop > len(body):
+                raise TruncatedStream("table grid ends early")
+            grid[0].append(nxt)
+            grid[1].append(length)
+            grid[2].append(int.from_bytes(body[pos:stop], "big"))
+            pos = stop
+    except (TruncatedStream, IndexError):
         raise MalformedTable("table bytes end early") from None
     except (ValueError, UnicodeDecodeError) as exc:
         raise MalformedTable(str(exc)) from None
-    if r.bits_left >= 8:
+    if pos < len(body):
         raise MalformedTable("unexpected bytes after the encoder grid")
     try:
-        return AedsTable(symbols, rows)
+        return AedsTable(symbols, *(np.reshape(np.array(column, dtype=object),
+                                               (n, n_sym)) for column in grid))
     except TableError as exc:
         raise MalformedTable(str(exc)) from None
+
+
+def _leb128_at(body, pos):
+    """The LEB128 integer at byte ``pos`` and the position after it."""
+    value = shift = 0
+    while True:
+        if shift > 63:
+            raise MalformedStream("LEB128 value too large")
+        byte = body[pos]
+        value |= (byte & 0x7F) << shift
+        if byte < 0x80:
+            return value, pos + 1
+        pos += 1
+        shift += 7

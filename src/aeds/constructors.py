@@ -15,19 +15,28 @@ large-N variant); ``codec.validate_aeds`` accepts everything built here.
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .analysis import _solve_chain, q_star, stationary_distribution
 from .errors import (
     DegenerateSingleSymbol,
     InvalidWeight,
     NonIntegerRatio,
-    NotErgodic,
     NotPowerOfTwo,
     StateBudgetExceeded,
     TableError,
     TooFewStates,
 )
-from .model import EMPTY_WORD, AedsTable, Codeword, validate_distribution
-from .prefix_codes import build_huffman, phased_in_words
+from .model import (
+    EMPTY_WORD,
+    AedsTable,
+    Codeword,
+    ergodicity,
+    incoming,
+    validate_distribution,
+    value_dtype,
+)
+from .prefix_codes import build_huffman, phased_in_cells, phased_in_words
 
 _ZERO = Codeword(0, 1)
 _ONE = Codeword(1, 1)
@@ -37,6 +46,27 @@ _ONE = Codeword(1, 1)
 # tree-based layouts
 
 
+def _tree_layout(tree, p, plan):
+    """Table of a tree-based layout.  At state x a symbol of the right
+    (left) root subtree emits the prefix of ``plan[x][0]`` (``plan[x][1]``)
+    followed by its codeword inside that subtree, and moves to that pair's
+    next state."""
+    tree = tree.normalized(p)
+    right = set(tree.right_symbols())
+    side = [0 if s in right else 1 for s in p.symbols]
+    subs = [tree.subtree_codeword(s) for s in p.symbols]
+    sub_lengths = np.array([w.length for w in subs])
+    lengths = np.array([[w.length for w, _ in pair] for pair in plan])[:, side]
+    lengths += sub_lengths
+    dtype = value_dtype(lengths)
+    prefixes = np.array([[w.value for w, _ in pair] for pair in plan],
+                        dtype=dtype)[:, side]
+    values = ((prefixes << sub_lengths)
+              | np.array([w.value for w in subs], dtype=dtype))
+    nexts = np.array([[x for _, x in pair] for pair in plan])[:, side]
+    return AedsTable(p.symbols, nexts, lengths, values)
+
+
 def build_type1(tree, p, n_states):
     """N-state chain: right-subtree symbols walk the chain forward one state
     per symbol (wrapping at the end with one extra bit), left-subtree
@@ -44,30 +74,15 @@ def build_type1(tree, p, n_states):
     """
     if n_states < 2:
         raise TooFewStates("the chain layout needs at least two states")
-    tree = tree.normalized(p)
-    right = set(tree.right_symbols())
     contexts = phased_in_words(n_states)
-    rows = []
-    for j in range(n_states):
-        row = []
-        for s in p.symbols:
-            sub = tree.subtree_codeword(s)
-            if s in right:
-                if j < n_states - 1:
-                    row.append((sub, j + 1))
-                else:
-                    row.append((_ONE.concat(sub), 0))
-            else:
-                row.append((_ZERO.concat(contexts[j]).concat(sub), 0))
-        rows.append(row)
-    return AedsTable(p.symbols, rows)
+    plan = [((EMPTY_WORD, j + 1) if j < n_states - 1 else (_ONE, 0),
+             (_ZERO.concat(contexts[j]), 0)) for j in range(n_states)]
+    return _tree_layout(tree, p, plan)
 
 
 def build_type2(tree, p):
     """Five-state layout: two left-leaning states and a three-state right
     run, beating the two-state chain for moderately skewed trees."""
-    tree = tree.normalized(p)
-    right = set(tree.right_symbols())
     w = Codeword.from_bits
     # (right-prefix, right-target), (left-prefix, left-target) per state
     plan = (
@@ -77,17 +92,7 @@ def build_type2(tree, p):
         ((w(""), 4), (w("10"), 0)),
         ((w("01"), 2), (w("111"), 0)),
     )
-    rows = []
-    for (r_prefix, r_next), (l_prefix, l_next) in plan:
-        row = []
-        for s in p.symbols:
-            sub = tree.subtree_codeword(s)
-            if s in right:
-                row.append((r_prefix.concat(sub), r_next))
-            else:
-                row.append((l_prefix.concat(sub), l_next))
-        rows.append(row)
-    return AedsTable(p.symbols, rows)
+    return _tree_layout(tree, p, plan)
 
 
 # ---------------------------------------------------------------------------
@@ -114,56 +119,41 @@ def _consecutive_positions(counts, order=None):
     return positions
 
 
-def _assemble(symbols, n_states, positions, forward, codes):
-    """Fill the encoder grid from per-state forward sets and codeword lists.
+def _runs(sizes, start=0):
+    """Forward sets of consecutive states, of the given sizes."""
+    bounds = np.cumsum([start] + list(sizes)).tolist()
+    return [np.arange(a, b) for a, b in zip(bounds, bounds[1:])]
 
-    positions[s][j] is the global id of the j-th state of symbol s;
-    forward[s][j] lists the states whose symbol-s transition lands there,
-    and codes[s][j] the codeword each of them emits.
+
+def _assemble(p, n_states, positions, forward, rank=False):
+    """The table of a state-divided layout.
+
+    forward[s][j] is the array of states whose symbol-s transition lands
+    on state positions[s][j]; they emit the words of the phased-in code of
+    the set's size, shortest first, in member order.  With ``rank`` the
+    chain is solved first and, if it is ergodic, the short words go to the
+    heaviest members (ties by state id); the stationary weights depend on
+    the forward sets alone, so ranking never moves them.
     """
-    grid = [[None] * len(symbols) for _ in range(n_states)]
-    for s in range(len(symbols)):
-        for j, x in enumerate(positions[s]):
-            if len(forward[s][j]) != len(codes[s][j]):
-                raise TableError("forward set and code size differ")
-            for x_hat, word in zip(forward[s][j], codes[s][j]):
-                if grid[x_hat][s] is not None:
-                    raise TableError("forward sets overlap")
-                grid[x_hat][s] = (word, x)
-    for x, row in enumerate(grid):
-        if any(cell is None for cell in row):
-            raise TableError(f"state {x} unreachable for some symbol")
-    return grid
-
-
-def _rank_codes_by_mass(grid, positions, forward, codes, q):
-    """Give the short codewords of every set to its heaviest members,
-    rewriting their cells of ``grid``.
-
-    The stationary weights depend only on the forward-set structure, so
-    re-handing codewords never moves ``q``; this is a single well-defined
-    pass.  Ties break on state id.
-    """
-    for s, (pos, fw, words_s) in enumerate(zip(positions, forward, codes)):
-        for x, members, words in zip(pos, fw, words_s):
-            heavy_first = sorted(members, key=lambda y: (-q[y], y))
-            ranked = sorted(words, key=lambda w: (w.length, w.value))
-            for y, word in zip(heavy_first, ranked):
-                grid[y][s] = (word, x)
-
-
-def _build_with_mass_ranked_codes(p, counts, forward, codes, order=None):
-    """Fill the grid, solve its chain, then re-hand codewords inside every
-    forward set so the short ones sit on the heaviest members."""
-    positions = _consecutive_positions(counts, order)
-    grid = _assemble(p.symbols, sum(counts), positions, forward, codes)
-    try:
-        q = _solve_chain(grid, p, "auto")[0]
-    except NotErgodic:
-        pass  # the unranked table still codes; only the ranking needs Q
-    else:
-        _rank_codes_by_mass(grid, positions, forward, codes, q.tolist())
-    return AedsTable(p.symbols, grid)
+    m = len(p.symbols)
+    sets = [(x, s, members) for s in range(m)
+            for x, members in zip(positions[s], forward[s])]
+    sizes = np.array([len(members) for _, _, members in sets])
+    members = np.concatenate([members for _, _, members in sets])
+    cells = members * m + np.repeat([s for _, s, _ in sets], sizes)
+    if not np.array_equal(np.sort(cells), np.arange(n_states * m)):
+        raise TableError("the forward sets of a symbol do not tile the states")
+    nexts = np.empty(n_states * m, dtype=np.int64)
+    nexts[cells] = np.repeat([x for x, _, _ in sets], sizes)
+    nexts = nexts.reshape(n_states, m)
+    if rank and ergodicity(nexts).ergodic:
+        q = _solve_chain(nexts, p, "auto")[0]
+        set_ids = np.repeat(np.arange(len(sets)), sizes)
+        cells = cells[np.lexsort((members, -q[members], set_ids))]
+    values, lengths = np.empty((2, n_states * m), dtype=np.int64)
+    values[cells], lengths[cells] = phased_in_cells(sizes)
+    return AedsTable(p.symbols, nexts, lengths.reshape(n_states, m),
+                     values.reshape(n_states, m))
 
 
 # ---------------------------------------------------------------------------
@@ -184,16 +174,8 @@ def build_huffman_matching_saeds(p, max_states=1 << 16):
     if n > max_states:
         raise StateBudgetExceeded(f"{n} states exceed the cap {max_states}")
     counts = [1 << (lmax - l) for l in lengths]
-    forward, codes = [], []
-    for s, l in enumerate(lengths):
-        size = 1 << l
-        forward.append([list(range(j * size, (j + 1) * size))
-                        for j in range(counts[s])])
-        codes.append([[Codeword(i, l) for i in range(size)]
-                      for _ in range(counts[s])])
-    positions = _consecutive_positions(counts)
-    return AedsTable(p.symbols,
-                     _assemble(p.symbols, n, positions, forward, codes))
+    forward = [_runs([1 << l] * c) for l, c in zip(lengths, counts)]
+    return _assemble(p, n, _consecutive_positions(counts), forward)
 
 
 def build_saeds_case1(p, counts):
@@ -204,13 +186,8 @@ def build_saeds_case1(p, counts):
     for s, c in enumerate(counts):
         if n % c:
             raise NonIntegerRatio(p.symbols[s], n / c)
-    forward, codes = [], []
-    for s, c in enumerate(counts):
-        m = n // c
-        words = phased_in_words(m)
-        forward.append([list(range(j * m, (j + 1) * m)) for j in range(c)])
-        codes.append([list(words) for _ in range(c)])
-    return _build_with_mass_ranked_codes(p, counts, forward, codes)
+    forward = [_runs([n // c] * c) for c in counts]
+    return _assemble(p, n, _consecutive_positions(counts), forward, rank=True)
 
 
 def build_saeds_case2(p, counts):
@@ -223,19 +200,13 @@ def build_saeds_case2(p, counts):
     """
     counts = _check_counts(p, counts)
     n = sum(counts)
-    forward, codes = [], []
-    for s, c in enumerate(counts):
+    forward = []
+    for c in counts:
         m, r = divmod(n, c)
-        sizes = [m] * (c - r) + [m + 1] * r
-        fw, cs, base = [], [], 0
-        for size in sizes:
-            fw.append(list(range(base, base + size)))
-            cs.append(phased_in_words(size))
-            base += size
-        forward.append(fw)
-        codes.append(cs)
+        forward.append(_runs([m] * (c - r) + [m + 1] * r))
     order = sorted(range(len(counts)), key=lambda s: (counts[s] > n // 2, s))
-    return _build_with_mass_ranked_codes(p, counts, forward, codes, order)
+    return _assemble(p, n, _consecutive_positions(counts, order), forward,
+                     rank=True)
 
 
 def _case3_prefix_plan(ns, total_bits):
@@ -267,18 +238,10 @@ def build_saeds_case3(p, counts):
     if n & (n - 1):
         raise NotPowerOfTwo(f"state count {n} is not a power of two")
     k = n.bit_length() - 1
-    forward, codes = [], []
-    for c in counts:
-        fw, cs = [], []
-        for start, width in _case3_prefix_plan(c, k):
-            size = 1 << width
-            fw.append(list(range(start, start + size)))
-            cs.append([Codeword(i, width) for i in range(size)])
-        forward.append(fw)
-        codes.append(cs)
-    positions = _consecutive_positions(counts)
-    return AedsTable(p.symbols,
-                     _assemble(p.symbols, n, positions, forward, codes))
+    forward = [[np.arange(start, start + (1 << width))
+                for start, width in _case3_prefix_plan(c, k)]
+               for c in counts]
+    return _assemble(p, n, _consecutive_positions(counts), forward)
 
 
 # ---------------------------------------------------------------------------
@@ -323,26 +286,15 @@ def _symbol_layout(n, ns):
 
 
 def _large_n_plan(n, sym):
-    """Forward sets and codewords of one symbol, in state order
-    (narrow group, wide group, then the mixed phased-in set)."""
-    kappa = sym.kappa
-    forward, codes = [], []
-    for j in range(sym.narrow_sets):
-        start = sym.short_words + j * (1 << (kappa - 1))
-        forward.append(list(range(start, start + (1 << (kappa - 1)))))
-        codes.append([Codeword(i, kappa - 1) for i in range(1 << (kappa - 1))])
-    for j in range(sym.wide_sets):
-        start = sym.head_size + j * (1 << kappa)
-        forward.append(list(range(start, start + (1 << kappa))))
-        codes.append([Codeword(i, kappa) for i in range(1 << kappa)])
-    mixed = list(range(sym.short_words)) + \
-        list(range(n - sym.long_words, n))
-    words = [Codeword(i, kappa - 1) for i in range(sym.short_words)] + \
-        [Codeword(2 * sym.short_words + i, kappa)
-         for i in range(sym.long_words)]
-    forward.append(mixed)
-    codes.append(words)
-    return forward, codes
+    """Forward sets of one symbol, in state order: the narrow group, the
+    wide group, then the mixed set.  Each set takes the phased-in code of
+    its size; the mixed set's short words go to its leading states."""
+    half = 1 << (sym.kappa - 1)
+    forward = _runs([half] * sym.narrow_sets, sym.short_words)
+    forward += _runs([2 * half] * sym.wide_sets, sym.head_size)
+    forward.append(np.concatenate((np.arange(sym.short_words),
+                                   np.arange(n - sym.long_words, n))))
+    return forward
 
 
 def build_large_n(p, counts):
@@ -358,23 +310,20 @@ def build_large_n(p, counts):
         raise DegenerateSingleSymbol("need at least two symbols")
     n = sum(counts)
     specs = [_symbol_layout(n, c) for c in counts]
-    plans = [_large_n_plan(n, sym) for sym in specs]
-    target = q_star(n)
+    forward = [_large_n_plan(n, sym) for sym in specs]
+    target = np.array(q_star(n))
 
     scored = []
-    for s, (forward, _) in enumerate(plans):
-        for j, members in enumerate(forward):
-            mass = p.probs[s] * math.fsum(target[i] for i in members)
+    for s, sets in enumerate(forward):
+        for j, members in enumerate(sets):
+            mass = p.probs[s] * math.fsum(target[members].tolist())
             scored.append((-mass, s, j))
     scored.sort()
-    positions = [[None] * len(plan[0]) for plan in plans]
+    positions = [[None] * len(sets) for sets in forward]
     for rank, (_, s, j) in enumerate(scored):
         positions[s][j] = rank
 
-    forward = [plan[0] for plan in plans]
-    codes = [plan[1] for plan in plans]
-    table = AedsTable(p.symbols,
-                      _assemble(p.symbols, n, positions, forward, codes))
+    table = _assemble(p, n, positions, forward)
     layout = LargeNLayout(n, tuple(specs),
                           tuple(tuple(pos) for pos in positions))
     return table, layout
@@ -392,15 +341,19 @@ def optimize_decoder_codes(table, p):
     untouched, so one pass suffices; average length can only shrink, at
     the cost of one bespoke code table per state.
     """
-    report = stationary_distribution(table, p)
-    q = report.probs
-    grid = [[None] * len(table.symbols) for _ in range(table.n_states)]
-    for x, entries in enumerate(table.decoder_entries):
-        words = [EMPTY_WORD]  # a lone entry needs no bits
-        if len(entries) > 1:
-            weights = [p.probs[s] * q[origin] for _, s, origin in entries]
-            words = build_huffman(
-                validate_distribution(enumerate(weights))).codewords()
-        for i, (_, s, origin) in enumerate(entries):
-            grid[origin][s] = (words[i], x)
-    return AedsTable(table.symbols, grid)
+    q = stationary_distribution(table, p).probs
+    m = len(table.symbols)
+    order, bounds = incoming(table.nexts)
+    lengths = np.zeros(table.nexts.size, dtype=np.int64)
+    values = np.zeros(table.nexts.size, dtype=object)
+    for a, b in zip(bounds.tolist(), bounds[1:].tolist()):
+        cells = order[a:b].tolist()
+        if len(cells) > 1:  # a lone entry needs no bits
+            code = build_huffman(validate_distribution(
+                (i, p.probs[c % m] * q[c // m])
+                for i, c in enumerate(cells))).codewords()
+            for i, c in enumerate(cells):
+                lengths[c], values[c] = code[i].length, code[i].value
+    shape = table.nexts.shape
+    return AedsTable(table.symbols, table.nexts, lengths.reshape(shape),
+                     values.reshape(shape))

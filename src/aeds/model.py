@@ -2,10 +2,14 @@
 
 Everything here is immutable after construction and safe to share across
 threads.  Symbols are opaque hashable tokens; states are dense indices
-0..N-1 with optional display names.
+0..N-1 with optional display names.  A table is three integer arrays (see
+``AedsTable``); ``Codeword`` objects appear only in its views.
 """
 
 import math
+from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import (
     AlphabetMismatch,
@@ -25,7 +29,11 @@ LOOKUP_BITS = 12
 SUBTABLE = -1
 UNMATCHED = -2
 
+# Longest codeword whose value an int64 table cell holds.
+INT_BITS = 63
 
+
+@dataclass(frozen=True, slots=True)
 class Codeword:
     """A finite bit string, possibly empty, stored as (value, length).
 
@@ -33,18 +41,15 @@ class Codeword:
     codeword has length 0 and is a legal emission (zero bits on the wire).
     """
 
-    __slots__ = ("value", "length")
+    value: int = 0
+    length: int = 0
 
-    def __init__(self, value=0, length=0):
-        if length < 0:
+    def __post_init__(self):
+        if self.length < 0:
             raise ValueError("negative codeword length")
-        if not 0 <= value < (1 << length):
-            raise ValueError(f"value {value} does not fit in {length} bits")
-        object.__setattr__(self, "value", value)
-        object.__setattr__(self, "length", length)
-
-    def __setattr__(self, *_):
-        raise AttributeError("Codeword is immutable")
+        if not 0 <= self.value < (1 << self.length):
+            raise ValueError(f"value {self.value} does not fit in "
+                             f"{self.length} bits")
 
     @classmethod
     def from_bits(cls, bits):
@@ -71,13 +76,6 @@ class Codeword:
 
     def __len__(self):
         return self.length
-
-    def __eq__(self, other):
-        return (isinstance(other, Codeword)
-                and self.value == other.value and self.length == other.length)
-
-    def __hash__(self):
-        return hash((self.value, self.length))
 
     def __lt__(self, other):
         return (self.length, self.value) < (other.length, other.value)
@@ -177,54 +175,137 @@ def relative_entropy(p, q):
     return math.fsum(a * math.log2(a / b) for a, b in zip(p.probs, q.probs))
 
 
-class AedsTable:
-    """A complete encoding/decoding scheme over N states.
+@dataclass(frozen=True)
+class ErgodicityReport:
+    irreducible: bool
+    aperiodic: bool
+    period: int | None = None
 
-    ``encoder[x][s]`` holds the pair (codeword, next_state) used when symbol
-    index ``s`` is consumed at state ``x`` during the backward encoding pass.
-    The decoder side is derived: every encoder entry (x, s) -> (w, x') makes
-    the decoder at x' map w back to (s, x).  Construction checks shape and
-    next-state range; ``codec.validate_aeds`` adds the prefix check.
+    @property
+    def ergodic(self):
+        return self.irreducible and self.aperiodic
+
+
+def value_dtype(lengths):
+    """int64 for codewords of at most ``INT_BITS`` bits, else object."""
+    return object if np.max(lengths, initial=0) > INT_BITS else np.int64
+
+
+def incoming(nexts):
+    """The cells x|A| + s of a next-state array grouped by the state they
+    lead to, in x-major order within a group, and the group bounds: the
+    cells entering state x are ``order[bounds[x]:bounds[x + 1]]``."""
+    flat = nexts.ravel()
+    counts = np.bincount(flat, minlength=len(nexts))
+    return (np.argsort(flat, kind="stable"),
+            np.concatenate(([0], np.cumsum(counts))))
+
+
+def _bfs_depths(starts, adj, n):
+    """Breadth-first depth of every state from state 0 in the graph whose
+    successors of u are ``adj[starts[u]:starts[u+1]]`` (-1: not reached)."""
+    depth = np.full(n, -1, dtype=np.int64)
+    depth[0] = 0
+    frontier, d = np.zeros(1, dtype=np.int64), 0
+    while frontier.size:
+        d += 1
+        first = starts[frontier]
+        sizes = starts[frontier + 1] - first
+        edges = (np.repeat(first - np.cumsum(sizes) + sizes, sizes)
+                 + np.arange(sizes.sum()))
+        reached = np.unique(adj[edges])
+        frontier = reached[depth[reached] < 0]
+        depth[frontier] = d
+    return depth
+
+
+def ergodicity(nexts):
+    """Irreducibility and period of the chain x -> F(x, s) over all
+    symbols of a next-state array.  The period is the gcd, over all
+    edges u -> v, of depth(u) + 1 - depth(v) for breadth-first depths."""
+    n, m = nexts.shape
+    flat = nexts.ravel()
+    depth = _bfs_depths(np.arange(n + 1) * m, flat, n)
+    order, bounds = incoming(nexts)
+    if (depth < 0).any() or (_bfs_depths(bounds, order // m, n) < 0).any():
+        return ErgodicityReport(False, False, None)
+    period = int(np.gcd.reduce(np.abs(np.repeat(depth, m) + 1 - depth[flat])))
+    return ErgodicityReport(True, period == 1, period)
+
+
+class AedsTable:
+    """A complete encoding/decoding scheme over N states, stored as three
+    read-only (N, |A|) integer arrays.
+
+    Consuming symbol index ``s`` at state ``x`` in the backward pass moves
+    to ``nexts[x, s]`` and emits the ``lengths[x, s]``-bit codeword
+    ``values[x, s]`` (MSB first; int64, or Python ints in an object array
+    when a codeword exceeds ``INT_BITS`` bits).  The decoder is derived:
+    each cell (x, s) -> x' makes state x' parse that codeword as (s, x).
+    Construction checks shapes, next-state range and that values fit
+    their lengths; ``codec.validate_aeds`` adds the prefix check.
+    Hand-built tables come in through ``from_rows``; ``encoder`` and
+    ``decoder_entries`` are ``Codeword`` views built on first use.
     """
 
-    __slots__ = ("symbols", "n_states", "encoder", "decoder_entries",
-                 "state_names", "_index", "_lookup")
+    __slots__ = ("symbols", "n_states", "nexts", "lengths", "values",
+                 "state_names", "_index", "_lookup", "_ergodicity",
+                 "_encoder", "_entries")
 
-    def __init__(self, symbols, encoder, state_names=None):
+    def __init__(self, symbols, nexts, lengths, values, state_names=None):
         symbols = tuple(symbols)
         if len(set(symbols)) != len(symbols):
             raise TableError("duplicate symbols in alphabet")
-        n = len(encoder)
-        if n < 1:
+        try:
+            nexts, lengths = (np.array(a, dtype=np.int64)
+                              for a in (nexts, lengths))
+            values = np.array(values, dtype=value_dtype(lengths))
+        except (OverflowError, TypeError, ValueError) as exc:
+            raise TableError(f"table arrays: {exc}") from None
+        if nexts.ndim != 2 or len(nexts) < 1:
             raise TableError("a table needs at least one state")
-        grid = []
-        for x, row in enumerate(encoder):
-            row = tuple(row)
-            if len(row) != len(symbols):
-                raise MissingSymbol(f"state {x} defines {len(row)} of "
-                                    f"{len(symbols)} symbols")
-            for word, nxt in row:
-                if not isinstance(word, Codeword):
-                    raise TableError(f"state {x}: codeword of wrong type")
-                if not 0 <= nxt < n:
-                    raise TableError(f"state {x}: next state {nxt} out of range")
-            grid.append(row)
+        n, m = nexts.shape
+        if m != len(symbols):
+            raise MissingSymbol(f"the states define {m} of "
+                                f"{len(symbols)} symbols")
+        if not nexts.shape == lengths.shape == values.shape:
+            raise TableError("the table arrays differ in shape")
+        for x, s in np.argwhere((nexts < 0) | (nexts >= n))[:1]:
+            raise TableError(f"state {x}: next state {nexts[x, s]} "
+                             f"out of range")
+        for x, s in np.argwhere((lengths < 0) | (values < 0)
+                                | ((values >> np.maximum(lengths, 0)) != 0))[:1]:
+            raise TableError(f"state {x}: value {values[x, s]} does not "
+                             f"fit in {lengths[x, s]} bits")
         if state_names is not None:
             state_names = tuple(state_names)
             if len(state_names) != n:
                 raise TableError("state_names length mismatch")
-        entries = [[] for _ in range(n)]
-        for x, row in enumerate(grid):
-            for s, (word, nxt) in enumerate(row):
-                entries[nxt].append((word, s, x))
-        object.__setattr__(self, "symbols", symbols)
-        object.__setattr__(self, "n_states", n)
-        object.__setattr__(self, "encoder", tuple(grid))
-        object.__setattr__(self, "decoder_entries",
-                           tuple(tuple(e) for e in entries))
-        object.__setattr__(self, "state_names", state_names)
-        object.__setattr__(self, "_index", {s: i for i, s in enumerate(symbols)})
-        object.__setattr__(self, "_lookup", None)
+        nexts, lengths = nexts.astype(np.int32), lengths.astype(np.int32)
+        for a in (nexts, lengths, values):
+            a.flags.writeable = False
+        fields = dict(symbols=symbols, n_states=n, nexts=nexts,
+                      lengths=lengths, values=values, state_names=state_names,
+                      _index={s: i for i, s in enumerate(symbols)})
+        for name in self.__slots__:
+            object.__setattr__(self, name, fields.get(name))
+
+    @classmethod
+    def from_rows(cls, symbols, rows, state_names=None):
+        """A table from rows of (Codeword, next state) pairs, one row per
+        state and one pair per symbol, as hand-built tables are written."""
+        symbols, rows = tuple(symbols), [tuple(row) for row in rows]
+        for x, row in enumerate(rows):
+            if len(row) != len(symbols):
+                raise MissingSymbol(f"state {x} defines {len(row)} of "
+                                    f"{len(symbols)} symbols")
+            if not all(isinstance(word, Codeword) for word, _ in row):
+                raise TableError(f"state {x}: codeword of wrong type")
+        grid = np.array([[(nxt, w.length, w.value) for w, nxt in row]
+                         for row in rows], dtype=object)
+        grid = grid.reshape(len(rows), len(symbols), 3)
+        return cls(symbols, grid[..., 0], grid[..., 1], grid[..., 2],
+                   state_names=state_names)
 
     def __setattr__(self, *_):
         raise AttributeError("AedsTable is immutable")
@@ -235,12 +316,51 @@ class AedsTable:
         except KeyError:
             raise AlphabetMismatch(f"symbol {symbol!r} not in alphabet") from None
 
+    @property
+    def encoder(self):
+        """``encoder[x][s]``: the pair (codeword, next state) of cell
+        (x, s), as nested tuples."""
+        if self._encoder is None:
+            object.__setattr__(self, "_encoder", tuple(
+                tuple((Codeword(v, n), x) for v, n, x in zip(*row))
+                for row in zip(self.values.tolist(), self.lengths.tolist(),
+                               self.nexts.tolist())))
+        return self._encoder
+
+    @property
+    def decoder_entries(self):
+        """``decoder_entries[x]``: the (codeword, symbol index, origin
+        state) triples of the cells leading to x, in x-major order."""
+        if self._entries is None:
+            cells, bounds = self._incoming_cells()
+            flat = [(Codeword(v, n), s, x) for v, n, s, x in cells]
+            object.__setattr__(self, "_entries", tuple(
+                tuple(flat[a:b]) for a, b in zip(bounds, bounds[1:])))
+        return self._entries
+
+    def _incoming_cells(self):
+        """(value, length, symbol index, origin) of every cell, grouped by
+        the state it leads to as in ``incoming``, and the group bounds."""
+        m = len(self.symbols)
+        order, bounds = incoming(self.nexts)
+        states = list(range(self.n_states))  # one int object per state
+        cells = zip(self.values.ravel()[order].tolist(),
+                    self.lengths.ravel()[order].tolist(), (order % m).tolist(),
+                    map(states.__getitem__, (order // m).tolist()))
+        return list(cells), bounds.tolist()
+
     def decoder_set(self, state):
         """The codeword set parsed at ``state`` during decoding."""
         return frozenset(w for w, _, _ in self.decoder_entries[state])
 
     def state_name(self, x):
         return self.state_names[x] if self.state_names else f"state{x}"
+
+    def ergodicity(self):
+        """The ``ErgodicityReport`` of the encoding chain, computed once."""
+        if self._ergodicity is None:
+            object.__setattr__(self, "_ergodicity", ergodicity(self.nexts))
+        return self._ergodicity
 
     # -- decoder index -----------------------------------------------------
 
@@ -270,68 +390,70 @@ class AedsTable:
         return self._lookup
 
     def _build_index(self):
+        entries, bounds = self._incoming_cells()
         nodes = [None] * self.n_states
-        work = [(x, x, 0, self.decoder_entries[x])
+        work = [(x, x, 0, entries[bounds[x]:bounds[x + 1]])
                 for x in range(self.n_states)]
         while work:  # a worklist, not recursion: codewords can be very long
-            at, state, offset, entries = work.pop()
-            k = min(max((w.length for w, _, _ in entries), default=offset)
-                    - offset, LOOKUP_BITS, len(entries).bit_length())
+            at, state, offset, group = work.pop()
+            k = min(max((n for _, n, _, _ in group), default=offset)
+                    - offset, LOOKUP_BITS, len(group).bit_length())
             mask = (1 << k) - 1
             slots = [None] * (1 << k)
             groups = {}
-            for entry in entries:
-                word, s, origin = entry
-                rest = word.length - offset
+            for entry in group:
+                value, length, s, origin = entry
+                rest = length - offset
                 if rest > k:
-                    groups.setdefault((word.value >> (rest - k)) & mask,
+                    groups.setdefault((value >> (rest - k)) & mask,
                                       []).append(entry)
                     continue
-                base = (word.value & ((1 << rest) - 1)) << (k - rest)
+                base = (value & ((1 << rest) - 1)) << (k - rest)
                 span = 1 << (k - rest)
+                if span == 1 and slots[base] is None:  # the common case
+                    slots[base] = (s, origin, rest)
+                    continue
                 taken = next(filter(None, slots[base:base + span]), None)
                 if taken is not None:
-                    self._collision(state, taken, word)
+                    self._collision(state, taken, value, length)
                 slots[base:base + span] = [(s, origin, rest)] * span
-            for bits, group in groups.items():
+            for bits, members in groups.items():
                 if slots[bits] is not None:
-                    self._collision(state, slots[bits], group[0][0])
+                    self._collision(state, slots[bits], *members[0][:2])
                 slots[bits] = (SUBTABLE, len(nodes), k)
-                work.append((len(nodes), state, offset + k, group))
+                work.append((len(nodes), state, offset + k, members))
                 nodes.append(None)
             if None in slots:
-                _fill_unmatched(slots, k, state, offset, entries)
+                _fill_unmatched(slots, k, state, offset, group)
             nodes[at] = (k, mask, tuple(slots))
         return tuple(nodes)
 
-    def _collision(self, state, leaf, word):
+    def _collision(self, state, leaf, value, length):
         s, origin, _ = leaf
-        first, second = sorted((self.encoder[origin][s][0], word))
+        first, second = sorted((
+            Codeword(int(self.values[origin, s]), int(self.lengths[origin, s])),
+            Codeword(value, length)))
         raise PrefixViolation(state, first.bits, second.bits)
 
     # -- structure queries -------------------------------------------------
 
     def saeds_partition(self):
-        """Derive the per-symbol state partition, or None if not state-divided."""
-        n, ns = self.n_states, len(self.symbols)
-        reached = [set() for _ in range(ns)]
-        for row in self.encoder:
-            for s, (_, nxt) in enumerate(row):
-                reached[s].add(nxt)
-        seen = {}
-        for s, states in enumerate(reached):
-            for x in states:
-                if x in seen:
-                    return None
-                seen[x] = s
-        if len(seen) != n:
+        """Derive the per-symbol state partition, or None if not
+        state-divided: every state must be entered, and only ever on one
+        symbol.  The forward set of x lists the states entering it."""
+        n, m = self.nexts.shape
+        order, bounds = incoming(self.nexts)
+        sizes = np.diff(bounds)
+        if not sizes.all():
             return None
-        forward = [dict() for _ in range(ns)]
-        for x_hat, row in enumerate(self.encoder):
-            for s, (_, nxt) in enumerate(row):
-                forward[s].setdefault(nxt, []).append(x_hat)
-        subsets = tuple(tuple(sorted(reached[s])) for s in range(ns))
-        fplus = {x: tuple(sorted(forward[seen[x]][x])) for x in seen}
+        owner = order[bounds[:-1]] % m
+        if ((order % m) != np.repeat(owner, sizes)).any():
+            return None
+        by_symbol = np.argsort(owner, kind="stable").tolist()
+        cut = np.cumsum(np.bincount(owner, minlength=m)).tolist()
+        subsets = tuple(tuple(by_symbol[a:b]) for a, b in zip([0] + cut, cut))
+        origins, bounds = (order // m).tolist(), bounds.tolist()
+        fplus = {x: tuple(origins[bounds[x]:bounds[x + 1]]) for x in range(n)}
         return SAedsPartition(self.symbols, subsets, fplus)
 
     def __repr__(self):
@@ -343,9 +465,9 @@ def _fill_unmatched(slots, k, state, offset, entries):
     """Mark the empty slots of one lookup node with the depth at which a
     bit-by-bit parse finds no codeword left to follow."""
     prefixes = set()
-    for word, _, _ in entries:
-        rest = min(word.length - offset, k)
-        bits = (word.value >> (word.length - offset - rest)) & ((1 << rest) - 1)
+    for value, length, _, _ in entries:
+        rest = min(length - offset, k)
+        bits = (value >> (length - offset - rest)) & ((1 << rest) - 1)
         for d in range(rest + 1):
             prefixes.add((d, bits >> (rest - d)))
     for i, slot in enumerate(slots):
@@ -355,46 +477,31 @@ def _fill_unmatched(slots, k, state, offset, entries):
             slots[i] = (UNMATCHED, (state, offset, offset + depth), 0)
 
 
+@dataclass(frozen=True, eq=False)
 class SAedsPartition:
-    """State-divided view of a table: per-symbol subsets and forward sets."""
+    """State-divided view of a table: per-symbol subsets (tuples of
+    states) and the forward set of every state (a dict of tuples)."""
 
-    __slots__ = ("symbols", "subsets", "forward_sets")
-
-    def __init__(self, symbols, subsets, forward_sets):
-        object.__setattr__(self, "symbols", tuple(symbols))
-        object.__setattr__(self, "subsets", tuple(tuple(b) for b in subsets))
-        object.__setattr__(self, "forward_sets", dict(forward_sets))
-
-    def __setattr__(self, *_):
-        raise AttributeError("SAedsPartition is immutable")
+    symbols: tuple
+    subsets: tuple
+    forward_sets: dict
 
     @property
     def counts(self):
         return tuple(len(b) for b in self.subsets)
 
     def check(self, n_states):
-        """Raise InconsistentTables unless the partition laws hold."""
-        all_states = set()
-        for block in self.subsets:
-            if not block:
-                raise InconsistentTables("empty per-symbol subset")
-            if all_states & set(block):
-                raise InconsistentTables("per-symbol subsets overlap")
-            all_states |= set(block)
-        if all_states != set(range(n_states)):
-            raise InconsistentTables("subsets do not cover the state set")
+        """Raise InconsistentTables unless the partition laws hold: the
+        subsets partition the states, and the forward sets of each
+        symbol's states are nonempty and tile the states."""
+        every = list(range(n_states))
+        if (not all(self.subsets)
+                or sorted(x for b in self.subsets for x in b) != every):
+            raise InconsistentTables("per-symbol subsets do not partition "
+                                     "the state set")
         for s, block in enumerate(self.subsets):
-            union, total = set(), 0
-            for x in block:
-                fw = set(self.forward_sets[x])
-                if not fw:
-                    raise InconsistentTables(f"empty forward set at {x}")
-                if union & fw:
-                    raise InconsistentTables(
-                        f"forward sets overlap inside symbol {self.symbols[s]!r}")
-                union |= fw
-                total += len(fw)
-            if union != set(range(n_states)) or total != n_states:
+            sets = [self.forward_sets[x] for x in block]
+            if not all(sets) or sorted(y for f in sets for y in f) != every:
                 raise InconsistentTables(
                     f"forward sets of symbol {self.symbols[s]!r} do not tile")
         return True
@@ -416,4 +523,4 @@ def demo_table():
         ((w("10"), 3), (w("0"), 1), (w("00"), 0)),      # alpha5
     ]
     names = tuple(f"alpha{i}" for i in range(1, 6))
-    return AedsTable(("a", "b", "c"), rows, state_names=names)
+    return AedsTable.from_rows(("a", "b", "c"), rows, state_names=names)

@@ -4,6 +4,8 @@ import heapq
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import AlphabetMismatch, DegenerateAlphabet, InvalidWeight
 from .model import Codeword, SourceDistribution
 
@@ -85,9 +87,6 @@ class CodeTree:
     def length_of(self, symbol):
         return self.codewords()[symbol].length
 
-    def symbols(self):
-        return tuple(self.codewords().keys())
-
     def right_symbols(self):
         return tuple(s for s, w in self.codewords().items() if w.bit_at(0) == 1)
 
@@ -162,14 +161,6 @@ class PhasedInCode:
         self.codewords = tuple(codewords)
         self.assignment = tuple(assignment)
 
-    @property
-    def short_count(self):
-        return (1 << self.bit_budget) - self.size
-
-    @property
-    def long_count(self):
-        return 2 * self.size - (1 << self.bit_budget)
-
     def word_for(self, item):
         """Codeword assigned to item rank ``item`` (0-based)."""
         return self.codewords[self.assignment[item]]
@@ -195,13 +186,20 @@ def phased_in_words(m):
     """
     if m < 1:
         raise InvalidWeight("need at least one codeword")
-    if m == 1:
-        return [Codeword(0, 0)]
-    k = (m - 1).bit_length()
+    values, lengths = phased_in_cells([m])
+    return [Codeword(v, n) for v, n in zip(values.tolist(), lengths.tolist())]
+
+
+def phased_in_cells(sizes):
+    """The phased-in codes of sets of the given sizes laid end to end: the
+    values and lengths of item i of each set taking word i of
+    ``phased_in_words`` (size m, k = ceil(lg m): 2^k - m short words)."""
+    sizes = np.asarray(sizes, dtype=np.int64)
+    m = np.repeat(sizes, sizes)
+    i = np.arange(len(m)) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    k = np.frexp(m - 1)[1].astype(np.int64)  # bit length of m - 1
     short = (1 << k) - m
-    words = [Codeword(v, k - 1) for v in range(short)]
-    words += [Codeword(v, k) for v in range(2 * short, 1 << k)]
-    return words
+    return np.where(i < short, i, i + short), k - (i < short)
 
 
 def build_phased_in(m, rank_weights=None):

@@ -6,6 +6,8 @@ State counts must be powers of two here; the table constructors in
 ``constructors`` cover general N.
 """
 
+import numpy as np
+
 from .codec import (
     BitReader,
     BitWriter,
@@ -36,10 +38,6 @@ SPREAD_STRIDE = "stride"
 
 def _is_pow2(n):
     return n >= 1 and (n & (n - 1)) == 0
-
-
-def _floor_lg(n):
-    return n.bit_length() - 1
 
 
 def quantize_counts(p, n_states):
@@ -111,13 +109,9 @@ class TansTable:
     def push(self, s, x):
         """One backward encoding step: (symbol, state) -> (codeword, state)."""
         ns = self.counts[s]
-        k = _floor_lg(x // ns)
+        k = (x // ns).bit_length() - 1
         word = Codeword(x & ((1 << k) - 1), k)
         return word, self.C[s][(x >> k) - ns]
-
-    def state_block(self, s):
-        """The states x in X_s, ascending."""
-        return tuple(sorted(self.C[s]))
 
 
 def _spread_sorted(counts, n):
@@ -192,7 +186,7 @@ def tans_encode(table, sequence, initial_state=None):
     rev = []
     for s in reversed(indices):
         word, x = table.push(s, x)
-        rev.append(word)
+        rev.append((word.value, word.length))
     rev.reverse()
     return Bitstream.assemble(n, x - n, len(indices), rev)
 
@@ -227,15 +221,12 @@ def tans_to_aeds(table):
     and produces bit-identical streams for identical initial states.
     """
     n = table.n_states
-    rows = []
-    for i in range(n):
-        x = n + i
-        row = []
-        for s in range(len(table.symbols)):
-            word, nxt = table.push(s, x)
-            row.append((word, nxt - n))
-        rows.append(row)
-    return AedsTable(table.symbols, rows)
+    x = np.arange(n, 2 * n)[:, None]
+    counts = np.array(table.counts)
+    k = np.frexp(x // counts)[1] - 1  # floor(lg(x // count))
+    first = np.cumsum(counts) - counts  # where each C block starts
+    nexts = np.concatenate(table.C)[first + (x >> k) - counts] - n
+    return AedsTable(table.symbols, nexts, k, x & ((1 << k) - 1))
 
 
 # ---------------------------------------------------------------------------

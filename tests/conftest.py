@@ -5,7 +5,6 @@ import random
 
 import pytest
 
-from aeds.codec import ergodicity
 from aeds.model import AedsTable, Codeword, SourceDistribution
 
 
@@ -50,11 +49,10 @@ def random_table(rng, n_states=None, n_symbols=None, require_ergodic=True):
             rng.shuffle(words)
             for (origin, s), word in zip(inc, words):
                 grid[origin][s] = (word, x)
-        table = AedsTable([f"s{i}" for i in range(m)], grid)
+        table = AedsTable.from_rows([f"s{i}" for i in range(m)], grid)
         if not require_ergodic:
             return table
-        rep = ergodicity(table.encoder)
-        if rep.irreducible and rep.aperiodic:
+        if table.ergodicity().ergodic:
             return table
     raise RuntimeError("could not draw an ergodic table")
 

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+import aeds.model
 from aeds.analysis import (
     LG_E,
     SIGMA,
@@ -25,6 +26,7 @@ from aeds.analysis import (
     uniform_huffman_redundancy,
     uniform_huffman_right_weight,
 )
+from aeds.codec import validate_aeds
 from aeds.constructors import (
     build_large_n,
     build_saeds_case2,
@@ -80,7 +82,7 @@ def test_stationary_requires_ergodic_chain():
         ((w("0"), 1), (w("1"), 1)),
         ((w("0"), 0), (w("1"), 0)),
     ]
-    table = AedsTable(("a", "b"), rows)  # period-2 chain
+    table = AedsTable.from_rows(("a", "b"), rows)  # period-2 chain
     with pytest.raises(NotErgodic):
         stationary_distribution(table, binary_source(0.6))
 
@@ -394,7 +396,21 @@ def test_monte_carlo_requires_ergodic_chain():
         ((w("0"), 1), (w("1"), 1)),
         ((w("0"), 0), (w("1"), 0)),
     ]
-    table = AedsTable(("a", "b"), rows)
+    table = AedsTable.from_rows(("a", "b"), rows)
     p = validate_distribution([("a", 1), ("b", 1)])
     with pytest.raises(NotErgodic):
         monte_carlo_rate(table, p, 1000, seed=1)
+
+
+def test_solve_and_monte_carlo_compute_ergodicity_once(monkeypatch):
+    calls = []
+    real = aeds.model.ergodicity
+    monkeypatch.setattr(aeds.model, "ergodicity",
+                        lambda nexts: calls.append(1) or real(nexts))
+    table = build_saeds_case2(SIX, [3, 2, 2, 2, 2, 1])
+    assert calls == []                 # building ranks without the cache
+    rep = stationary_distribution(table, SIX)
+    est = monte_carlo_rate(table, SIX, 10 ** 4, seed=3)
+    assert validate_aeds(table).ergodicity == table.ergodicity()
+    assert abs(est.bits_per_symbol - rep.mean_bits) < 5 * est.stderr
+    assert len(calls) == 1

@@ -3,9 +3,10 @@
 ``perfbench/spans.py`` wraps package functions and methods by name, and
 ``perfbench/child.py`` replaces ``cli.read_container`` and
 ``analysis.monte_carlo_rate`` for its fault injection; a rename in the
-package would otherwise surface only when the benchmark runs.  The spans
-module is read and executed here without importing it, so nothing is
-written next to it.
+package would otherwise surface only when the benchmark runs, and so
+would a renamed attribute that a span's attribute helper reads off a
+result.  The spans module is read and executed here without importing
+it, so nothing is written next to it.
 """
 
 import inspect
@@ -13,6 +14,9 @@ import pathlib
 
 import aeds
 import aeds.cli
+from aeds.analysis import stationary_distribution
+from aeds.codec import decode, encode, serialize_table
+from aeds.model import demo_table, validate_distribution
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SPANS = ROOT / "perfbench" / "spans.py"
@@ -38,3 +42,24 @@ def test_patched_names_resolve():
     assert list(inspect.signature(aeds.cli.read_container).parameters) == \
         ["blob", "side_table", "sink"]
     assert callable(aeds.analysis.monte_carlo_rate)
+
+
+def test_span_attributes_read_real_results():
+    spans = load_spans()
+    table = demo_table()
+    p = validate_distribution([("a", 5), ("b", 3), ("c", 2)])
+    # __init__ is wrapped, so the table under construction is args[0]
+    assert spans["_table_cells"]((table, table.symbols), {}, None) == \
+        {"cells": 15}
+    blob = serialize_table(table)
+    assert spans["_serialized"]((table,), {}, blob) == {"bytes": len(blob)}
+    seq = list("cbba")
+    stream = encode(table, seq)
+    assert spans["_encoded"]((table, seq), {}, stream) == {
+        "symbols": 4, "stream_bytes": len(stream.data),
+        "payload_start": stream.payload_start, "payload_bits": 6}
+    assert spans["_decoded"]((table, stream), {}, decode(table, stream)) == \
+        {"symbols": 4}
+    rep = stationary_distribution(table, p)
+    assert spans["_stationary"]((table, p), {}, rep) == \
+        {"method": "direct-solve", "mean_bits": rep.mean_bits}

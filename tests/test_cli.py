@@ -2,11 +2,13 @@ import io
 import random
 import subprocess
 import sys
+import time
 import zlib
 
 import pytest
 
 from aeds import codec
+from aeds.codec import Bitstream
 from aeds.cli import build_table, main, read_container, write_container_stream
 from aeds.errors import HashMismatch, MalformedStream, TrailingGarbage
 from aeds.model import validate_distribution
@@ -301,3 +303,25 @@ def test_case1_snaps_odd_state_budget(tmp_path, capsys):
     assert main(["decompress", "--input", str(out),
                  "--output", str(back)]) == 0
     assert back.read_bytes() == data
+
+
+def test_block_declaring_too_many_symbols_fails_fast(tmp_path):
+    # The one-state table of a single-valued input codes every symbol with
+    # the empty word, so a block header alone could ask for any number of
+    # symbols; the writer never puts more than BLOCK_SYMBOLS in a block.
+    src = tmp_path / "mono"
+    src.write_bytes(b"\x07" * 10)
+    out = tmp_path / "mono.aedc"
+    assert main(["compress", "--input", str(src), "--output", str(out)]) == 0
+    blob = out.read_bytes()
+    stream = Bitstream.assemble(1, 0, 1 << 22, []).data
+    forged = blob[:11 + blob[10]] + bytes([1, len(stream)]) + stream
+    assert len(forged) == 66
+    started = time.perf_counter()
+    with pytest.raises(MalformedStream, match="declares 4194304 symbols"):
+        read_container(forged)
+    assert time.perf_counter() - started < 0.1
+    bomb = tmp_path / "bomb.aedc"
+    bomb.write_bytes(forged)
+    assert main(["decompress", "--input", str(bomb),
+                 "--output", str(tmp_path / "bomb.out")]) == 3

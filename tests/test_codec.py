@@ -9,7 +9,6 @@ from aeds.codec import (
     decode,
     deserialize_table,
     encode,
-    ergodicity,
     serialize_table,
     table_digest,
     trace_lengths,
@@ -50,7 +49,7 @@ def test_validate_rejects_prefix_clash():
         ((w("10"), 0), (w("11"), 0)),
     ]
     with pytest.raises(PrefixViolation):
-        validate_aeds(AedsTable(("a", "b"), rows))
+        validate_aeds(AedsTable.from_rows(("a", "b"), rows))
 
 
 def test_two_state_chain_is_ergodic():
@@ -69,7 +68,7 @@ def test_periodic_chain_reported():
         ((w("0"), 1), (w("1"), 1)),
         ((w("0"), 0), (w("1"), 0)),
     ]
-    table = AedsTable(("a", "b"), rows)
+    table = AedsTable.from_rows(("a", "b"), rows)
     report = validate_aeds(table)
     assert report.ergodicity.irreducible
     assert not report.ergodicity.aperiodic
@@ -193,9 +192,9 @@ def test_unmatched_codeword():
         ((w("0"), 1), (w("1"), 1)),
         ((w("0"), 0), (w("10"), 0)),   # state 0 parses {0, 10}: "11" is dead
     ]
-    table = AedsTable(("a", "b"), rows)
+    table = AedsTable.from_rows(("a", "b"), rows)
     validate_aeds(table)
-    stream = Bitstream.assemble(2, 0, 1, [w("11")])
+    stream = Bitstream.assemble(2, 0, 1, [(0b11, 2)])
     with pytest.raises(UnmatchedCodeword):
         decode(table, stream)
 
@@ -312,7 +311,7 @@ def test_very_long_codewords_roundtrip():
         ((w(bits), 1), (w("1" + "0" * 79), 1)),
         ((w("0"), 0), (w("1"), 0)),
     ]
-    table = AedsTable(("a", "b"), rows)
+    table = AedsTable.from_rows(("a", "b"), rows)
     validate_aeds(table)
     seq = list("abbaab")
     stream = encode(table, seq)

@@ -1,7 +1,13 @@
+import gc
+import hashlib
 import random
+import tracemalloc
+from functools import partial
 
+import numpy as np
 import pytest
 
+from aeds import cli
 from aeds.analysis import (
     check_bound,
     closed_form_stationary,
@@ -12,7 +18,14 @@ from aeds.analysis import (
     type1_length_drop_raw,
     type2_length_drop_raw,
 )
-from aeds.codec import decode, encode, validate_aeds
+from aeds.codec import (
+    decode,
+    deserialize_table,
+    encode,
+    serialize_table,
+    table_digest,
+    validate_aeds,
+)
 from aeds.constructors import (
     build_huffman_matching_saeds,
     build_large_n,
@@ -29,7 +42,7 @@ from aeds.errors import (
     StateBudgetExceeded,
     TooFewStates,
 )
-from aeds.model import AedsTable, validate_distribution
+from aeds.model import AedsTable, Codeword, demo_table, validate_distribution
 from aeds.prefix_codes import build_huffman, tree_metrics
 from aeds.tans import build_tans, quantize_counts, tans_to_aeds
 
@@ -190,8 +203,34 @@ def test_case2_reduces_to_case1_on_integer_ratios():
     assert a.encoder == b.encoder
 
 
-@pytest.mark.parametrize("build", [build_saeds_case1, build_saeds_case2])
-def test_mass_ranked_builders_construct_one_table(build, monkeypatch):
+P3 = validate_distribution([("a", 0.5), ("b", 0.3), ("c", 0.2)])
+# the root's right subtree weighs 0.7: type1 and type2 build their tables
+SKEW3 = validate_distribution([("a", 0.7), ("b", 0.2), ("c", 0.1)])
+
+# Each entry makes its inputs and returns the one construction to count.
+ONE_TABLE = [
+    pytest.param(lambda: partial(build_saeds_case1, P3, [4, 2, 2]),
+                 id="build_saeds_case1"),
+    pytest.param(lambda: partial(build_saeds_case2, P3, [4, 2, 2]),
+                 id="build_saeds_case2"),
+    *(pytest.param(lambda c=c: partial(cli.build_table, SKEW3, c, 8,
+                                       verbose=False), id=f"cli-{c}")
+      for c in cli.CODECS),
+    pytest.param(lambda: partial(deserialize_table,
+                                 serialize_table(demo_table())),
+                 id="deserialize_table"),
+    pytest.param(lambda: partial(tans_to_aeds, build_tans(SKEW3, 8)),
+                 id="tans_to_aeds"),
+    pytest.param(lambda: partial(AedsTable.from_rows, "ab",
+                                 [[(Codeword(0, 1), 0), (Codeword(1, 1), 0)]]),
+                 id="from_rows"),
+]
+
+
+@pytest.mark.parametrize("prepare", ONE_TABLE)
+def test_mass_ranked_builders_construct_one_table(prepare, monkeypatch,
+                                                  request):
+    construct = prepare()
     made = []
     init = AedsTable.__init__
 
@@ -199,10 +238,64 @@ def test_mass_ranked_builders_construct_one_table(build, monkeypatch):
         made.append(1)
         init(self, *args, **kwargs)
     monkeypatch.setattr(AedsTable, "__init__", counting)
-    p = validate_distribution([("a", 0.5), ("b", 0.3), ("c", 0.2)])
-    table = build(p, [4, 2, 2])
+    table = construct()
     assert len(made) == 1
-    assert check_bound(table, p, "case1").holds
+    validate_aeds(table)
+    if request.node.callspec.id.startswith("build_saeds"):
+        assert check_bound(table, P3, "case1").holds
+
+
+# The 256-symbol Zipf distribution of the benchmark corpora, and the
+# table_digest of every builder at N = 512, computed before the tables
+# became integer arrays.  The builders rank states by float masses and
+# break ties on state id, so a change to either order shows here.
+ZIPF = validate_distribution([(b, 1 / (b + 1) ** 1.2) for b in range(256)])
+ZIPF_512 = {
+    "large-n": "0d940f0b2768c06a70e6e35501b9d1b8"
+               "567cfa06405546fe980874797cdf2625",
+    "case1": "f4dab2ec2bc0a31c47e97cd999f1dca5"
+             "f30d2744c0efe88fb0194b82cfac8f3a",
+    "case2": "3b0a74e0a5e1a7669b080e1f24276947"
+             "53e95f6dbdffb5aa4f635d66572e687c",
+    "case3": "fd518d28e0e4fe911d910e1f86f5653b"
+             "47db639f598e521d20a13fd742663ccf",
+}
+# SHA-256 of the large-n table's StationaryReport.probs as float64 bytes
+ZIPF_512_PROBS = ("a563294e6308484865be3865c4516f8c"
+                  "5573774385a7ddac3270b025ed9124d7")
+
+
+def test_builder_tables_pinned_at_512_states():
+    counts = quantize_counts(ZIPF, 512)
+    large, _ = build_large_n(ZIPF, counts)
+    tables = {
+        "large-n": large,
+        "case1": build_saeds_case1(ZIPF, cli._pow2_counts(ZIPF, 512)),
+        "case2": build_saeds_case2(ZIPF, counts),
+        "case3": build_saeds_case3(ZIPF, counts),
+    }
+    assert {k: table_digest(t) for k, t in tables.items()} == ZIPF_512
+    assert table_digest(tans_to_aeds(build_tans(ZIPF, 512))) == \
+        ZIPF_512["case3"]
+    rep = stationary_distribution(large, ZIPF)
+    assert rep.method == "direct-solve"
+    assert hashlib.sha256(np.array(rep.probs).tobytes()).hexdigest() == \
+        ZIPF_512_PROBS
+
+
+def test_large_n_table_at_4096_states_is_small():
+    counts = quantize_counts(ZIPF, 4096)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        table, _ = build_large_n(ZIPF, counts)
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert table.nexts.size == 4096 * 256
+    assert retained < 30e6     # 17 MB: three arrays, no per-cell objects
 
 
 def test_case3_plan_example():

@@ -116,7 +116,7 @@ def reshaped(rng, table):
     tails = [Codeword(0, rng.randint(0, 1)) for _ in range(table.n_states)]
     rows = [[(heads[nxt].concat(word).concat(tails[nxt]), nxt)
              for word, nxt in row] for row in table.encoder]
-    return AedsTable(table.symbols, rows)
+    return AedsTable.from_rows(table.symbols, rows)
 
 
 def test_equivalent_on_random_tables():
@@ -196,7 +196,7 @@ def long_word_table():
     w = Codeword.from_bits
     rows = [[(w("0"), 0), (w("10"), 0), (w("11" + "1" * 20), 0),
              (w("11" + "1" * 19 + "0"), 0)]]
-    return AedsTable("abcd", rows)
+    return AedsTable.from_rows("abcd", rows)
 
 
 def ending_on_a_byte(bits):
@@ -205,7 +205,7 @@ def ending_on_a_byte(bits):
     (so no padding follows ``bits``)."""
     head = Bitstream.assemble(1, 0, 0, []).payload_start
     zeros = -(head + len(bits)) % 8
-    words = [Codeword(0, 1)] * zeros + [Codeword.from_bits(bits)]
+    words = [(0, 1)] * zeros + [(int(bits, 2), len(bits))]
     return Bitstream.assemble(1, 0, zeros + 1, words)
 
 
@@ -242,7 +242,7 @@ def test_long_word_table_roundtrip_and_fuzz():
 
 def test_very_long_codeword_index_is_bounded():
     long = Codeword(1 << 4095, 4096)             # "1" then 4095 zeros
-    table = AedsTable("ab", [[(Codeword(0, 1), 0), (long, 0)]])
+    table = AedsTable.from_rows("ab", [[(Codeword(0, 1), 0), (long, 0)]])
     tracemalloc.start()
     started = time.perf_counter()
     try:
@@ -267,7 +267,7 @@ def test_very_long_codeword_index_is_bounded():
 ])
 def test_prefix_collisions_name_both_words(words):
     a, b = (Codeword.from_bits(w) for w in words)
-    table = AedsTable("ab", [[(a, 0), (b, 0)]])
+    table = AedsTable.from_rows("ab", [[(a, 0), (b, 0)]])
     with pytest.raises(PrefixViolation) as err:
         table.decoding_tries()
     assert (err.value.first, err.value.second) == tuple(sorted(words, key=len))
@@ -276,7 +276,7 @@ def test_prefix_collisions_name_both_words(words):
 def test_truncation_found_without_decoding_the_declared_length():
     # zero bits decode forever on the demo table (0 -> 4 -> 3 -> 0), so
     # only the refill's end-of-stream check stops this stream early
-    stream = Bitstream.assemble(5, 0, 1 << 22, [Codeword.from_bits("00")])
+    stream = Bitstream.assemble(5, 0, 1 << 22, [(0b00, 2)])
     started = time.perf_counter()
     with pytest.raises(TruncatedStream):
         decode(demo_table(), stream)

@@ -1,13 +1,16 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from aeds.errors import (
     AlphabetMismatch,
     DegenerateAlphabet,
     InvalidWeight,
+    MissingSymbol,
     PrefixViolation,
+    TableError,
 )
 from aeds.model import (
     AedsTable,
@@ -144,7 +147,7 @@ def test_prefix_violation_detected_via_tries():
         ((w("0"), 0), (w("01"), 0)),   # "0" prefixes "01" at state 0
         ((w("10"), 0), (w("11"), 0)),
     ]
-    table = AedsTable(("a", "b"), rows)
+    table = AedsTable.from_rows(("a", "b"), rows)
     with pytest.raises(PrefixViolation):
         table.decoding_tries()
 
@@ -166,7 +169,7 @@ def test_non_state_divided_table_has_no_partition():
         ((w("0"), 0), (w("10"), 1)),
         ((w("0"), 1), (w("1"), 0)),   # both symbols reach both states
     ]
-    table = AedsTable(("a", "b"), rows)
+    table = AedsTable.from_rows(("a", "b"), rows)
     assert table.saeds_partition() is None
 
 
@@ -178,3 +181,36 @@ def test_byte_histogram_constructor():
     p = SourceDistribution.from_byte_histogram(counts)
     assert p.symbols == (65, 66, 200)
     assert p.probs == (0.3, 0.6, 0.1)
+
+
+# ---------------------------------------------------------------------------
+# the array form
+
+
+def test_array_path_rejects_what_the_row_path_rejects():
+    ok = dict(nexts=[[0, 0]], lengths=[[1, 1]], values=[[0, 1]])
+    assert AedsTable("ab", **ok).n_states == 1
+    with pytest.raises(MissingSymbol):           # a short row
+        AedsTable("abc", **ok)
+    with pytest.raises(TableError):              # next state out of range
+        AedsTable("ab", **{**ok, "nexts": [[0, 1]]})
+    with pytest.raises(TableError):              # 2 does not fit in 1 bit
+        AedsTable("ab", **{**ok, "values": [[0, 2]]})
+    with pytest.raises(TableError):              # negative length
+        AedsTable("ab", **{**ok, "lengths": [[1, -1]]})
+    with pytest.raises(TableError):              # arrays of unequal shape
+        AedsTable("ab", **{**ok, "values": [[0, 1], [0, 1]]})
+    with pytest.raises(MissingSymbol):
+        AedsTable.from_rows("abc", [[(Codeword(0, 1), 0)] * 2])
+
+
+def test_table_arrays_are_read_only_integers():
+    t = demo_table()
+    assert t.nexts.shape == t.lengths.shape == t.values.shape == (5, 3)
+    assert t.values.dtype == np.int64
+    with pytest.raises(ValueError):
+        t.nexts[0, 0] = 1
+    assert t.encoder[0][2] == (Codeword.from_bits("110"), 0)
+    wide = AedsTable("ab", [[0, 0]], [[1, 80]], [[0, 1 << 79]])
+    assert wide.values.dtype == object         # a dtype, not another path
+    assert wide.encoder[0][1][0].bits == "1" + "0" * 79
