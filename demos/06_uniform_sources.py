@@ -15,12 +15,13 @@ from aeds import (
     uniform_split_tree,
     validate_distribution,
 )
-from aeds.analysis import uniform_huffman_length, uniform_huffman_redundancy
+from aeds.analysis import uniform_huffman_length
+from aeds.prefix_codes import phased_in_redundancy
 
 for m in (80, 96, 100):
     best = optimal_uniform_split(m, 2)
     print(f"M={m:3d}: huffman {uniform_huffman_length(m):.4f} bits "
-          f"(redundancy {uniform_huffman_redundancy(m):.4f}) | "
+          f"(redundancy {phased_in_redundancy(m):.4f}) | "
           f"best split {best.right_items}/{best.left_items} "
           f"-> {best.mean_bits:.4f} bits, saves {best.reduction:.4f}")
 

@@ -21,7 +21,6 @@ from .analysis import (
     omega_type1,
     omega_type2,
     optimal_uniform_split,
-    redundancy_curves,
     stationary_distribution,
 )
 from .codec import (
@@ -59,9 +58,7 @@ from .model import (
 )
 from .prefix_codes import (
     CodeTree,
-    PhasedInCode,
     build_huffman,
-    build_phased_in,
     phased_in_stats,
     tree_metrics,
     uniform_split_tree,

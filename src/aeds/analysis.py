@@ -271,10 +271,6 @@ def uniform_huffman_length(m):
     return k + 1.0 - (1 << k) / m
 
 
-def uniform_huffman_redundancy(m):
-    return uniform_huffman_length(m) - math.log2(m)
-
-
 def uniform_huffman_right_weight(m):
     """Largest right-subtree weight a uniform-source Huffman tree allows."""
     if m < 2:
@@ -324,42 +320,6 @@ def optimal_uniform_split(m, n_states=2, variant="type1"):
     base = uniform_huffman_length(m)
     return UniformSplitResult(m, m_right, m - m_right, bits,
                               base - bits, bits - math.log2(m), m_right / m)
-
-
-def redundancy_curves(kind, grid=None, n_states=2):
-    """Tabulated closed-form curves as a list of row dicts (CSV-friendly)."""
-    rows = []
-    if kind in ("huffman-worst", "type1-worst", "type2-worst"):
-        grid = grid if grid is not None else [0.5 + 0.001 * i for i in range(500)]
-        for p1 in grid:
-            row = {"p1": p1, "huffman": huffman_worst_redundancy(p1)}
-            if kind == "type1-worst":
-                row["type1"] = type1_worst_redundancy(p1, n_states)
-            if kind == "type2-worst":
-                row["type2"] = type2_worst_redundancy(p1)
-            rows.append(row)
-        return rows
-    if kind == "binary":
-        grid = grid if grid is not None else [0.5 + 0.001 * i for i in range(500)]
-        for r in grid:
-            rows.append({
-                "r": r,
-                "source": binary_redundancy(r),
-                "type1": binary_redundancy(r, "type1", n_states),
-                "type2": binary_redundancy(r, "type2"),
-            })
-        return rows
-    if kind == "uniform-huffman":
-        grid = grid if grid is not None else range(2, 129)
-        for m in grid:
-            rows.append({
-                "m": m,
-                "mean_bits": uniform_huffman_length(m),
-                "redundancy": uniform_huffman_redundancy(m),
-                "right_weight": uniform_huffman_right_weight(m),
-            })
-        return rows
-    raise ValueError(f"unknown curve kind {kind!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -424,25 +384,26 @@ def check_bound(table, p, which, report=None, layout=None,
                 gamma=4, eta=1.0, rate="inverse"):
     """Evaluate one of the analytic upper bounds against the solved chain.
 
-    ``which`` selects the bound; ``report`` may carry a precomputed
-    StationaryReport.  Measured quantities (the per-state masses entering
-    the case-2 and case-3 corrections) always come from the solved chain,
-    never from assumptions.
+    ``which`` selects the bound; every bound needs a state-divided table,
+    and both are checked before the chain is solved.  ``report`` may carry
+    a precomputed StationaryReport.  Measured quantities (the per-state
+    masses entering the case-2 and case-3 corrections) always come from
+    the solved chain, never from assumptions.
     """
+    if which not in ("case1", "case2", "case3", "target-identity",
+                     "target-gap", "large-n"):
+        raise KindMismatch(f"unknown bound {which!r}")
+    part = table.saeds_partition()
+    if part is None:
+        raise KindMismatch("table is not state-divided")
     n = table.n_states
     if report is None:
         report = stationary_distribution(table, p)
     q = report.probs
     L = report.mean_bits_encoder_view
     H = entropy(p)
-
-    if which in ("case1", "case2", "case3", "target-identity", "target-gap",
-                 "large-n"):
-        part = table.saeds_partition()
-        if part is None:
-            raise KindMismatch("table is not state-divided")
-        ratio = [len(b) / n for b in part.subsets]
-        D = relative_entropy(p, SourceDistribution(p.symbols, ratio))
+    ratio = [len(b) / n for b in part.subsets]
+    D = relative_entropy(p, SourceDistribution(p.symbols, ratio))
 
     if which == "case1":
         for s, block in enumerate(part.subsets):
@@ -509,46 +470,21 @@ def check_bound(table, p, which, report=None, layout=None,
                       premise_gap=gap, premise_budget=premise_budget,
                       premise_holds=gap < premise_budget)
 
-    if which == "harmonic-target":
-        # The normalized harmonic weights stay within lg(e)/2N^2 above the
-        # telescoping target, pointwise.
-        target = q_star(n)
-        harm = q_harmonic(n)
-        worst = max(h - t for h, t in zip(harm, target))
-        return _bound("harmonic-target", worst, LG_E / (2.0 * n * n), tol=0.0)
+    return _bound(f"large-n[gamma={gamma}]", L,
+                  H + D + (gamma + 0.5) * LG_E / n,
+                  dominated=_dominated(q, n, gamma),
+                  excess=(L - H) * n)
 
-    if which == "shifted-target":
-        # Sandwich for the slack target: its pointwise excess over the
-        # plain target sits between (gamma-2)lg(e)/4N^2 and
-        # (gamma+1/2)lg(e)/N^2.
-        target = q_star(n)
-        shifted = q_star_shifted(n, gamma)
-        upper = max(s - t for s, t in zip(shifted, target))
-        lower = min(s - t for s, t in zip(shifted, target))
-        up = _bound("shifted-target-upper", upper,
-                    (gamma + 0.5) * LG_E / n ** 2, tol=0.0)
-        low = _bound("shifted-target-lower",
-                     (gamma - 2.0) * LG_E / (4.0 * n ** 2), lower, tol=0.0)
-        return up, low
 
-    if which == "large-n":
-        shifted = q_star_shifted(n, gamma)
-        dominated = all(qi <= si + 1e-12 for qi, si in zip(q, shifted))
-        return _bound(f"large-n[gamma={gamma}]", L,
-                      H + D + (gamma + 0.5) * LG_E / n,
-                      dominated=dominated,
-                      excess=(L - H) * n)
-
-    raise KindMismatch(f"unknown bound {which!r}")
+def _dominated(q, n_states, gamma):
+    """Whether the slack target for ``gamma`` dominates Q pointwise."""
+    return all(qi <= si + 1e-12
+               for qi, si in zip(q, q_star_shifted(n_states, gamma)))
 
 
 def smallest_dominating_gamma(q, n_states, candidates=(3, 4, 8, 16)):
     """The smallest swept shift whose slack target dominates the solved Q."""
-    for g in candidates:
-        shifted = q_star_shifted(n_states, g)
-        if all(qi <= si + 1e-12 for qi, si in zip(q, shifted)):
-            return g
-    return None
+    return next((g for g in candidates if _dominated(q, n_states, g)), None)
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,8 @@ import os
 import sys
 import zlib
 
+import numpy as np
+
 from . import analysis, codec, constructors, model, prefix_codes, tans
 from .codec import BitReader, BitWriter, Bitstream
 from .errors import AedsError, HashMismatch, MalformedStream, TrailingGarbage
@@ -77,12 +79,14 @@ def _pow2_counts(p, n_states):
     return counts
 
 
-def build_table(p, codec_name, n_states, tolerance=1e-9, verbose=True):
+def build_table(p, codec_name, n_states, tolerance=1e-9):
     """Builder dispatch with the automatic prefix-code fallback.
 
     The tree-based layouts are only used when their analytic reduction is
     positive; otherwise the plain one-state prefix coder is returned (the
     reduction formulas clamp at zero exactly when the scheme cannot win).
+    The equal-ratio layout snaps the state budget down to a power of two.
+    Both decisions show in the returned table's state count.
     """
     tree = prefix_codes.build_huffman(p)
     if codec_name == "huffman":
@@ -94,9 +98,6 @@ def build_table(p, codec_name, n_states, tolerance=1e-9, verbose=True):
         else:
             drop = analysis.delta_type2(mets.right_weight)
         if drop <= tolerance:
-            if verbose:
-                print("reduction is zero at this tree; "
-                      "falling back to plain prefix coding")
             return _one_state_table(p, tree)
         if codec_name == "type1":
             return constructors.build_type1(tree, p, n_states)
@@ -106,9 +107,6 @@ def build_table(p, codec_name, n_states, tolerance=1e-9, verbose=True):
         # the budget down to keep every ratio integral
         n_eff = 1 << max(n_states.bit_length() - 1,
                          (len(p.symbols) - 1).bit_length())
-        if n_eff != n_states and verbose:
-            print(f"equal-ratio layout uses {n_eff} of the "
-                  f"{n_states} requested states")
         return constructors.build_saeds_case1(p, _pow2_counts(p, n_eff))
     if codec_name == "saeds-case2":
         return constructors.build_saeds_case2(
@@ -220,19 +218,18 @@ def _check_end(r):
 
 
 def cmd_compress(args):
-    # first pass: chunked histogram
-    counts = [0] * 256
+    # first pass: chunked histogram; bincount widens each byte to eight,
+    # so small reads keep its temporary small
+    counts = np.zeros(256, dtype=np.int64)
     size = 0
     crc = 0
     with open(args.input, "rb") as fh:
-        while True:
-            chunk = fh.read(1 << 20)
-            if not chunk:
-                break
+        while chunk := fh.read(1 << 16):
             size += len(chunk)
             crc = zlib.crc32(chunk, crc)
-            for b in chunk:
-                counts[b] += 1
+            counts += np.bincount(np.frombuffer(chunk, np.uint8),
+                                  minlength=256)
+    counts = counts.tolist()
     if size == 0:
         with open(args.output, "wb") as out:
             write_container_stream(lambda n: b"", out.write, crc, 0, None)
@@ -246,6 +243,12 @@ def cmd_compress(args):
     else:
         p = model.validate_distribution((b, counts[b]) for b in present)
         table = build_table(p, args.codec, args.states, args.tolerance)
+        if args.codec in ("type1", "type2") and table.n_states == 1:
+            print("reduction is zero at this tree; "
+                  "falling back to plain prefix coding")
+        if args.codec == "saeds-case1" and table.n_states != args.states:
+            print(f"equal-ratio layout uses {table.n_states} of the "
+                  f"{args.states} requested states")
     if args.table_out:
         with open(args.table_out, "wb") as fh:
             fh.write(codec.serialize_table(table))
@@ -332,7 +335,7 @@ def _figure_rows(figure):
         rows = []
         for m in range(16, 129):
             best = analysis.optimal_uniform_split(m, 2)
-            rows.append([m, analysis.uniform_huffman_redundancy(m),
+            rows.append([m, prefix_codes.phased_in_redundancy(m),
                          analysis.delta_type1(
                              analysis.uniform_huffman_right_weight(m), 2),
                          best.reduction])

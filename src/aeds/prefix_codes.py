@@ -150,34 +150,6 @@ def build_huffman(p):
     return CodeTree(heap[0][2]).normalized(p)
 
 
-class PhasedInCode:
-    """Prefix code for M items: 2^k - M words of k-1 bits, the rest k bits."""
-
-    __slots__ = ("size", "bit_budget", "codewords", "assignment")
-
-    def __init__(self, size, codewords, assignment):
-        self.size = size
-        self.bit_budget = max(size - 1, 0).bit_length()  # ceil(lg size)
-        self.codewords = tuple(codewords)
-        self.assignment = tuple(assignment)
-
-    def word_for(self, item):
-        """Codeword assigned to item rank ``item`` (0-based)."""
-        return self.codewords[self.assignment[item]]
-
-    def kraft_sum(self):
-        return math.fsum(2.0 ** -w.length for w in self.codewords)
-
-    def to_code_tree(self, symbols=None):
-        """Grow the code into a CodeTree over ``symbols`` (default 0..M-1)."""
-        if symbols is None:
-            symbols = tuple(range(self.size))
-        if len(symbols) != self.size:
-            raise AlphabetMismatch("symbol count differs from code size")
-        return code_tree_from_words(
-            {symbols[i]: self.word_for(i) for i in range(self.size)})
-
-
 def phased_in_words(m):
     """The canonical phased-in codeword list for ``m`` items.
 
@@ -200,28 +172,6 @@ def phased_in_cells(sizes):
     k = np.frexp(m - 1)[1].astype(np.int64)  # bit length of m - 1
     short = (1 << k) - m
     return np.where(i < short, i, i + short), k - (i < short)
-
-
-def build_phased_in(m, rank_weights=None):
-    """Phased-in code for ``m`` items.
-
-    Without weights, item i simply takes codeword i.  With weights, the
-    short codewords go to the heaviest items (ties broken by item index).
-    """
-    words = phased_in_words(m)
-    if rank_weights is None:
-        assignment = range(m)
-    else:
-        rank_weights = [float(w) for w in rank_weights]
-        if len(rank_weights) != m:
-            raise InvalidWeight("need one weight per item")
-        if any(w < 0 or not math.isfinite(w) for w in rank_weights):
-            raise InvalidWeight("weights must be nonnegative and finite")
-        order = sorted(range(m), key=lambda i: (-rank_weights[i], i))
-        assignment = [0] * m
-        for rank, item in enumerate(order):
-            assignment[item] = rank
-    return PhasedInCode(m, words, assignment)
 
 
 @dataclass(frozen=True)
@@ -311,6 +261,7 @@ def uniform_split_tree(m, m_right, symbols=None):
     def side(syms):
         if len(syms) == 1:
             return _Leaf(syms[0])
-        return build_phased_in(len(syms)).to_code_tree(syms).root
+        return code_tree_from_words(
+            dict(zip(syms, phased_in_words(len(syms))))).root
 
     return CodeTree(_Node(side(left_syms), side(right_syms)))

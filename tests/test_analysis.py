@@ -18,14 +18,13 @@ from aeds.analysis import (
     q_harmonic,
     q_star,
     q_star_shifted,
-    redundancy_curves,
     smallest_dominating_gamma,
     stationary_distribution,
     symbol_masses,
     uniform_huffman_length,
-    uniform_huffman_redundancy,
     uniform_huffman_right_weight,
 )
+from aeds.cli import _figure_rows
 from aeds.codec import validate_aeds
 from aeds.constructors import (
     build_large_n,
@@ -35,7 +34,7 @@ from aeds.constructors import (
 )
 from aeds.errors import KindMismatch, NotErgodic
 from aeds.model import AedsTable, Codeword, validate_distribution
-from aeds.prefix_codes import build_huffman, tree_metrics
+from aeds.prefix_codes import build_huffman, phased_in_redundancy, tree_metrics
 
 from conftest import random_source, random_table
 
@@ -167,19 +166,20 @@ def test_worst_case_redundancy_curves():
                  - delta_type1(0.5 + i / 200, n))
                 for i in range(99)]
         assert all(v >= -1e-12 for v in vals)
-    rows = redundancy_curves("binary", n_states=4)
-    assert rows[0]["r"] == 0.5
-    assert rows[0]["source"] == pytest.approx(0.0, abs=1e-12)
-    assert rows[0]["type1"] == pytest.approx(0.0, abs=1e-12)
-    assert rows[0]["type2"] == pytest.approx(0.0, abs=1e-12)
+    header, rows = _figure_rows("binary")
+    first = dict(zip(header, rows[0]))
+    assert first["r"] == 0.5
+    assert first["source"] == pytest.approx(0.0, abs=1e-12)
+    assert first["type1_n4"] == pytest.approx(0.0, abs=1e-12)
+    assert first["type2"] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_uniform_huffman_quantities():
     assert uniform_huffman_length(80) == pytest.approx(6.4, abs=1e-12)
     assert uniform_huffman_right_weight(96) == pytest.approx(2 / 3, abs=0)
     for k in range(1, 12):
-        assert uniform_huffman_redundancy(1 << k) == pytest.approx(0, abs=1e-12)
-    assert uniform_huffman_redundancy(96) == pytest.approx(0.081704, abs=1e-6)
+        assert phased_in_redundancy(1 << k) == pytest.approx(0, abs=1e-12)
+    assert phased_in_redundancy(96) == pytest.approx(0.081704, abs=1e-6)
 
 
 def test_sigma_constant():
@@ -220,6 +220,23 @@ def test_check_bound_kind_mismatch():
     table = build_type2(build_huffman(p), p)  # not state-divided
     with pytest.raises(KindMismatch):
         check_bound(table, p, "case1")
+
+
+def test_check_bound_rejects_the_kind_before_solving(monkeypatch):
+    # every state loops to itself: neither ergodic nor state-divided, so a
+    # solve would raise NotErgodic
+    w = Codeword.from_bits
+    loops = AedsTable.from_rows(("a", "b"), [((w("0"), 0), (w("1"), 0)),
+                                             ((w("0"), 1), (w("1"), 1))])
+    p = validate_distribution([("a", 1), ("b", 1)])
+    for which in ("no-such-bound", "harmonic-target", "case1", "large-n"):
+        with pytest.raises(KindMismatch):
+            check_bound(loops, p, which)
+    table, _ = build_large_n(p, [4, 4])
+    monkeypatch.setattr(aeds.analysis, "stationary_distribution",
+                        lambda *args: pytest.fail("solved the chain"))
+    with pytest.raises(KindMismatch):
+        check_bound(table, p, "no-such-bound")
 
 
 def test_target_gap_rate_variants_reported():
@@ -365,20 +382,23 @@ def test_best_split_redundancy_levels():
 
 
 def test_redundancy_curve_kinds():
-    rows = redundancy_curves("huffman-worst", grid=[0.5, 0.75])
-    assert [r["p1"] for r in rows] == [0.5, 0.75]
-    assert rows[0]["huffman"] == pytest.approx(0.5)
-    rows = redundancy_curves("type1-worst", grid=[0.8], n_states=2)
-    assert rows[0]["type1"] == pytest.approx(
-        huffman_worst_redundancy(0.8) - delta_type1(0.8, 2), abs=1e-12)
-    rows = redundancy_curves("type2-worst", grid=[0.6])
-    assert rows[0]["type2"] == pytest.approx(
-        huffman_worst_redundancy(0.6) - delta_type2(0.6), abs=1e-12)
-    rows = redundancy_curves("uniform-huffman", grid=[80, 96])
-    assert rows[0]["mean_bits"] == pytest.approx(6.4)
-    assert rows[1]["right_weight"] == pytest.approx(2 / 3)
+    header, rows = _figure_rows("worst-case")
+    assert header == ["p1", "huffman", "type1_n2", "type1_n4", "type1_n16",
+                      "type2"]
+    assert rows[0][:2] == [0.5, pytest.approx(0.5)]
+    for p1, huffman, *type1, type2 in rows:
+        assert huffman == huffman_worst_redundancy(p1)
+        for n, value in zip((2, 4, 16), type1):
+            assert value == pytest.approx(huffman - delta_type1(p1, n),
+                                          abs=1e-12)
+        assert type2 == pytest.approx(huffman - delta_type2(p1), abs=1e-12)
+    header, rows = _figure_rows("uniform-n2")
+    by_m = {row[0]: dict(zip(header, row)) for row in rows}
+    assert by_m[96]["huffman_redundancy"] == pytest.approx(
+        uniform_huffman_length(96) - math.log2(96), abs=1e-12)
+    assert by_m[96]["reduction_huffman_tree"] == delta_type1(2 / 3, 2)
     with pytest.raises(ValueError):
-        redundancy_curves("no-such-curve")
+        _figure_rows("no-such-curve")
 
 
 def test_closed_form_argument_checks():

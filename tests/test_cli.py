@@ -181,7 +181,7 @@ def test_seed_option_is_gone(tmp_path):
 
 def container(data):
     p = validate_distribution((b, 1 + data.count(b)) for b in b"abcdr")
-    table = build_table(p, "type2", 2, verbose=False)
+    table = build_table(p, "type2", 2)
     out = bytearray()
     write_container_stream(io.BytesIO(data).read, out.extend,
                            zlib.crc32(data), len(data), table)
@@ -325,3 +325,12 @@ def test_block_declaring_too_many_symbols_fails_fast(tmp_path):
     bomb.write_bytes(forged)
     assert main(["decompress", "--input", str(bomb),
                  "--output", str(tmp_path / "bomb.out")]) == 3
+
+
+def test_build_table_prints_nothing(capsys):
+    # the fallback and the snapped budget show in the table, not on stdout
+    uniform = validate_distribution((b, 1) for b in range(256))
+    assert build_table(uniform, "type1", 2).n_states == 1
+    six = validate_distribution(zip(b"abcdef", SIX_WEIGHTS))
+    assert build_table(six, "saeds-case1", 12).n_states == 8
+    assert capsys.readouterr().out == ""

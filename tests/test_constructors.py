@@ -213,8 +213,8 @@ ONE_TABLE = [
                  id="build_saeds_case1"),
     pytest.param(lambda: partial(build_saeds_case2, P3, [4, 2, 2]),
                  id="build_saeds_case2"),
-    *(pytest.param(lambda c=c: partial(cli.build_table, SKEW3, c, 8,
-                                       verbose=False), id=f"cli-{c}")
+    *(pytest.param(lambda c=c: partial(cli.build_table, SKEW3, c, 8),
+                   id=f"cli-{c}")
       for c in cli.CODECS),
     pytest.param(lambda: partial(deserialize_table,
                                  serialize_table(demo_table())),

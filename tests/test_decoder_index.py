@@ -150,7 +150,7 @@ def test_equivalent_on_every_builder(codec, states):
     rng = random.Random(codec)
     p = validate_distribution(
         [(b, 1.0 / (b + 1) ** 1.3) for b in range(12)])
-    table = cli.build_table(p, codec, states, verbose=False)
+    table = cli.build_table(p, codec, states)
     for _ in range(12):
         assert_equivalent(rng, table,
                           random_sequence(rng, p, rng.randint(1, 300)))
@@ -161,7 +161,7 @@ def stream_type2_table():
     1..19 (those a 2 MiB sample holds) sharing 0.3 with weights 2^-i."""
     weights = [0.7] + [0.3 * 2.0 ** -i for i in range(1, 20)]
     p = validate_distribution(list(enumerate(weights)))
-    return p, cli.build_table(p, "type2", 2, verbose=False)
+    return p, cli.build_table(p, "type2", 2)
 
 
 def test_two_level_lookups_on_the_skewed_type2_table():

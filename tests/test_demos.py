@@ -1,8 +1,10 @@
-"""Every demo script runs to completion, prints something and cleans up
-its temporary files."""
+"""Every demo script runs to completion, prints the pinned text and cleans
+up its temporary files."""
 
+import hashlib
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -11,9 +13,29 @@ import pytest
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
+# demo: SHA-256 of its stdout.  Demo 07 prints the path of its temporary
+# directory, which is replaced by "<tmpdir>" before hashing.
+STDOUT_DIGESTS = {
+    "01_backward_coding_basics":
+        "a2d564e769995585c5378d5f2f865e57b9c53ca9589187d92564acd02e0bf9cb",
+    "02_tree_based_tables":
+        "a11826cb3056383fc671880cf39283df8dd9b33ab080bcaf237423653921ff84",
+    "03_tabled_ans":
+        "2d82fb842ad311044a2721cf5563b8fbe191419086012f25a83300be04733606",
+    "04_state_divided_bounds":
+        "235fa34f65c36de21cb4ed88e2192b8b2f03198e23265cc71b137eba69f8bb3f",
+    "05_rate_convergence":
+        "a4afae7212a8364e7ebcb76bb55ccd5ebafcc42c94995d4b94a481e0f8beb21e",
+    "06_uniform_sources":
+        "9293fed7e3913944610b59dfb70aa6bbd42733c0c855eade158442df1d670f44",
+    "07_file_compression":
+        "5ef8891c7ee202fbdd4a90599520fba721ef908342ae6ecf1a41032a5bbcb334",
+}
+
 
 def test_all_seven_demos_found():
     assert len(DEMOS) == 7
+    assert [demo.stem for demo in DEMOS] == sorted(STDOUT_DIGESTS)
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda path: path.stem)
@@ -29,3 +51,7 @@ def test_demo_runs(demo, tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip()
     assert not any(tmpdir.iterdir()), "demo left files in its TMPDIR"
+    stdout = re.sub(re.escape(os.path.join(str(tmpdir), "aeds-demo-"))
+                    + r"\w+", "<tmpdir>", proc.stdout)
+    assert hashlib.sha256(stdout.encode()).hexdigest() == \
+        STDOUT_DIGESTS[demo.stem], stdout

@@ -3,12 +3,13 @@ import random
 
 import pytest
 
+from aeds.analysis import stationary_distribution
+from aeds.constructors import build_saeds_case1, build_saeds_case2
 from aeds.errors import AlphabetMismatch, InvalidWeight
 from aeds.model import validate_distribution
 from aeds.prefix_codes import (
     SIGMA,
     build_huffman,
-    build_phased_in,
     code_tree_from_words,
     phased_in_redundancy,
     phased_in_stats,
@@ -113,21 +114,33 @@ def test_phased_in_word_sets():
 
 def test_phased_in_kraft_and_counts():
     for m in range(1, 200):
-        code = build_phased_in(m)
-        assert code.kraft_sum() == pytest.approx(1.0, abs=1e-12)
-        k = code.bit_budget
-        lengths = [w.length for w in code.codewords]
+        words = phased_in_words(m)
+        assert math.fsum(2.0 ** -w.length for w in words) == \
+            pytest.approx(1.0, abs=1e-12)
+        k = (m - 1).bit_length()  # ceil(lg m)
+        lengths = [w.length for w in words]
         assert lengths.count(k - 1) == (1 << k) - m if m > 1 else True
         assert len(lengths) == m
 
 
 def test_phased_in_weighted_assignment():
-    code = build_phased_in(5, rank_weights=[0.1, 0.3, 0.05, 0.35, 0.2])
-    # heaviest items (3, 1, 4) take the three short codewords
-    assert code.word_for(3).bits == "00"
-    assert code.word_for(1).bits == "01"
-    assert code.word_for(4).bits == "10"
-    assert {code.word_for(0).bits, code.word_for(2).bits} == {"110", "111"}
+    # the mass-ranked builders hand the phased-in words of each forward set
+    # out heaviest member first (ties by state id), so the short words sit
+    # on the heaviest members
+    p = validate_distribution([("a", 5), ("b", 3), ("c", 2)])
+    reordered = 0
+    for table in (build_saeds_case1(p, [2, 2, 2]),
+                  build_saeds_case2(p, [5, 3, 3])):
+        q = stationary_distribution(table, p).probs
+        part = table.saeds_partition()
+        for s, block in enumerate(part.subsets):
+            for x in block:
+                members = part.forward_sets[x]
+                ranked = sorted(members, key=lambda y: (-q[y], y))
+                reordered += ranked != sorted(members)
+                assert [table.encoder[y][s][0].bits for y in ranked] == \
+                    [w.bits for w in phased_in_words(len(members))]
+    assert reordered
 
 
 def test_phased_in_stats_uniform():
@@ -160,9 +173,10 @@ def test_phased_in_stats_general_weights():
         weights = [w / total for w in raw]
         stats = phased_in_stats(m, weights)
         # direct evaluation: short words on the heaviest items
-        code = build_phased_in(m, rank_weights=weights)
-        direct = sum(w * code.word_for(i).length
-                     for i, w in enumerate(weights))
+        words = phased_in_words(m)
+        heaviest_first = sorted(range(m), key=lambda i: (-weights[i], i))
+        direct = sum(weights[i] * words[rank].length
+                     for rank, i in enumerate(heaviest_first))
         assert stats.mean_length == pytest.approx(direct, abs=1e-9)
         assert stats.mean_length <= math.log2(m) + SIGMA - stats.deviation + 1e-9
         assert 0.0 - 1e-12 <= stats.deviation < (2 * m - 2 ** math.ceil(
