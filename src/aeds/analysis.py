@@ -219,12 +219,10 @@ def omega_type1():
 
 def omega_type2(tol=1e-12):
     """Root of w^3 - w^2 + 2w - 1 located by bisection on [0.5, 0.7]."""
-    def f(w):
-        return w ** 3 - w * w + 2.0 * w - 1.0
     lo, hi = 0.5, 0.7
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
-        if f(mid) < 0.0:
+        if mid ** 3 - mid * mid + 2.0 * mid - 1.0 < 0.0:
             lo = mid
         else:
             hi = mid
@@ -241,14 +239,6 @@ def huffman_worst_redundancy(p1):
     """Worst-case Huffman redundancy for a dominant symbol weight p1 >= 0.5:
     2 - p1 - h(p1)."""
     return 2.0 - p1 - binary_entropy(p1)
-
-
-def type1_worst_redundancy(p1, n_states):
-    return huffman_worst_redundancy(p1) - delta_type1(p1, n_states)
-
-
-def type2_worst_redundancy(p1):
-    return huffman_worst_redundancy(p1) - delta_type2(p1)
 
 
 def binary_redundancy(r, kind="huffman", n_states=2):
@@ -385,7 +375,8 @@ def check_bound(table, p, which, report=None, layout=None,
     """Evaluate one of the analytic upper bounds against the solved chain.
 
     ``which`` selects the bound; every bound needs a state-divided table,
-    and both are checked before the chain is solved.  ``report`` may carry
+    and both are checked before the chain is solved.  "target-identity"
+    reads only the layout, H and D and never solves.  ``report`` may carry
     a precomputed StationaryReport.  Measured quantities (the per-state
     masses entering the case-2 and case-3 corrections) always come from
     the solved chain, never from assumptions.
@@ -397,13 +388,28 @@ def check_bound(table, p, which, report=None, layout=None,
     if part is None:
         raise KindMismatch("table is not state-divided")
     n = table.n_states
+    H = entropy(p)
+    ratio = [len(b) / n for b in part.subsets]
+    D = relative_entropy(p, SourceDistribution(p.symbols, ratio))
+
+    if which == "target-identity":
+        # With the telescoping target weights in place of the solved chain,
+        # the interval layout's average length collapses to H + D exactly.
+        if layout is None:
+            raise KindMismatch("target-identity needs the interval layout")
+        target = q_star(n)
+        ideal = 0.0
+        for s, prob in enumerate(p.probs):
+            plan = layout.per_symbol[s]
+            tail = math.fsum(target[i] for i in range(plan.head_size, n))
+            ideal += prob * (plan.kappa - 1.0 + tail)
+        return _bound("target-identity", abs(ideal - (H + D)), 1e-9, tol=0.0,
+                      ideal=ideal, reference=H + D)
+
     if report is None:
         report = stationary_distribution(table, p)
     q = report.probs
     L = report.mean_bits_encoder_view
-    H = entropy(p)
-    ratio = [len(b) / n for b in part.subsets]
-    D = relative_entropy(p, SourceDistribution(p.symbols, ratio))
 
     if which == "case1":
         for s, block in enumerate(part.subsets):
@@ -440,20 +446,6 @@ def check_bound(table, p, which, report=None, layout=None,
             nu = (2 * ns - (1 << ks)) / ns - check_mass
             corr += p.probs[s] * (nu - phased_in_redundancy(ns))
         return _bound("case3", L, H + D + corr, H=H, D=D, correction=corr)
-
-    if which == "target-identity":
-        # With the telescoping target weights in place of the solved chain,
-        # the interval layout's average length collapses to H + D exactly.
-        if layout is None:
-            raise KindMismatch("target-identity needs the interval layout")
-        target = q_star(n)
-        ideal = 0.0
-        for s, prob in enumerate(p.probs):
-            plan = layout.per_symbol[s]
-            tail = math.fsum(target[i] for i in range(plan.head_size, n))
-            ideal += prob * (plan.kappa - 1.0 + tail)
-        return _bound("target-identity", abs(ideal - (H + D)), 1e-9, tol=0.0,
-                      ideal=ideal, reference=H + D)
 
     if which == "target-gap":
         # If the solved chain tracks the target within a budget, the rate

@@ -24,7 +24,7 @@ import zlib
 import numpy as np
 
 from . import analysis, codec, constructors, model, prefix_codes, tans
-from .codec import BitReader, BitWriter, Bitstream
+from .codec import BitReader, Bitstream
 from .errors import AedsError, HashMismatch, MalformedStream, TrailingGarbage
 
 CONTAINER_MAGIC = b"AEDC"
@@ -140,21 +140,14 @@ def write_container_stream(reader, sink, crc, size, table, embed=True):
     head.append(FLAG_EMBEDDED if embed else 0)
     head += crc.to_bytes(4, "big")
     blob = codec.serialize_table(table)
-    w = BitWriter()
-    if embed:
-        w.write_leb128(len(blob))
-        w.write_bytes(blob)
-    else:
-        w.write_bytes(blob[-32:])  # digest only; table travels separately
-    w.write_leb128(-(-size // BLOCK_SYMBOLS))
-    sink(bytes(head) + w.getvalue())
+    # the digest alone when the table travels separately
+    head += (codec._leb128(len(blob)) + blob) if embed else blob[-32:]
+    head += codec._leb128(-(-size // BLOCK_SYMBOLS))
+    sink(bytes(head))
     payload_bits = 0
     while chunk := reader(BLOCK_SYMBOLS):
         stream = codec.encode(table, chunk)
-        w = BitWriter()
-        w.write_leb128(len(stream.data))
-        w.write_bytes(stream.data)
-        sink(w.getvalue())
+        sink(bytes(codec._leb128(len(stream.data))) + stream.data)
         payload_bits += stream.exact_payload_bits
     return payload_bits
 
@@ -291,16 +284,10 @@ def cmd_decompress(args):
     return EXIT_OK
 
 
-def _fmt(value):
-    if isinstance(value, float):
-        return f"{value:.12g}"
-    return str(value)
-
-
 def _write_csv(path, header, rows):
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
+    lines = [",".join(header)] + [
+        ",".join(f"{v:.12g}" if isinstance(v, float) else str(v) for v in row)
+        for row in rows]
     text = "\n".join(lines) + "\n"
     with open(path, "w", encoding="ascii", newline="\n") as fh:
         fh.write(text)
@@ -324,21 +311,18 @@ def _figure_rows(figure):
         ns = (2, 4, 16)
         header = (["p1", "huffman"] + [f"type1_n{n}" for n in ns]
                   + ["type2"])
-        rows = [[w, analysis.huffman_worst_redundancy(w)]
-                + [analysis.type1_worst_redundancy(w, n) for n in ns]
-                + [analysis.type2_worst_redundancy(w)]
-                for w in pr_grid]
+        huff = [analysis.huffman_worst_redundancy(w) for w in pr_grid]
+        rows = [[w, h] + [h - analysis.delta_type1(w, n) for n in ns]
+                + [h - analysis.delta_type2(w)] for w, h in zip(pr_grid, huff)]
         return header, rows
     if figure == "uniform-n2":
         header = ["m", "huffman_redundancy", "reduction_huffman_tree",
                   "reduction_best_tree"]
-        rows = []
-        for m in range(16, 129):
-            best = analysis.optimal_uniform_split(m, 2)
-            rows.append([m, prefix_codes.phased_in_redundancy(m),
-                         analysis.delta_type1(
-                             analysis.uniform_huffman_right_weight(m), 2),
-                         best.reduction])
+        rows = [[m, prefix_codes.phased_in_redundancy(m),
+                 analysis.delta_type1(
+                     analysis.uniform_huffman_right_weight(m), 2),
+                 analysis.optimal_uniform_split(m, 2).reduction]
+                for m in range(16, 129)]
         return header, rows
     if figure == "uniform-nsweep":
         ns = (2, 3, 4, 6, 8, 16)
@@ -350,14 +334,11 @@ def _figure_rows(figure):
     if figure == "uniform-type2":
         header = ["m", "reduction_two_state", "reduction_five_state",
                   "reduction_huffman_tree"]
-        rows = []
-        for m in range(64, 129):
-            rows.append([m,
-                         analysis.optimal_uniform_split(m, 2).reduction,
-                         analysis.optimal_uniform_split(
-                             m, variant="type2").reduction,
-                         analysis.delta_type1(
-                             analysis.uniform_huffman_right_weight(m), 2)])
+        rows = [[m, analysis.optimal_uniform_split(m, 2).reduction,
+                 analysis.optimal_uniform_split(m, variant="type2").reduction,
+                 analysis.delta_type1(
+                     analysis.uniform_huffman_right_weight(m), 2)]
+                for m in range(64, 129)]
         return header, rows
     if figure == "binary":
         ns = (2, 4, 8, 16)
@@ -376,10 +357,8 @@ def _figure_rows(figure):
         return header, rows
     if figure == "table1":
         header = ["m", "m_right", "m_left"]
-        rows = []
-        for m in range(73, 110):
-            best = analysis.optimal_uniform_split(m, 2)
-            rows.append([m, best.right_items, best.left_items])
+        splits = [analysis.optimal_uniform_split(m, 2) for m in range(73, 110)]
+        rows = [[b.size, b.right_items, b.left_items] for b in splits]
         return header, rows
     if figure == "largeN-sweep":
         p = model.validate_distribution([("a", 3), ("b", 3), ("c", 2)])
@@ -387,15 +366,13 @@ def _figure_rows(figure):
         header = ["n_states", "mean_bits", "entropy", "excess_times_n",
                   "smallest_gamma"]
         rows = []
-        n = 8
-        while n <= 4096:
+        for n in (8 << i for i in range(10)):
             table, _ = constructors.build_large_n(
                 p, [3 * n // 8, 3 * n // 8, n // 4])
             rep = analysis.stationary_distribution(table, p)
             g = analysis.smallest_dominating_gamma(rep.probs, n)
             rows.append([n, rep.mean_bits, h, (rep.mean_bits - h) * n,
                          -1 if g is None else g])
-            n *= 2
         return header, rows
     raise ValueError(f"unknown figure {figure!r}")
 

@@ -7,8 +7,11 @@ Stream layout (bit granularity, MSB first inside bytes):
     state in exactly ceil(lg N) bits | symbol count n as LEB128 | payload
     codewords in decode order | zero padding to a byte boundary
 
-Backward encoding buffers the per-symbol codewords and then writes them in
-forward order, so memory is proportional to the payload.
+Encoding maps the whole sequence to symbol indices in one call, then runs
+the backward recursion, the only per-symbol loop, which records the table
+cell each symbol visits.  ``BitWriter.write_words`` packs those cells'
+codewords in forward order with array operations, ``PACK_SLICE`` words at a
+time, so memory is one entry per symbol plus the payload.
 """
 
 import hashlib
@@ -17,7 +20,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
-    AlphabetMismatch,
     HashMismatch,
     MalformedStream,
     MalformedTable,
@@ -35,14 +37,17 @@ STREAM_VERSION = 1
 TABLE_MAGIC = b"AEDT"
 TABLE_VERSION = 1
 
+# Codewords ``BitWriter.write_words`` packs at a time; bounds its temporaries.
+PACK_SLICE = 1 << 16
+
 
 # ---------------------------------------------------------------------------
 # bit-level IO
 
 
 class BitWriter:
-    """Accumulates bits MSB-first into a bytearray, moving them out of an
-    integer accumulator as whole bytes once 32 or more have gathered."""
+    """Accumulates bits MSB-first into a bytearray; the unfinished last
+    byte waits in an integer accumulator as its ``_fill`` < 8 high bits."""
 
     __slots__ = ("_buf", "_acc", "_fill")
 
@@ -52,24 +57,55 @@ class BitWriter:
         self._fill = 0
 
     def write(self, value, nbits):
-        self.write_words(((value, nbits),))
+        acc, fill = (self._acc << nbits) | value, self._fill + nbits
+        keep = fill & 7
+        self._buf += (acc >> keep).to_bytes(fill >> 3, "big")
+        self._acc, self._fill = acc & ((1 << keep) - 1), keep
 
-    def write_words(self, words):
-        """Write (value, bit count) pairs in order."""
-        buf, acc, fill = self._buf, self._acc, self._fill
-        for value, nbits in words:
-            acc = (acc << nbits) | value
-            fill += nbits
-            if fill >= 32:
-                keep = fill & 7
-                buf += (acc >> keep).to_bytes((fill - keep) >> 3, "big")
-                acc &= (1 << keep) - 1
-                fill = keep
-        self._acc, self._fill = acc, fill
+    def write_words(self, values, lengths, cells=None):
+        """Write codewords in order, ``PACK_SLICE`` at a time: word i is
+        ``values[i]`` in ``lengths[i]`` bits, or the word of table cell
+        ``cells[i]`` when ``values`` and ``lengths`` are a table's flat
+        arrays."""
+        if not isinstance(values, np.ndarray):
+            # numpy would read a list holding 2^63 as floats
+            values = np.array(values, dtype=object)
+        lengths = np.asarray(lengths)
+        for i in range(0, len(lengths if cells is None else cells),
+                       PACK_SLICE):
+            part = slice(i, i + PACK_SLICE)
+            if cells is not None:
+                part = cells[part]
+            self._pack(values[part], lengths[part].astype(np.int64))
+
+    def _pack(self, values, lengths):
+        """Lay the words out from the current bit offset: each value is
+        shifted into a window of ceil((7 + longest) / 8) bytes that starts
+        at its first byte, the windows of the words that share a first
+        byte are ORed together, and each byte lane of those windows is ORed
+        into the output.  Windows wider than 64 bits use Python ints."""
+        ends = np.cumsum(lengths) + self._fill
+        starts = ends - lengths
+        width = (14 + int(lengths.max())) >> 3
+        dtype = np.uint64 if width <= 8 else object
+        words = values.astype(dtype) << (
+            8 * width - lengths - (starts & 7)).astype(dtype)
+        first = starts >> 3
+        group = np.flatnonzero(np.diff(first, prepend=-1))
+        words, first = np.bitwise_or.reduceat(words, group), first[group]
+        out = np.zeros(int(first[-1]) + width + 1, np.uint8)
+        out[0] = self._acc << (8 - self._fill)
+        for j in range(width):
+            out[first + j] |= ((words >> (8 * (width - 1 - j)))
+                               & 0xFF).astype(np.uint8)
+        total = int(ends[-1])
+        self._buf += out[:total >> 3].tobytes()
+        self._fill = total & 7
+        self._acc = int(out[total >> 3]) >> (8 - self._fill)
 
     def write_bytes(self, data):
         if self._fill:
-            self.write_words((b, 8) for b in data)
+            self.write(int.from_bytes(data, "big"), 8 * len(data))
         else:
             self._buf += data
 
@@ -211,16 +247,17 @@ class Bitstream:
         self.payload_start = reader.position
 
     @classmethod
-    def assemble(cls, n_states, initial_state, length, payload):
-        """Frame a payload given as (value, bit count) pairs in decode
-        order."""
+    def assemble(cls, n_states, initial_state, length, values, lengths,
+                 cells=None):
+        """Frame a payload given as codeword values and bit counts in
+        decode order (see ``BitWriter.write_words``)."""
         w = BitWriter()
         w.write_bytes(STREAM_MAGIC)
         w.write(STREAM_VERSION, 8)
         w.write_leb128(n_states)
         w.write(initial_state, state_index_bits(n_states))
         w.write_leb128(length)
-        w.write_words(payload)
+        w.write_words(values, lengths, cells)
         total = w.bit_length
         stream = cls(w.getvalue())
         stream.exact_payload_bits = total - stream.payload_start
@@ -270,6 +307,21 @@ def _backward_pass(into, m, indices, start):
     return at // m, cells
 
 
+def symbol_indices(table, sequence):
+    """The alphabet index of each symbol of ``sequence``, as bytes when
+    every index fits in one (an eighth of a list's memory); raises
+    UnknownSymbol at the first symbol the table does not know."""
+    if iter(sequence) is sequence:  # an iterator: keep it for the search
+        sequence = list(sequence)
+    index = table._index
+    try:
+        return (bytes if len(index) <= 256 else list)(
+            map(index.__getitem__, sequence))
+    except KeyError:
+        t, s = next((t, s) for t, s in enumerate(sequence) if s not in index)
+        raise UnknownSymbol(t, s) from None
+
+
 def encode(table, sequence, initial_state_policy=POLICY_FIRST_STATE):
     """Compress ``sequence`` with ``table``; symbols are eaten back to front.
 
@@ -278,15 +330,10 @@ def encode(table, sequence, initial_state_policy=POLICY_FIRST_STATE):
     tries every state and keeps the shortest stream (smallest index wins
     ties), and an integer pins that state.
     """
-    indices = []
-    for t, s in enumerate(sequence):
-        try:
-            indices.append(table.symbol_index(s))
-        except AlphabetMismatch:
-            raise UnknownSymbol(t, s) from None
+    indices = symbol_indices(table, sequence)
     m = len(table.symbols)
     into = (table.nexts.ravel() * m).tolist()
-    lengths = table.lengths.ravel().tolist()
+    lengths = table.lengths.ravel()
     if isinstance(initial_state_policy, int):
         start = initial_state_policy
         if not 0 <= start < table.n_states:
@@ -294,15 +341,15 @@ def encode(table, sequence, initial_state_policy=POLICY_FIRST_STATE):
     elif initial_state_policy == POLICY_FIRST_STATE:
         start = 0
     elif initial_state_policy == POLICY_MINIMIZE:
-        start = min(range(table.n_states), key=lambda cand: sum(map(
-            lengths.__getitem__, _backward_pass(into, m, indices, cand)[1])))
+        start = min(range(table.n_states), key=lambda cand: lengths[
+            _backward_pass(into, m, indices, cand)[1]].sum())
     else:
         raise ValueError(f"unknown policy {initial_state_policy!r}")
 
     x0, cells = _backward_pass(into, m, indices, start)
-    values = table.values.ravel().tolist()
-    return Bitstream.assemble(table.n_states, x0, len(indices), zip(
-        map(values.__getitem__, cells), map(lengths.__getitem__, cells)))
+    cells = np.fromiter(cells, np.min_scalar_type(lengths.size), len(cells))
+    return Bitstream.assemble(table.n_states, x0, len(indices),
+                              table.values.ravel(), lengths, cells)
 
 
 def decode(table, stream):
@@ -370,9 +417,9 @@ def _unmatched(data, position, state, offset, depth):
 def trace_lengths(table, sequence, initial_state=0):
     """Per-symbol codeword lengths of an encode from a pinned start state,
     independent of the bit writer (used by tests and rate accounting)."""
-    indices, m = [table.symbol_index(s) for s in sequence], len(table.symbols)
-    cells = _backward_pass((table.nexts.ravel() * m).tolist(), m, indices,
-                           initial_state)[1]
+    m = len(table.symbols)
+    cells = _backward_pass((table.nexts.ravel() * m).tolist(), m,
+                           symbol_indices(table, sequence), initial_state)[1]
     return table.lengths.ravel()[cells].tolist()
 
 

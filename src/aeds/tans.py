@@ -18,13 +18,13 @@ from .codec import (
     _seal,
     _unseal,
     _write_symbol,
+    symbol_indices,
 )
 from .errors import (
     NotPowerOfTwo,
     TableError,
     TooFewStates,
     TrailingGarbage,
-    UnknownSymbol,
     VersionMismatch,
 )
 from .model import AedsTable, Codeword
@@ -100,12 +100,6 @@ class TansTable:
     def __setattr__(self, *_):
         raise AttributeError("TansTable is immutable")
 
-    def symbol_index(self, symbol):
-        try:
-            return self._index[symbol]
-        except KeyError:
-            raise TableError(f"symbol {symbol!r} not in alphabet") from None
-
     def push(self, s, x):
         """One backward encoding step: (symbol, state) -> (codeword, state)."""
         ns = self.counts[s]
@@ -121,16 +115,10 @@ def _spread_sorted(counts, n):
     C = []
     base = n
     for ns in counts:
-        ks = (ns - 1).bit_length() if ns > 1 else 0
-        small = 2 * ns - (1 << ks)  # slots emitting floor(lg(N/ns)) bits
-        block = [0] * ns
-        for j in range(small):
-            y = (1 << ks) + j
-            block[y - ns] = base + j
-        for j in range(ns - small):
-            y = ns + j
-            block[y - ns] = base + small + j
-        C.append(block)
+        # the short-codeword slots y >= 2^ceil(lg ns) get the first states
+        small = 2 * ns - (1 << (ns - 1).bit_length())
+        C.append(list(range(base + small, base + ns))
+                 + list(range(base, base + small)))
         base += ns
     return C
 
@@ -177,18 +165,14 @@ def tans_encode(table, sequence, initial_state=None):
     x = n if initial_state is None else initial_state
     if not n <= x < 2 * n:
         raise TableError(f"initial state {x} outside N..2N-1")
-    indices = []
-    for t, s in enumerate(sequence):
-        try:
-            indices.append(table.symbol_index(s))
-        except TableError:
-            raise UnknownSymbol(t, s) from None
-    rev = []
+    indices = symbol_indices(table, sequence)
+    values, lengths = [], []
     for s in reversed(indices):
         word, x = table.push(s, x)
-        rev.append((word.value, word.length))
-    rev.reverse()
-    return Bitstream.assemble(n, x - n, len(indices), rev)
+        values.append(word.value)
+        lengths.append(word.length)
+    return Bitstream.assemble(n, x - n, len(indices), values[::-1],
+                              lengths[::-1])
 
 
 def tans_decode(table, stream):

@@ -239,6 +239,19 @@ def test_check_bound_rejects_the_kind_before_solving(monkeypatch):
         check_bound(table, p, "no-such-bound")
 
 
+def test_target_identity_does_not_solve_the_chain(monkeypatch):
+    p = validate_distribution([("a", 3), ("b", 3), ("c", 2)])
+    table, layout = build_large_n(p, [6, 6, 4])
+    solves = []
+    solve = aeds.analysis.stationary_distribution
+    monkeypatch.setattr(aeds.analysis, "stationary_distribution",
+                        lambda *args: solves.append(args) or solve(*args))
+    assert check_bound(table, p, "target-identity", layout=layout).holds
+    assert solves == []
+    check_bound(table, p, "target-gap")
+    assert len(solves) == 1
+
+
 def test_target_gap_rate_variants_reported():
     p = validate_distribution([("a", 3), ("b", 3), ("c", 2)])
     table, _ = build_large_n(p, [6, 6, 4])

@@ -1,9 +1,12 @@
-"""BitReader / BitWriter: the bulk operations agree with bit-by-bit IO."""
+"""BitReader / BitWriter: the bulk operations agree with bit-by-bit reads
+and with a "0101"-string reference writer."""
 
 import random
 
+import numpy as np
 import pytest
 
+import aeds.codec
 from aeds.codec import BitReader, BitWriter
 from aeds.errors import TruncatedStream
 
@@ -57,12 +60,16 @@ def test_reading_past_the_end_raises(start):
         reader.read(1)
 
 
-def per_bit_writer(chunks):
-    w = BitWriter()
-    for value, nbits in chunks:
-        for i in range(nbits - 1, -1, -1):
-            w.write((value >> i) & 1, 1)
-    return w
+def bit_string(words):
+    """(value, bit count) pairs written MSB first as a "0101" string."""
+    return "".join(format(value, f"0{nbits}b") for value, nbits in words
+                   if nbits)
+
+
+def padded_bytes(bits):
+    """A "0101" string zero-padded to whole bytes."""
+    bits += "0" * (-len(bits) % 8)
+    return bytes(int(bits[i:i + 8], 2) for i in range(0, len(bits), 8))
 
 
 @pytest.mark.parametrize("lead", [0, 1, 7, 8, 11])
@@ -74,13 +81,45 @@ def test_write_bytes_aligned_and_unaligned(lead):
     w.write(head, lead)
     w.write_bytes(payload)
     w.write(0b101, 3)
-    ref = per_bit_writer([(head, lead),
-                          (int.from_bytes(payload, "big"), 8 * len(payload)),
-                          (0b101, 3)])
-    assert w.bit_length == ref.bit_length == lead + 8 * len(payload) + 3
-    assert w.getvalue() == ref.getvalue()
+    ref = bit_string([(head, lead),
+                      (int.from_bytes(payload, "big"), 8 * len(payload)),
+                      (0b101, 3)])
+    assert w.bit_length == len(ref) == lead + 8 * len(payload) + 3
+    assert w.getvalue() == padded_bytes(ref)
     back = BitReader(w.getvalue(), lead)
     assert back.read_bytes(len(payload)) == payload
+
+
+# 0, the longest word a uint64 window holds from any start offset (57), the
+# int64 table values' limit (63), object values (64) and a 4096-bit word
+@pytest.mark.parametrize("longest", [0, 1, 9, 56, 57, 63, 64, 4096])
+@pytest.mark.parametrize("lead", range(8))
+def test_write_words_matches_a_bit_string(lead, longest, monkeypatch):
+    monkeypatch.setattr(aeds.codec, "PACK_SLICE", 16)  # many slices
+    rng = random.Random(8 * longest + lead)
+    dtype = np.int64 if longest <= 63 else object
+    for size in (0, 1, 15, 16, 17, 90):
+        lengths = [rng.choice((0, longest, rng.randint(0, longest)))
+                   for _ in range(size)]
+        if size:
+            lengths[rng.randrange(size)] = longest
+        values = [rng.getrandbits(n) for n in lengths]
+        cells = [rng.randrange(size) for _ in range(size + 7)] if size else []
+        head = rng.getrandbits(lead)
+        for got, words in (
+                ((np.array(values, dtype), np.array(lengths)),
+                 zip(values, lengths)),
+                ((values, lengths), zip(values, lengths)),
+                ((np.array(values, dtype), np.array(lengths),
+                  np.array(cells, np.intp)),
+                 ((values[c], lengths[c]) for c in cells))):
+            w = BitWriter()
+            w.write(head, lead)
+            w.write_words(*got)
+            w.write(0b101, 3)
+            ref = bit_string([(head, lead), *words, (0b101, 3)])
+            assert w.bit_length == len(ref)
+            assert w.getvalue() == padded_bytes(ref)
 
 
 def test_leb128_roundtrip_at_any_alignment():

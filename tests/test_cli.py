@@ -314,7 +314,7 @@ def test_block_declaring_too_many_symbols_fails_fast(tmp_path):
     out = tmp_path / "mono.aedc"
     assert main(["compress", "--input", str(src), "--output", str(out)]) == 0
     blob = out.read_bytes()
-    stream = Bitstream.assemble(1, 0, 1 << 22, []).data
+    stream = Bitstream.assemble(1, 0, 1 << 22, [], []).data
     forged = blob[:11 + blob[10]] + bytes([1, len(stream)]) + stream
     assert len(forged) == 66
     started = time.perf_counter()

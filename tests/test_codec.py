@@ -1,6 +1,7 @@
 import hashlib
 import math
 import random
+import tracemalloc
 
 import pytest
 
@@ -99,6 +100,60 @@ def test_unknown_symbol():
     assert err.value.position == 2
 
 
+@pytest.mark.parametrize("where", [0, 54_321, 99_999])
+def test_unknown_symbol_position_in_a_long_sequence(where):
+    seq = random.Random(where).choices("abc", k=100_000)
+    seq[where] = "z"
+    if where < len(seq) - 1:
+        seq[-1] = "y"  # a later unknown symbol, not the one to report
+    for given in (seq, iter(seq)):
+        with pytest.raises(UnknownSymbol) as err:
+            encode(demo_table(), given)
+        assert (err.value.position, err.value.symbol) == (where, "z")
+
+
+def test_payload_matches_the_codeword_view():
+    # reference: walk the Codeword view backward, concatenate "0101" words
+    rng = random.Random(8)
+    for _ in range(100):
+        table = random_table(rng, require_ergodic=False)
+        seq = rng.choices(table.symbols, k=rng.randint(0, 200))
+        start = rng.randrange(table.n_states)
+        x, words = start, []
+        for s in reversed(seq):
+            word, x = table.encoder[x][table.symbol_index(s)]
+            words.append(word.bits)
+        bits = "".join(reversed(words))
+        stream = encode(table, seq, start)
+        assert stream.initial_state == x
+        assert stream.exact_payload_bits == len(bits)
+        tail = stream.payload_bits()
+        assert tail[:len(bits)] == bits and len(tail) - len(bits) < 8
+
+
+# Traced peak of the encoder that kept a list of symbol indices and a list
+# of visited cells and wrote one (value, length) pair at a time, on the
+# input below: 17,504,266 bytes.
+LIST_ENCODER_PEAK = 17_504_266
+
+
+def test_encode_memory_stays_under_the_list_encoder():
+    weights = [0.7] + [0.3 * 2.0 ** -i / (1 - 2.0 ** -31)
+                       for i in range(1, 32)]
+    p = validate_distribution(zip(range(32), weights))
+    table = build_type2(build_huffman(p), p)
+    data = bytes(random.Random(1).choices(range(32), weights, k=1 << 20))
+    encode(table, data[:64])  # numpy's first-call set-up is not encode's
+    tracemalloc.start()
+    try:
+        stream = encode(table, data)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert stream.length == 1 << 20
+    assert peak <= LIST_ENCODER_PEAK
+
+
 def test_length_accounting():
     rng = random.Random(77)
     for _ in range(30):
@@ -194,7 +249,7 @@ def test_unmatched_codeword():
     ]
     table = AedsTable.from_rows(("a", "b"), rows)
     validate_aeds(table)
-    stream = Bitstream.assemble(2, 0, 1, [(0b11, 2)])
+    stream = Bitstream.assemble(2, 0, 1, [0b11], [2])
     with pytest.raises(UnmatchedCodeword):
         decode(table, stream)
 

@@ -203,10 +203,10 @@ def ending_on_a_byte(bits):
     """A stream for ``long_word_table``: "0" words, then ``bits`` as the
     last symbol, with as many "0" words as make it end on a byte boundary
     (so no padding follows ``bits``)."""
-    head = Bitstream.assemble(1, 0, 0, []).payload_start
+    head = Bitstream.assemble(1, 0, 0, [], []).payload_start
     zeros = -(head + len(bits)) % 8
-    words = [(0, 1)] * zeros + [(int(bits, 2), len(bits))]
-    return Bitstream.assemble(1, 0, zeros + 1, words)
+    return Bitstream.assemble(1, 0, zeros + 1, [0] * zeros + [int(bits, 2)],
+                              [1] * zeros + [len(bits)])
 
 
 def test_errors_raised_inside_a_subtable():
@@ -276,7 +276,7 @@ def test_prefix_collisions_name_both_words(words):
 def test_truncation_found_without_decoding_the_declared_length():
     # zero bits decode forever on the demo table (0 -> 4 -> 3 -> 0), so
     # only the refill's end-of-stream check stops this stream early
-    stream = Bitstream.assemble(5, 0, 1 << 22, [(0b00, 2)])
+    stream = Bitstream.assemble(5, 0, 1 << 22, [0b00], [2])
     started = time.perf_counter()
     with pytest.raises(TruncatedStream):
         decode(demo_table(), stream)
