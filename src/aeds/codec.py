@@ -30,7 +30,14 @@ from .errors import (
     UnmatchedCodeword,
     VersionMismatch,
 )
-from .model import UNMATCHED, AedsTable, ErgodicityReport
+from .model import (
+    LOOKUP_BITS,
+    RUN_CAP,
+    UNMATCHED,
+    AedsTable,
+    ErgodicityReport,
+    zero_bit_cycle,
+)
 
 STREAM_MAGIC = b"AEDS"
 STREAM_VERSION = 1
@@ -39,6 +46,9 @@ TABLE_VERSION = 1
 
 # Codewords ``BitWriter.write_words`` packs at a time; bounds its temporaries.
 PACK_SLICE = 1 << 16
+
+# The bits of one run-level window (see ``decode``).
+WINDOW_MASK = (1 << LOOKUP_BITS) - 1
 
 
 # ---------------------------------------------------------------------------
@@ -191,8 +201,15 @@ def state_index_bits(n_states):
 
 @dataclass(frozen=True)
 class ValidationReport:
+    """``zero_bit_cycle`` lists the decoder states, ascending, on a cycle
+    of zero-length codewords: from them a stream decodes any number of
+    symbols without reading a bit.  ``decode`` stays bounded on such
+    tables because ``RUN_CAP`` ends each run-level run and the declared
+    symbol count ends the node walk."""
+
     well_formed: bool
     ergodicity: ErgodicityReport
+    zero_bit_cycle: tuple = ()
 
 
 def validate_aeds(table):
@@ -200,14 +217,16 @@ def validate_aeds(table):
 
     ``AedsTable`` itself rejects short rows and out-of-range next states and
     derives the decoder from the encoder grid; this adds the prefix check
-    (building the decoder index) and the ergodicity report.  A non-ergodic
-    chain is reported, not raised: encoding still works, only the
-    stationary analysis needs ergodicity.
+    (building the decoder index), the ergodicity report and the states on
+    zero-bit decode cycles.  A non-ergodic chain or a zero-bit cycle is
+    reported, not raised: encoding still works, only the stationary
+    analysis needs ergodicity.
     """
     if not isinstance(table, AedsTable):
         raise TableError("validate_aeds expects an AedsTable")
     table.decoding_tries()  # building the decoder index checks prefixes
-    return ValidationReport(True, table.ergodicity())
+    return ValidationReport(True, table.ergodicity(),
+                            zero_bit_cycle(table.nexts, table.lengths))
 
 
 # ---------------------------------------------------------------------------
@@ -355,9 +374,16 @@ def encode(table, sequence, initial_state_policy=POLICY_FIRST_STATE):
 def decode(table, stream):
     """Recover the symbol sequence; consumes exactly the declared payload.
 
-    Each symbol is one lookup (two or more for codewords longer than a
-    state's table width) in ``table.decoding_tries()``, indexed by bits
-    peeked from a local accumulator that is refilled 8 bytes at a time.
+    Bits are peeked from a local accumulator that is refilled 8 bytes at a
+    time.  Tables of at most ``RUN_SLOTS >> LOOKUP_BITS`` = 8 states have
+    a run level (``table.decoding_runs()``): one lookup of the next
+    ``LOOKUP_BITS`` = 12 bits decodes every whole codeword they hold, up to
+    ``RUN_CAP`` = 16.  It is built on the first decode with the table, so
+    its build time is part of the benchmark's ``codec.decode_walk_s``.
+    The node walk over ``table.decoding_tries()`` decodes one codeword per
+    lookup (two or more for codewords longer than a state's table width):
+    every symbol of larger tables, the codewords a run cannot start (long
+    or damaged ones) and the last ``RUN_CAP - 1`` or fewer symbols.
     Zero bytes past the end of the stream keep every refill whole (a
     refill starts at most one byte past the end, or the end check before
     it raises); a codeword that consumes them makes the stream truncated.
@@ -367,6 +393,7 @@ def decode(table, stream):
             f"stream was written for {stream.n_states} states, "
             f"table has {table.n_states}")
     nodes = table.decoding_tries()
+    runs = table.decoding_runs()
     symbols = table.symbols
     data = stream.data + bytes(16)
     end = 8 * len(stream.data)
@@ -376,24 +403,46 @@ def decode(table, stream):
     pos += 1
     x = stream.initial_state
     out = []
-    append = out.append
-    for _ in range(stream.length):
-        while True:
-            k, mask, slots = nodes[x]
-            if nbits < k:
+    append, extend = out.append, out.extend
+    left = stream.length
+    # without a run level the run loop never starts
+    cap = RUN_CAP if runs is not None else left + 1
+    while left:
+        while left >= cap:
+            if nbits < LOOKUP_BITS:
                 if 8 * pos - nbits > end:
                     raise TruncatedStream("bit stream exhausted")
                 acc = (((acc & ((1 << nbits) - 1)) << 64)
                        | int.from_bytes(data[pos:pos + 8], "big"))
                 pos += 8
                 nbits += 64
-            s, x, n = slots[(acc >> (nbits - k)) & mask]
-            nbits -= n
-            if s >= 0:
+            # an empty run leaves x as it is
+            run, x, used, count = runs[x][(acc >> (nbits - LOOKUP_BITS))
+                                          & WINDOW_MASK]
+            if not count:
                 break
-            if s == UNMATCHED:
-                raise _unmatched(stream.data, 8 * pos - nbits, *x)
-        append(symbols[s])
+            extend(run)
+            nbits -= used
+            left -= count
+        walk = 1 if left >= cap else left
+        for _ in range(walk):
+            while True:
+                k, mask, slots = nodes[x]
+                if nbits < k:
+                    if 8 * pos - nbits > end:
+                        raise TruncatedStream("bit stream exhausted")
+                    acc = (((acc & ((1 << nbits) - 1)) << 64)
+                           | int.from_bytes(data[pos:pos + 8], "big"))
+                    pos += 8
+                    nbits += 64
+                s, x, n = slots[(acc >> (nbits - k)) & mask]
+                nbits -= n
+                if s >= 0:
+                    break
+                if s == UNMATCHED:
+                    raise _unmatched(stream.data, 8 * pos - nbits, *x)
+            append(symbols[s])
+        left -= walk
     if 8 * pos - nbits > end:
         raise TruncatedStream("bit stream exhausted")
     reader = BitReader(stream.data, 8 * pos - nbits)

@@ -29,6 +29,12 @@ LOOKUP_BITS = 12
 SUBTABLE = -1
 UNMATCHED = -2
 
+# Run level (AedsTable.decoding_runs): the most slots it may hold, which
+# admits tables of up to RUN_SLOTS >> LOOKUP_BITS = 8 states, and the most
+# codewords one run decodes, which bounds runs through zero-bit cycles.
+RUN_SLOTS = 1 << 15
+RUN_CAP = 16
+
 # Longest codeword whose value an int64 table cell holds.
 INT_BITS = 63
 
@@ -233,6 +239,24 @@ def ergodicity(nexts):
     return ErgodicityReport(True, period == 1, period)
 
 
+def zero_bit_cycle(nexts, lengths):
+    """The decoder states, ascending, that lie on a cycle of zero-length
+    codewords, for a table whose decoder sets are prefix-free.
+
+    A zero-length codeword in cell (x, s) moves the decoder from state
+    ``nexts[x, s]`` to x without reading a bit, and is then that state's
+    only codeword, so each state has at most one such move.  Following
+    the moves at least N times from any state ends on a cycle, if at all.
+    """
+    n = len(nexts)
+    zero = lengths == 0
+    step = np.full(n + 1, n)  # state n: no zero-bit move
+    step[nexts[zero]] = np.nonzero(zero)[0]
+    for _ in range((n - 1).bit_length()):
+        step = step[step]
+    return tuple(np.unique(step[step < n]).tolist())
+
+
 class AedsTable:
     """A complete encoding/decoding scheme over N states, stored as three
     read-only (N, |A|) integer arrays.
@@ -249,7 +273,7 @@ class AedsTable:
     """
 
     __slots__ = ("symbols", "n_states", "nexts", "lengths", "values",
-                 "state_names", "_index", "_lookup", "_ergodicity",
+                 "state_names", "_index", "_lookup", "_runs", "_ergodicity",
                  "_encoder", "_entries")
 
     def __init__(self, symbols, nexts, lengths, values, state_names=None):
@@ -257,7 +281,8 @@ class AedsTable:
         if len(set(symbols)) != len(symbols):
             raise TableError("duplicate symbols in alphabet")
         try:
-            nexts, lengths = (np.array(a, dtype=np.int64)
+            # int64 inputs are checked in place and narrowed by one copy
+            nexts, lengths = (np.asarray(a, dtype=np.int64)
                               for a in (nexts, lengths))
             values = np.array(values, dtype=value_dtype(lengths))
         except (OverflowError, TypeError, ValueError) as exc:
@@ -427,6 +452,50 @@ class AedsTable:
                 _fill_unmatched(slots, k, state, offset, group)
             nodes[at] = (k, mask, tuple(slots))
         return tuple(nodes)
+
+    def decoding_runs(self):
+        """Per-state run tables over ``LOOKUP_BITS``-bit windows, or None
+        for tables of more than ``RUN_SLOTS >> LOOKUP_BITS`` states.
+
+        ``decoding_runs()[x][w]`` is ``(symbols, state, used, count)``:
+        walking ``decoding_tries()`` from state x over the window w, the
+        ``count`` codewords that fit in it decode to the tuple ``symbols``
+        in ``used`` bits and leave the decoder in ``state``.  The walk stops
+        before a subtable, an unmatched slot, a codeword that runs past the
+        window, or a ``RUN_CAP + 1``-th codeword; a run that stops before
+        its first codeword is empty, and leaves that codeword to the node
+        walk.
+        """
+        if self.n_states << LOOKUP_BITS > RUN_SLOTS:
+            return None
+        if self._runs is None:
+            object.__setattr__(self, "_runs", self._build_runs())
+        return self._runs
+
+    def _build_runs(self):
+        nodes, symbols = self.decoding_tries(), self.symbols
+        levels = []
+        for start in range(self.n_states):
+            level = [None] * (1 << LOOKUP_BITS)
+            # (state, bits used, their value, symbols so far): each entry
+            # covers the windows that begin with its bits, and its longer
+            # runs, popped after it, overwrite their share of those windows
+            work = [(start, 0, 0, ())]
+            while work:
+                x, used, bits, run = work.pop()
+                span = 1 << (LOOKUP_BITS - used)
+                level[bits * span:(bits + 1) * span] = [
+                    (run, x, used, len(run))] * span
+                k, _, slots = nodes[x]
+                if used + k > LOOKUP_BITS or len(run) == RUN_CAP:
+                    continue
+                for i, (s, y, n) in enumerate(slots):
+                    # a codeword of n bits fills 2^(k - n) aligned slots
+                    if s >= 0 and not i & ((1 << (k - n)) - 1):
+                        work.append((y, used + n, (bits << n) | (i >> (k - n)),
+                                     run + (symbols[s],)))
+            levels.append(tuple(level))
+        return tuple(levels)
 
     def _collision(self, state, leaf, value, length):
         s, origin, _ = leaf

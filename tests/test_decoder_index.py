@@ -4,7 +4,7 @@ The reference below is the oracle: it grows a prefix one ``read_bit`` at a
 time until the prefix is a codeword of the current state, straight from
 ``decoder_entries``.  ``codec.decode`` must give the same symbols, or raise
 the same exception with the same message, on intact, truncated, extended
-and bit-flipped streams.
+and bit-flipped streams, through the node walk and the run level alike.
 """
 
 import random
@@ -31,6 +31,8 @@ from aeds.errors import (
 )
 from aeds.model import (
     LOOKUP_BITS,
+    RUN_CAP,
+    RUN_SLOTS,
     AedsTable,
     Codeword,
     demo_table,
@@ -281,3 +283,160 @@ def test_truncation_found_without_decoding_the_declared_length():
     with pytest.raises(TruncatedStream):
         decode(demo_table(), stream)
     assert time.perf_counter() - started < 0.25
+
+
+# ---------------------------------------------------------------------------
+# run level
+
+
+def zero_bit_cycle_table():
+    """The one-state table of a single-valued input: its only codeword is
+    empty, so every state of the decoder is on a zero-bit cycle."""
+    return AedsTable([7], [[0]], [[0]], [[0]])
+
+
+def zero_bit_cycle_pair():
+    """Five states over {a, b}: cells (1, a) and (0, a) are empty words
+    into states 0 and 1, so the decoder cycles 0 -> 1 -> 0 on no bits;
+    the empty words of cells (0, b) and (2, a) lead it from state 3 to 2
+    and from 2 onto the cycle; the other cells enter state 4."""
+    w = Codeword.from_bits
+    rows = [((w(""), 1), (w(""), 2)),
+            ((w(""), 0), (w("00"), 4)),
+            ((w(""), 3), (w("01"), 4)),
+            ((w("100"), 4), (w("101"), 4)),
+            ((w("110"), 4), (w("111"), 4))]
+    return AedsTable.from_rows("ab", rows)
+
+
+def reference_run(table, words, x, window):
+    """Parse the ``LOOKUP_BITS``-bit ``window`` from state x bit by bit,
+    with ``words[x]`` mapping (value, length) to (symbol index, origin),
+    for as long as whole codewords fit in it: yields the (symbols, state,
+    bits used) after each codeword."""
+    symbols, used = (), 0
+    while True:
+        value = depth = 0
+        while (value, depth) not in words[x]:
+            if used + depth == LOOKUP_BITS:
+                return
+            bit = (window >> (LOOKUP_BITS - 1 - used - depth)) & 1
+            value, depth = (value << 1) | bit, depth + 1
+        s, x = words[x][value, depth]
+        symbols, used = symbols + (table.symbols[s],), used + depth
+        yield symbols, x, used
+        if len(symbols) == RUN_CAP:
+            return
+
+
+def skewed_type2_table():
+    return stream_type2_table()[1]
+
+
+@pytest.mark.parametrize("make", [
+    skewed_type2_table, demo_table, long_word_table, zero_bit_cycle_table,
+    zero_bit_cycle_pair])
+def test_every_run_is_a_prefix_of_the_reference_parse(make):
+    table = make()
+    nodes, runs = table.decoding_tries(), table.decoding_runs()
+    words = [{(w.value, w.length): (s, origin) for w, s, origin in entries}
+             for entries in table.decoder_entries]
+    assert len(runs) == table.n_states
+    for x, level in enumerate(runs):
+        assert len(level) == 1 << LOOKUP_BITS
+        for window, (symbols, y, used, count) in enumerate(level):
+            assert count == len(symbols) <= RUN_CAP
+            if count:
+                assert (symbols, y, used) in reference_run(
+                    table, words, x, window)
+            else:
+                assert (y, used) == (x, 0)
+            if count < RUN_CAP:
+                # the run stops only where the node walk must take over
+                k, mask, slots = nodes[y]
+                assert (used + k > LOOKUP_BITS or slots[
+                    (window >> (LOOKUP_BITS - used - k)) & mask][0] < 0)
+
+
+def test_runs_stop_before_long_words():
+    _, table = stream_type2_table()
+    runs = table.decoding_runs()
+    # windows of state 0 that start with a codeword longer than 12 bits
+    assert any(count == 0 for _, _, _, count in runs[0])
+    assert max(count for level in runs for *_, count in level) == RUN_CAP
+    assert table.decoding_runs() is runs                 # built once
+    (symbols, _, used, count), = set(zero_bit_cycle_table().decoding_runs()[0])
+    assert (symbols, used, count) == ((7,) * RUN_CAP, 0, RUN_CAP)
+
+
+def test_every_tail_split_on_the_skewed_type2_table():
+    p, table = stream_type2_table()
+    rng = random.Random(9)
+    for length in range(RUN_CAP + 9):
+        for _ in range(3):
+            assert_equivalent(rng, table, random_sequence(rng, p, length))
+        # rare symbols: long codewords that the run level leaves to the walk
+        assert_equivalent(rng, table, rng.choices(p.symbols[8:], k=length))
+
+
+@pytest.mark.parametrize("make,symbols", [
+    (demo_table, "abc"), (long_word_table, "aabbcd"),
+    (zero_bit_cycle_pair, "aab"),
+])
+def test_runs_through_zero_bit_states_and_subtables(make, symbols):
+    table = make()
+    rng = random.Random(symbols)
+    for length in (RUN_CAP - 1, RUN_CAP, RUN_CAP + 1, 100, 400):
+        for _ in range(6):
+            assert_equivalent(rng, table, rng.choices(symbols, k=length))
+
+
+def test_zero_bit_cycle_decodes_in_runs():
+    table = zero_bit_cycle_table()
+    for length in (0, RUN_CAP - 1, RUN_CAP, 3 * RUN_CAP + 5, 100_000):
+        stream = Bitstream.assemble(1, 0, length, [], [])
+        assert decode(table, stream) == [7] * length
+        assert outcome(reference_decode, table, stream) == [7] * length
+
+
+@pytest.mark.parametrize("extra", [0, 1])
+def test_run_level_exists_within_the_slot_budget_only(extra):
+    n = (RUN_SLOTS >> LOOKUP_BITS) + extra
+    rng = random.Random(n)
+    table = random_table(rng, n_states=n, n_symbols=3)
+    runs = table.decoding_runs()
+    if extra:
+        assert runs is None
+    else:
+        assert len(runs) << LOOKUP_BITS == RUN_SLOTS
+    p = random_source(rng, symbols=list(table.symbols))
+    for length in (0, RUN_CAP - 1, RUN_CAP, 200, 1000):
+        assert_equivalent(rng, table, random_sequence(rng, p, length))
+
+
+@pytest.mark.parametrize("make", [zero_bit_cycle_table, demo_table])
+def test_run_level_build_is_bounded(make):
+    table = make()
+    table.decoding_tries()
+    tracemalloc.start()
+    started = time.perf_counter()
+    try:
+        table.decoding_runs()
+        elapsed = time.perf_counter() - started
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert elapsed < 2.0                         # about 0.4 s under tracing
+    assert peak < 4 << 20                        # 1.8 MB for the demo table
+
+
+def test_validation_reports_zero_bit_cycles():
+    assert validate_aeds(zero_bit_cycle_table()).zero_bit_cycle == (0,)
+    table = zero_bit_cycle_pair()
+    assert validate_aeds(table).zero_bit_cycle == (0, 1)
+    assert validate_aeds(demo_table()).zero_bit_cycle == ()
+    p = validate_distribution(
+        [(b, 1.0 / (b + 1) ** 1.3) for b in range(12)])
+    for codec, states in BUILDERS:
+        table = cli.build_table(p, codec, states)
+        assert validate_aeds(table).zero_bit_cycle == (), codec
