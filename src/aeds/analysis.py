@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import AlphabetMismatch, KindMismatch, NoConvergence, NotErgodic
 from .model import SourceDistribution, entropy, relative_entropy
-from .prefix_codes import SIGMA, phased_in_redundancy
+from .prefix_codes import SIGMA, phased_in_mean_length, phased_in_redundancy
 
 LG_E = math.log2(math.e)
 
@@ -257,8 +257,7 @@ def uniform_huffman_length(m):
     """Average Huffman length on a uniform m-ary source: k + 1 - 2^k/m."""
     if m < 1:
         raise ValueError("need at least one item")
-    k = max(m - 1, 0).bit_length()
-    return k + 1.0 - (1 << k) / m
+    return phased_in_mean_length(m)
 
 
 def uniform_huffman_right_weight(m):

@@ -33,6 +33,7 @@ FLAG_EMBEDDED = 1
 FLAG_EMPTY = 2
 
 BLOCK_SYMBOLS = 1 << 20
+REDUCTION_TOLERANCE = 1e-9
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -79,12 +80,12 @@ def _pow2_counts(p, n_states):
     return counts
 
 
-def build_table(p, codec_name, n_states, tolerance=1e-9):
+def build_table(p, codec_name, n_states):
     """Builder dispatch with the automatic prefix-code fallback.
 
-    The tree-based layouts are only used when their analytic reduction is
-    positive; otherwise the plain one-state prefix coder is returned (the
-    reduction formulas clamp at zero exactly when the scheme cannot win).
+    A tree-based layout whose analytic reduction is at most
+    ``REDUCTION_TOLERANCE`` falls back to the plain one-state prefix coder
+    (the reduction formulas clamp at zero exactly when it cannot win).
     The equal-ratio layout snaps the state budget down to a power of two.
     Both decisions show in the returned table's state count.
     """
@@ -97,7 +98,7 @@ def build_table(p, codec_name, n_states, tolerance=1e-9):
             drop = analysis.delta_type1(mets.right_weight, n_states)
         else:
             drop = analysis.delta_type2(mets.right_weight)
-        if drop <= tolerance:
+        if drop <= REDUCTION_TOLERANCE:
             return _one_state_table(p, tree)
         if codec_name == "type1":
             return constructors.build_type1(tree, p, n_states)
@@ -235,7 +236,7 @@ def cmd_compress(args):
         table = model.AedsTable(present, [[0]], [[0]], [[0]])
     else:
         p = model.validate_distribution((b, counts[b]) for b in present)
-        table = build_table(p, args.codec, args.states, args.tolerance)
+        table = build_table(p, args.codec, args.states)
         if args.codec in ("type1", "type2") and table.n_states == 1:
             print("reduction is zero at this tree; "
                   "falling back to plain prefix coding")
@@ -400,7 +401,6 @@ def _parser():
     c.add_argument("--codec", choices=CODECS, default="type1")
     c.add_argument("--states", type=int, default=2,
                    help="state budget N for the table builders")
-    c.add_argument("--tolerance", type=float, default=1e-9)
     c.add_argument("--table-out", default=None,
                    help="write the table to a side file and store only "
                         "its hash in the container")

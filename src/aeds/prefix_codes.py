@@ -1,8 +1,13 @@
-"""Prefix code trees: Huffman construction, phased-in codes, tree metrics."""
+"""Prefix code trees: Huffman construction, phased-in codes, tree metrics.
+
+A code tree is its codeword map: a symbol's codeword is the path to its
+leaf, and the first bit names the root subtree that holds it.
+"""
 
 import heapq
 import math
 from dataclasses import dataclass
+from types import MappingProxyType
 
 import numpy as np
 
@@ -12,21 +17,6 @@ from .model import Codeword, SourceDistribution
 # Peak redundancy of a phased-in code over a uniform source,
 # lg lg e + 1 - lg e.
 SIGMA = math.log2(math.log2(math.e)) + 1.0 - math.log2(math.e)
-
-
-class _Leaf:
-    __slots__ = ("symbol",)
-
-    def __init__(self, symbol):
-        self.symbol = symbol
-
-
-class _Node:
-    __slots__ = ("left", "right")
-
-    def __init__(self, left, right):
-        self.left = left
-        self.right = right
 
 
 @dataclass(frozen=True)
@@ -40,49 +30,33 @@ class TreeMetrics:
 
 
 class CodeTree:
-    """Full binary prefix-code tree whose leaves carry the alphabet.
-
-    The left child contributes bit 0, the right child bit 1.  Orientation
-    may be normalized so the right subtree carries at least half the
-    probability mass; ``swapped`` records whether that flip happened.
+    """Full binary prefix-code tree, held as its codeword map symbol ->
+    Codeword.  Bit 0 leads to the left child, bit 1 to the right; the map
+    iterates right subtree first (bit strings in descending order).
     """
 
-    __slots__ = ("root", "swapped", "_codewords")
+    __slots__ = ("_words",)
 
-    def __init__(self, root, swapped=False):
-        if isinstance(root, _Leaf):
+    def __init__(self, words):
+        if len(words) < 2:
             raise DegenerateAlphabet("a code tree needs at least two leaves")
-        self.root = root
-        self.swapped = swapped
-        self._codewords = None
-        self._check_full(root)
+        order = sorted(words.items(), key=lambda sw: sw[1].bits, reverse=True)
+        for (_, longer), (_, word) in zip(order, order[1:]):
+            # sorted, a word follows any word it is a prefix of (or equals)
+            if word.is_prefix_of(longer):
+                raise InvalidWeight(f"codeword {longer.bits!r} repeats or "
+                                    f"extends {word.bits!r}")
+        depth = max(w.length for w in words.values())
+        if sum(1 << (depth - w.length) for w in words.values()) < 1 << depth:
+            raise InvalidWeight("codeword set is not complete (Kraft sum < 1)")
+        object.__setattr__(self, "_words", MappingProxyType(dict(order)))
 
-    def _check_full(self, node):
-        if isinstance(node, _Leaf):
-            return
-        if node.left is None or node.right is None:
-            raise InvalidWeight("internal node without two children")
-        self._check_full(node.left)
-        self._check_full(node.right)
-
-    # -- code access --------------------------------------------------------
+    def __setattr__(self, *_):
+        raise AttributeError("CodeTree is immutable")
 
     def codewords(self):
-        """symbol -> Codeword for the whole tree."""
-        if self._codewords is None:
-            table = {}
-            stack = [(self.root, 0, 0)]
-            while stack:
-                node, value, length = stack.pop()
-                if isinstance(node, _Leaf):
-                    if node.symbol in table:
-                        raise InvalidWeight(f"symbol {node.symbol!r} on two leaves")
-                    table[node.symbol] = Codeword(value, length)
-                else:
-                    stack.append((node.left, value << 1, length + 1))
-                    stack.append((node.right, (value << 1) | 1, length + 1))
-            self._codewords = table
-        return self._codewords
+        """symbol -> Codeword for the whole tree (a read-only mapping)."""
+        return self._words
 
     def length_of(self, symbol):
         return self.codewords()[symbol].length
@@ -103,8 +77,8 @@ class CodeTree:
         right = sum(p.prob(s) for s in self.right_symbols())
         if right >= 0.5:
             return self
-        return CodeTree(_Node(self.root.right, self.root.left),
-                        swapped=not self.swapped)
+        return CodeTree({s: Codeword(w.value ^ (1 << (w.length - 1)), w.length)
+                         for s, w in self.codewords().items()})
 
     def kraft_sum(self):
         return math.fsum(2.0 ** -w.length for w in self.codewords().values())
@@ -133,21 +107,30 @@ def build_huffman(p):
     """Optimal prefix code tree for ``p`` with deterministic tie-breaking.
 
     The merge queue is ordered by (weight, creation index); on a merge the
-    lower-ordered node becomes the left child.  The finished tree is
-    orientation-normalized so the right subtree weighs at least one half.
+    words under the lower-ordered entry gain a leading 0, the others a
+    leading 1.  The finished tree is orientation-normalized so the right
+    subtree weighs at least one half.
     """
     if not isinstance(p, SourceDistribution):
         raise InvalidWeight("build_huffman expects a SourceDistribution")
-    heap = []
-    for i, (s, q) in enumerate(p.items()):
-        heapq.heappush(heap, (q, i, _Leaf(s)))
-    counter = len(p)
+    n = len(p)
+    heap = [(q, i) for i, q in enumerate(p.probs)]
+    heapq.heapify(heap)
+    merged = []  # entry n + j is the merge of the pair merged[j]
     while len(heap) > 1:
-        w1, _, n1 = heapq.heappop(heap)
-        w2, _, n2 = heapq.heappop(heap)
-        heapq.heappush(heap, (w1 + w2, counter, _Node(n1, n2)))
-        counter += 1
-    return CodeTree(heap[0][2]).normalized(p)
+        w1, a = heapq.heappop(heap)
+        w2, b = heapq.heappop(heap)
+        heapq.heappush(heap, (w1 + w2, n + len(merged)))
+        merged.append((a, b))
+    # hand each merge's word down to its pair, root first
+    values, lengths = [0] * (2 * n - 1), [0] * (2 * n - 1)
+    for j in range(len(merged) - 1, -1, -1):
+        a, b = merged[j]
+        value, length = values[n + j] << 1, lengths[n + j] + 1
+        values[a], lengths[a] = value, length
+        values[b], lengths[b] = value | 1, length
+    return CodeTree({s: Codeword(values[i], lengths[i])
+                     for i, s in enumerate(p.symbols)}).normalized(p)
 
 
 def phased_in_words(m):
@@ -167,11 +150,12 @@ def phased_in_cells(sizes):
     values and lengths of item i of each set taking word i of
     ``phased_in_words`` (size m, k = ceil(lg m): 2^k - m short words)."""
     sizes = np.asarray(sizes, dtype=np.int64)
-    m = np.repeat(sizes, sizes)
-    i = np.arange(len(m)) - np.repeat(np.cumsum(sizes) - sizes, sizes)
-    k = np.frexp(m - 1)[1].astype(np.int64)  # bit length of m - 1
-    short = (1 << k) - m
-    return np.where(i < short, i, i + short), k - (i < short)
+    k = np.frexp(sizes - 1)[1].astype(np.int64)  # bit length of m - 1
+    short = np.repeat((1 << k) - sizes, sizes)
+    i = np.arange(len(short)) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    is_short = i < short
+    np.add(i, short, out=i, where=~is_short)  # long words: i + short
+    return i, np.repeat(k, sizes) - is_short
 
 
 @dataclass(frozen=True)
@@ -182,12 +166,17 @@ class PhasedInStats:
     deviation: float    # how far the supplied weights sit from uniform
 
 
+def phased_in_mean_length(m):
+    """Mean length k + 1 - 2^k/m (k = ceil(lg m)) on m equal weights."""
+    k = max(m - 1, 0).bit_length()
+    return k + 1.0 - (1 << k) / m
+
+
 def phased_in_redundancy(m):
     """Redundancy of the phased-in code on a uniform m-ary source."""
     if m < 1:
         raise InvalidWeight("need at least one item")
-    k = max(m - 1, 0).bit_length()
-    return k + 1.0 - (1 << k) / m - math.log2(m)
+    return phased_in_mean_length(m) - math.log2(m)
 
 
 def phased_in_stats(m, weights=None):
@@ -203,7 +192,7 @@ def phased_in_stats(m, weights=None):
     k = (m - 1).bit_length()
     mu = phased_in_redundancy(m)
     if weights is None:
-        return PhasedInStats(k + 1.0 - (1 << k) / m, mu, 0.0)
+        return PhasedInStats(phased_in_mean_length(m), mu, 0.0)
     weights = [float(w) for w in weights]
     if len(weights) != m or any(w < 0 for w in weights):
         raise InvalidWeight("need m nonnegative weights")
@@ -216,52 +205,14 @@ def phased_in_stats(m, weights=None):
     return PhasedInStats(math.log2(m) + mu - nu, mu, nu)
 
 
-def code_tree_from_words(word_map):
-    """Rebuild a CodeTree from a complete prefix codeword map."""
-    if len(word_map) < 2:
-        raise DegenerateAlphabet("need at least two codewords")
-    root = [None, None]
-    for symbol, word in word_map.items():
-        if word.length == 0:
-            raise InvalidWeight("empty codeword cannot appear in a full tree")
-        node = root
-        for i in range(word.length):
-            bit = word.bit_at(i)
-            if i == word.length - 1:
-                if node[bit] is not None:
-                    raise InvalidWeight(f"codeword clash at {word.bits}")
-                node[bit] = _Leaf(symbol)
-            else:
-                if node[bit] is None:
-                    node[bit] = [None, None]
-                elif isinstance(node[bit], _Leaf):
-                    raise InvalidWeight(f"{word.bits} extends another codeword")
-                node = node[bit]
-
-    def freeze(node):
-        if node is None:
-            raise InvalidWeight("codeword set is not complete (Kraft sum < 1)")
-        if isinstance(node, _Leaf):
-            return node
-        return _Node(freeze(node[0]), freeze(node[1]))
-
-    return CodeTree(freeze(root))
-
-
-def uniform_split_tree(m, m_right, symbols=None):
-    """Tree for a uniform m-ary source: phased-in subtrees of sizes
+def uniform_split_tree(m, m_right):
+    """Tree for a uniform source over 0..m-1: phased-in subtrees of sizes
     m_right and m - m_right hang under the root, heavier side on bit 1."""
     if not 1 <= m_right <= m - 1:
         raise InvalidWeight("right side must hold between 1 and m-1 items")
-    if symbols is None:
-        symbols = tuple(range(m))
-    right_syms = symbols[:m_right]
-    left_syms = symbols[m_right:]
 
-    def side(syms):
-        if len(syms) == 1:
-            return _Leaf(syms[0])
-        return code_tree_from_words(
-            dict(zip(syms, phased_in_words(len(syms))))).root
+    def side(bit, syms):
+        return {s: Codeword(bit, 1).concat(w)
+                for s, w in zip(syms, phased_in_words(len(syms)))}
 
-    return CodeTree(_Node(side(left_syms), side(right_syms)))
+    return CodeTree(side(1, range(m_right)) | side(0, range(m_right, m)))

@@ -179,6 +179,14 @@ def test_seed_option_is_gone(tmp_path):
     assert err.value.code == 2
 
 
+def test_tolerance_option_is_gone(tmp_path):
+    src, _ = make_input(tmp_path, size=100)
+    with pytest.raises(SystemExit) as err:
+        main(["compress", "--tolerance", "0.1", "--input", str(src),
+              "--output", str(tmp_path / "x")])
+    assert err.value.code == 2
+
+
 def container(data):
     p = validate_distribution((b, 1 + data.count(b)) for b in b"abcdr")
     table = build_table(p, "type2", 2)

@@ -5,12 +5,13 @@ import pytest
 
 from aeds.analysis import stationary_distribution
 from aeds.constructors import build_saeds_case1, build_saeds_case2
-from aeds.errors import AlphabetMismatch, InvalidWeight
-from aeds.model import validate_distribution
+from aeds.errors import AlphabetMismatch, DegenerateAlphabet, InvalidWeight
+from aeds.model import Codeword, validate_distribution
 from aeds.prefix_codes import (
     SIGMA,
+    CodeTree,
     build_huffman,
-    code_tree_from_words,
+    phased_in_mean_length,
     phased_in_redundancy,
     phased_in_stats,
     phased_in_words,
@@ -95,6 +96,8 @@ def test_tree_metrics_uniform_split_80():
     mets = tree_metrics(tree, p)
     assert mets.mean_length == pytest.approx(6.6, abs=1e-12)
     assert mets.right_weight == pytest.approx(0.8, abs=1e-12)
+    # the light side on bit 1 flips to the same tree, mirrored
+    assert tree_metrics(uniform_split_tree(80, 16).normalized(p), p) == mets
 
 
 def test_tree_metrics_alphabet_mismatch():
@@ -188,8 +191,60 @@ def test_phased_in_stats_rejects_bad_weights():
         phased_in_stats(4, [0.5, 0.5, 0.5, 0.5])
 
 
-def test_code_tree_from_words_rejects_incomplete():
-    from aeds.model import Codeword
-    with pytest.raises(InvalidWeight):
-        code_tree_from_words({"a": Codeword.from_bits("0"),
-                              "b": Codeword.from_bits("10")})
+def _words(*bits):
+    return {chr(ord("a") + i): Codeword.from_bits(b)
+            for i, b in enumerate(bits)}
+
+
+@pytest.mark.parametrize("words, error", [
+    (_words("0"), DegenerateAlphabet),
+    (_words(""), DegenerateAlphabet),
+    (_words("", "0", "1"), InvalidWeight),
+    (_words("0", "1", "0"), InvalidWeight),
+    (_words("0", "01", "1"), InvalidWeight),
+    (_words("10", "1", "0"), InvalidWeight),
+    (_words("0", "10"), InvalidWeight),
+], ids=["one-word", "one-empty-word", "empty-word", "repeated-word",
+        "extends-earlier", "extends-later", "incomplete"])
+def test_code_tree_rejects_malformed_words(words, error):
+    with pytest.raises(error):
+        CodeTree(words)
+
+
+def test_code_tree_of_depth_1200():
+    # 1^i 0 for i < 1200, plus 1^1200: a complete code far deeper than
+    # any recursion limit
+    depth = 1200
+    words = {i: Codeword.from_bits("1" * i + "0") for i in range(depth)}
+    words[depth] = Codeword.from_bits("1" * depth)
+    tree = CodeTree(words)
+    assert tree.kraft_sum() == 1.0
+    assert tree.length_of(depth) == depth
+    assert tree.left_symbols() == (0,)
+    assert len(tree.right_symbols()) == depth
+
+
+def test_codewords_iterate_right_subtree_first():
+    uniform = validate_distribution([(i, 1) for i in range(80)])
+    for tree in (build_huffman(SIX), uniform_split_tree(80, 64),
+                 uniform_split_tree(80, 16).normalized(uniform)):
+        bits = [w.bits for w in tree.codewords().values()]
+        assert bits == sorted(bits, reverse=True)
+
+
+def test_code_tree_is_immutable():
+    p = validate_distribution([("a", 0.5), ("b", 0.3), ("c", 0.2)])
+    tree = build_huffman(p)
+    with pytest.raises(TypeError):
+        tree.codewords()["a"] = Codeword(0b111, 3)
+    for name in ("root", "_words"):
+        with pytest.raises(AttributeError):
+            setattr(tree, name, None)
+    assert tree.kraft_sum() == 1.0
+    assert tree_metrics(tree, p).mean_length == pytest.approx(1.5)
+
+
+def test_phased_in_mean_length_matches_words():
+    for m in range(1, 200):
+        direct = math.fsum(w.length for w in phased_in_words(m)) / m
+        assert phased_in_mean_length(m) == pytest.approx(direct, abs=1e-12)
