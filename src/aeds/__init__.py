@@ -66,9 +66,7 @@ from .prefix_codes import (
 from .tans import (
     TansTable,
     build_tans,
-    deserialize_tans,
     quantize_counts,
-    serialize_tans,
     tans_decode,
     tans_encode,
     tans_to_aeds,

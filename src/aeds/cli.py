@@ -18,6 +18,7 @@ is rejected before it is decoded; each block carries its own stream header.
 import argparse
 import math
 import os
+import pathlib
 import sys
 import zlib
 
@@ -128,9 +129,13 @@ def build_table(p, codec_name, n_states):
 # container
 
 
-def write_container_stream(reader, sink, crc, size, table, embed=True):
+def write_container_stream(reader, sink, crc, size, table, table_sink=None):
     """Write the container header and table, then read BLOCK_SYMBOLS at a
-    time and frame each block on its own; returns the payload bits."""
+    time and frame each block on its own; returns the payload bits.
+
+    With ``table_sink`` the table bytes go to it and the container holds
+    only their digest.
+    """
     head = bytearray(CONTAINER_MAGIC)
     head.append(CONTAINER_VERSION)
     if size == 0:
@@ -138,11 +143,14 @@ def write_container_stream(reader, sink, crc, size, table, embed=True):
         head += crc.to_bytes(4, "big")
         sink(bytes(head))
         return 0
-    head.append(FLAG_EMBEDDED if embed else 0)
+    head.append(0 if table_sink else FLAG_EMBEDDED)
     head += crc.to_bytes(4, "big")
     blob = codec.serialize_table(table)
-    # the digest alone when the table travels separately
-    head += (codec._leb128(len(blob)) + blob) if embed else blob[-32:]
+    if table_sink:
+        table_sink(blob)
+        head += blob[-32:]
+    else:
+        head += codec._leb128(len(blob)) + blob
     head += codec._leb128(-(-size // BLOCK_SYMBOLS))
     sink(bytes(head))
     payload_bits = 0
@@ -235,7 +243,7 @@ def cmd_compress(args):
         p = None
         table = model.AedsTable(present, [[0]], [[0]], [[0]])
     else:
-        p = model.validate_distribution((b, counts[b]) for b in present)
+        p = model.SourceDistribution.from_byte_histogram(counts)
         table = build_table(p, args.codec, args.states)
         if args.codec in ("type1", "type2") and table.n_states == 1:
             print("reduction is zero at this tree; "
@@ -243,14 +251,12 @@ def cmd_compress(args):
         if args.codec == "saeds-case1" and table.n_states != args.states:
             print(f"equal-ratio layout uses {table.n_states} of the "
                   f"{args.states} requested states")
-    if args.table_out:
-        with open(args.table_out, "wb") as fh:
-            fh.write(codec.serialize_table(table))
+    table_sink = (pathlib.Path(args.table_out).write_bytes
+                  if args.table_out else None)
     # second pass: blocked encode straight to the output file
     with open(args.input, "rb") as src, open(args.output, "wb") as out:
         payload_bits = write_container_stream(
-            src.read, out.write, crc, size, table,
-            embed=args.table_out is None)
+            src.read, out.write, crc, size, table, table_sink)
     written = os.path.getsize(args.output)
     analytic = "n/a"
     if p is not None:

@@ -555,23 +555,6 @@ def _seal(body):
     return body + hashlib.sha256(body).digest()
 
 
-def _unseal(data, magic, what):
-    """The body of a sealed blob that must start with ``magic``.
-
-    ``what`` names the blob in error messages ("table", "tANS table");
-    its first word alone names the magic and the hash.
-    """
-    label = what.split()[0]
-    if len(data) < 32 + 6:
-        raise MalformedTable(f"too short to hold a {what}")
-    body = data[:-32]
-    if body[:4] != magic:
-        raise MalformedTable(f"bad {label} magic")
-    if hashlib.sha256(body).digest() != data[-32:]:
-        raise HashMismatch(f"{label} bytes fail their content hash")
-    return body
-
-
 def serialize_table(table):
     """Canonical bytes: header, alphabet, encoder grid, sha-256 trailer."""
     return _seal(_table_body(table))
@@ -583,7 +566,13 @@ def table_digest(table):
 
 
 def deserialize_table(data):
-    body = _unseal(data, TABLE_MAGIC, "table")
+    if len(data) < 32 + 6:
+        raise MalformedTable("too short to hold a table")
+    body = data[:-32]
+    if body[:4] != TABLE_MAGIC:
+        raise MalformedTable("bad table magic")
+    if hashlib.sha256(body).digest() != data[-32:]:
+        raise HashMismatch("table bytes fail their content hash")
     r = BitReader(body, 32)
     try:
         version = r.read(8)
@@ -609,7 +598,7 @@ def deserialize_table(data):
             pos = stop
     except (TruncatedStream, IndexError):
         raise MalformedTable("table bytes end early") from None
-    except (ValueError, UnicodeDecodeError) as exc:
+    except (MalformedStream, ValueError, UnicodeDecodeError) as exc:
         raise MalformedTable(str(exc)) from None
     if pos < len(body):
         raise MalformedTable("unexpected bytes after the encoder grid")

@@ -8,29 +8,9 @@ State counts must be powers of two here; the table constructors in
 
 import numpy as np
 
-from .codec import (
-    BitReader,
-    BitWriter,
-    Bitstream,
-    MalformedTable,
-    TruncatedStream,
-    _read_symbol,
-    _seal,
-    _unseal,
-    _write_symbol,
-    symbol_indices,
-)
-from .errors import (
-    NotPowerOfTwo,
-    TableError,
-    TooFewStates,
-    TrailingGarbage,
-    VersionMismatch,
-)
+from .codec import Bitstream, symbol_indices
+from .errors import NotPowerOfTwo, TableError, TooFewStates, TrailingGarbage
 from .model import AedsTable, Codeword
-
-TANS_MAGIC = b"ANST"
-TANS_VERSION = 1
 
 SPREAD_SORTED = "sorted-interval"
 SPREAD_STRIDE = "stride"
@@ -68,31 +48,37 @@ class TansTable:
     """A tANS instance: N, per-symbol counts, and the C/D correspondence.
 
     ``C[s][y - counts[s]]`` is the state x reached by pushing symbol s at
-    slot y, and ``D[x - N]`` is the inverse pair (s, y).
+    slot y, and ``D[x - N]`` is the inverse pair (s, y), derived from C.
+    N is the sum of the counts.
     """
 
-    __slots__ = ("symbols", "n_states", "counts", "spread", "C", "D", "_index")
+    __slots__ = ("symbols", "n_states", "counts", "C", "D", "_index")
 
-    def __init__(self, symbols, counts, spread, C, D):
+    def __init__(self, symbols, counts, C):
         symbols = tuple(symbols)
         counts = tuple(counts)
-        if not _is_pow2(len(D)):
-            raise NotPowerOfTwo(f"state count {len(D)} is not a power of two")
-        if sum(counts) != len(D) or any(c < 1 for c in counts):
-            raise TableError("counts must be positive and sum to N")
-        n = len(D)
+        n = sum(counts)
+        if not _is_pow2(n):
+            raise NotPowerOfTwo(f"state count {n} is not a power of two")
+        if any(c < 1 for c in counts):
+            raise TableError("counts must be positive")
+        if len(C) != len(counts):
+            raise TableError("C needs one block per count")
+        # the blocks hold sum(counts) = N states, so placing each state of
+        # N..2N-1 at most once places every one of them exactly once
+        D = [None] * n
         for s, block in enumerate(C):
             if len(block) != counts[s]:
                 raise TableError("C block size mismatch")
-            for y_off, x in enumerate(block):
+            for y, x in enumerate(block, counts[s]):
                 if not n <= x < 2 * n:
                     raise TableError(f"state {x} outside N..2N-1")
-                if D[x - n] != (s, counts[s] + y_off):
-                    raise TableError("C and D are not mutual inverses")
+                if D[x - n] is not None:
+                    raise TableError(f"state {x} placed twice")
+                D[x - n] = (s, y)
         object.__setattr__(self, "symbols", symbols)
         object.__setattr__(self, "n_states", n)
         object.__setattr__(self, "counts", counts)
-        object.__setattr__(self, "spread", spread)
         object.__setattr__(self, "C", tuple(tuple(b) for b in C))
         object.__setattr__(self, "D", tuple(D))
         object.__setattr__(self, "_index", {s: i for i, s in enumerate(symbols)})
@@ -151,11 +137,7 @@ def build_tans(p, n_states, spread_policy=SPREAD_SORTED):
         C = _spread_stride(counts, n_states)
     else:
         raise ValueError(f"unknown spread policy {spread_policy!r}")
-    D = [None] * n_states
-    for s, block in enumerate(C):
-        for y_off, x in enumerate(block):
-            D[x - n_states] = (s, counts[s] + y_off)
-    return TansTable(p.symbols, counts, spread_policy, C, D)
+    return TansTable(p.symbols, counts, C)
 
 
 def tans_encode(table, sequence, initial_state=None):
@@ -211,61 +193,3 @@ def tans_to_aeds(table):
     first = np.cumsum(counts) - counts  # where each C block starts
     nexts = np.concatenate(table.C)[first + (x >> k) - counts] - n
     return AedsTable(table.symbols, nexts, k, x & ((1 << k) - 1))
-
-
-# ---------------------------------------------------------------------------
-# serialization: (N, counts, spread policy, permutation)
-
-
-def serialize_tans(table):
-    w = BitWriter()
-    w.write_bytes(TANS_MAGIC)
-    w.write(TANS_VERSION, 8)
-    w.write_leb128(table.n_states)
-    w.write_leb128(len(table.symbols))
-    for s in table.symbols:
-        _write_symbol(w, s)
-    for c in table.counts:
-        w.write_leb128(c)
-    policy = table.spread.encode("utf-8")
-    w.write_leb128(len(policy))
-    w.write_bytes(policy)
-    for s, y in table.D:
-        w.write_leb128(s)
-        w.write_leb128(y - table.counts[s])
-    return _seal(w.getvalue())
-
-
-def deserialize_tans(data):
-    r = BitReader(_unseal(data, TANS_MAGIC, "tANS table"), 32)
-    try:
-        version = r.read(8)
-        if version != TANS_VERSION:
-            raise VersionMismatch(f"tANS version {version}")
-        n = r.read_leb128()
-        n_sym = r.read_leb128()
-        symbols = [_read_symbol(r) for _ in range(n_sym)]
-        counts = [r.read_leb128() for _ in range(n_sym)]
-        plen = r.read_leb128()
-        policy = r.read_bytes(plen).decode("utf-8")
-        slots = [(r.read_leb128(), r.read_leb128()) for _ in range(n)]
-    except TruncatedStream:
-        raise MalformedTable("tANS bytes end early") from None
-    except (ValueError, UnicodeDecodeError) as exc:
-        raise MalformedTable(str(exc)) from None
-    # n slots were read, so counts that pass this bound the allocations
-    if any(c < 1 for c in counts) or sum(counts) != n:
-        raise MalformedTable("counts must be positive and sum to N")
-    C = [[None] * c for c in counts]
-    D = [None] * n
-    for i, (s, y_off) in enumerate(slots):
-        if not 0 <= s < n_sym or not 0 <= y_off < counts[s]:
-            raise MalformedTable("slot entry out of range")
-        if C[s][y_off] is not None:
-            raise MalformedTable("duplicate slot entry")
-        D[i] = (s, counts[s] + y_off)
-        C[s][y_off] = n + i
-    try:
-        return TansTable(symbols, counts, policy, C, D)
-    except (TableError, NotPowerOfTwo) as exc:
-        raise MalformedTable(str(exc)) from None

@@ -1,14 +1,15 @@
-"""The names the traced benchmark wraps and patches still resolve.
+"""The names the traced benchmark wraps, patches and calls still resolve.
 
 ``perfbench/spans.py`` wraps package functions and methods by name, and
-``perfbench/child.py`` replaces ``cli.read_container`` and
-``analysis.monte_carlo_rate`` for its fault injection; a rename in the
-package would otherwise surface only when the benchmark runs, and so
-would a renamed attribute that a span's attribute helper reads off a
-result.  The spans module is read and executed here without importing
-it, so nothing is written next to it.
+``perfbench/child.py`` calls package functions as ``aeds.<module>.<name>``
+and replaces ``cli.read_container`` and ``analysis.monte_carlo_rate`` for
+its fault injection; a rename in the package would otherwise surface only
+when the benchmark runs, and so would a renamed attribute that a span's
+attribute helper reads off a result.  The benchmark modules are read here
+without importing them, so nothing is written next to them.
 """
 
+import ast
 import inspect
 import pathlib
 
@@ -20,6 +21,7 @@ from aeds.model import demo_table, validate_distribution
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SPANS = ROOT / "perfbench" / "spans.py"
+CHILD = ROOT / "perfbench" / "child.py"
 
 
 def load_spans():
@@ -36,6 +38,19 @@ def test_traced_names_resolve():
     for module, cls, attr, _, _ in spans["METHODS"]:
         owner = getattr(getattr(aeds, module), cls)
         assert callable(getattr(owner, attr)), (module, cls, attr)
+
+
+def test_child_names_resolve():
+    refs = {(node.value.attr, node.attr)
+            for node in ast.walk(ast.parse(CHILD.read_text()))
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Attribute)
+            and isinstance(node.value.value, ast.Name)
+            and node.value.value.id == "aeds"}
+    assert {("tans", "quantize_counts"), ("tans", "build_tans"),
+            ("tans", "tans_to_aeds")} <= refs
+    for module, attr in refs:
+        assert callable(getattr(getattr(aeds, module), attr)), (module, attr)
 
 
 def test_patched_names_resolve():

@@ -28,7 +28,6 @@ from aeds.errors import (
 )
 from aeds.model import AedsTable, Codeword, demo_table, validate_distribution
 from aeds.prefix_codes import build_huffman
-from aeds.tans import build_tans, deserialize_tans, serialize_tans
 
 from conftest import random_sequence, random_source, random_table
 
@@ -391,24 +390,26 @@ def test_minimize_length_picks_lowest_index_shortest_start():
     assert ties > 10
 
 
-SEALED_BLOBS = {
-    "table": (demo_table, serialize_table, deserialize_table),
-    "tans": (lambda: build_tans(SIX, 16), serialize_tans, deserialize_tans),
-}
-
-
-@pytest.mark.parametrize("kind", sorted(SEALED_BLOBS))
-def test_sealed_blob_errors(kind):
-    build, serialize, deserialize = SEALED_BLOBS[kind]
-    blob = serialize(build())
-    assert serialize(deserialize(blob)) == blob
+def test_table_blob_errors():
+    blob = serialize_table(demo_table())
+    assert serialize_table(deserialize_table(blob)) == blob
     for bad in (blob[:37], b"", b"XXXX" + blob[4:]):
         with pytest.raises(MalformedTable):
-            deserialize(bad)
+            deserialize_table(bad)
     body = b"XXXX" + blob[4:-32]
     with pytest.raises(MalformedTable):
-        deserialize(body + hashlib.sha256(body).digest())
+        deserialize_table(body + hashlib.sha256(body).digest())
     flipped = bytearray(blob)
     flipped[len(blob) // 2] ^= 0x01
     with pytest.raises(HashMismatch):
-        deserialize(bytes(flipped))
+        deserialize_table(bytes(flipped))
+
+
+# demo_table's blob: "AEDT", version, N at byte 5, |A| at byte 6, three
+# 3-byte symbols, then the grid from byte 16
+@pytest.mark.parametrize("at", [5, 16], ids=["state-count", "grid-cell"])
+def test_overlong_leb128_is_a_malformed_table(at):
+    body = serialize_table(demo_table())[:-32]
+    body = body[:at] + bytes([0x80] * 10) + body[at:]
+    with pytest.raises(MalformedTable, match="LEB128"):
+        deserialize_table(body + hashlib.sha256(body).digest())

@@ -1,19 +1,15 @@
-import hashlib
 import itertools
 import random
 
 import pytest
 
-from aeds.codec import BitWriter, encode, validate_aeds
-from aeds.errors import MalformedTable, NotPowerOfTwo, TooFewStates
+from aeds.codec import encode, validate_aeds
+from aeds.errors import NotPowerOfTwo, TableError, TooFewStates
 from aeds.model import validate_distribution
 from aeds.tans import (
-    TANS_MAGIC,
-    TANS_VERSION,
+    TansTable,
     build_tans,
-    deserialize_tans,
     quantize_counts,
-    serialize_tans,
     tans_decode,
     tans_encode,
     tans_to_aeds,
@@ -61,6 +57,20 @@ def test_build_two_state_table():
     assert t.counts == (1, 1)
     assert t.C == ((2,), (3,))
     assert t.D == ((0, 1), (1, 1))
+
+
+@pytest.mark.parametrize("counts,C,error,match", [
+    ((1, 1), ((2,), (4,)), TableError, "outside"),
+    ((1, 1), ((3,), (3,)), TableError, "placed twice"),
+    ((1, 1), ((2, 3), ()), TableError, "block size"),
+    ((1, 1), ((2,),), TableError, "one block per count"),
+    ((0, 2), ((), (2, 3)), TableError, "positive"),
+    ((2, 1), ((3, 4), (5,)), NotPowerOfTwo, "power of two"),
+], ids=["outside", "twice", "block-size", "block-count", "nonpositive",
+        "not-pow2"])
+def test_tans_table_rejects_bad_c(counts, C, error, match):
+    with pytest.raises(error, match=match):
+        TansTable("ab", counts, C)
 
 
 def test_build_rejects_non_power_of_two():
@@ -174,47 +184,3 @@ def test_dyadic_rate_meets_entropy():
     t = tans_to_aeds(build_tans(p, 8))
     est = monte_carlo_rate(t, p, 10 ** 6, seed=909)
     assert abs(est.bits_per_symbol - 1.5) <= 3 * est.stderr
-
-
-def test_tans_serialization_roundtrip():
-    rng = random.Random(71)
-    for spread in ("sorted-interval", "stride"):
-        p = random_source(rng, n_symbols=5)
-        t = build_tans(p, 32, spread)
-        blob = serialize_tans(t)
-        back = deserialize_tans(blob)
-        assert back.C == t.C and back.D == t.D and back.spread == t.spread
-        assert serialize_tans(back) == blob
-
-
-def forged_tans(n, counts, slots):
-    """A correctly hashed tANS blob over integer symbols 0..len(counts)-1
-    declaring ``n`` states, the given counts and (symbol, offset) slots."""
-    w = BitWriter()
-    w.write_bytes(TANS_MAGIC)
-    w.write(TANS_VERSION, 8)
-    w.write_leb128(n)
-    w.write_leb128(len(counts))
-    for s in range(len(counts)):
-        w.write(0, 8)  # integer symbol tag
-        w.write_leb128(s)
-    for c in counts:
-        w.write_leb128(c)
-    w.write_leb128(len(b"sorted-interval"))
-    w.write_bytes(b"sorted-interval")
-    for s, y_off in slots:
-        w.write_leb128(s)
-        w.write_leb128(y_off)
-    body = w.getvalue()
-    return body + hashlib.sha256(body).digest()
-
-
-def test_deserialize_forged_counts():
-    slots = [(0, 0), (1, 0)]
-    assert deserialize_tans(forged_tans(2, [1, 1], slots)).D == \
-        ((0, 1), (1, 1))
-    # a huge count must be rejected before anything is allocated for it
-    for n, counts in ((2, [1 << 62, 1]), (2, [0, 2]), (2, [2, 1]),
-                      (1 << 62, [1 << 61, 1 << 61]), (3, [1, 1])):
-        with pytest.raises(MalformedTable):
-            deserialize_tans(forged_tans(n, counts, slots))
