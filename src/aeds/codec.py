@@ -9,12 +9,14 @@ Stream layout (bit granularity, MSB first inside bytes):
 
 Encoding maps the whole sequence to symbol indices in one call, then runs
 the backward recursion, the only per-symbol loop, which records the table
-cell each symbol visits.  ``BitWriter.write_words`` packs those cells'
-codewords in forward order with array operations, ``PACK_SLICE`` words at a
-time, so memory is one entry per symbol plus the payload.
+cell each symbol visits in a buffer of one or four bytes per symbol.
+``BitWriter.write_words`` packs those cells' codewords in forward order
+with array operations, ``PACK_SLICE`` words at a time, so memory is that
+buffer plus the payload.
 """
 
 import hashlib
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,14 +32,7 @@ from .errors import (
     UnmatchedCodeword,
     VersionMismatch,
 )
-from .model import (
-    LOOKUP_BITS,
-    RUN_CAP,
-    UNMATCHED,
-    AedsTable,
-    ErgodicityReport,
-    zero_bit_cycle,
-)
+from .model import AedsTable, ErgodicityReport, zero_bit_cycle
 
 STREAM_MAGIC = b"AEDS"
 STREAM_VERSION = 1
@@ -45,10 +40,11 @@ TABLE_MAGIC = b"AEDT"
 TABLE_VERSION = 1
 
 # Codewords ``BitWriter.write_words`` packs at a time; bounds its temporaries.
-PACK_SLICE = 1 << 16
-
-# The bits of one run-level window (see ``decode``).
-WINDOW_MASK = (1 << LOOKUP_BITS) - 1
+# At 64 KB per int64 array they stay below the 128 KB from which glibc's
+# malloc maps fresh pages for each array and faults them in every time: a
+# 2 MiB type2 compress took 29,000 minor faults with 2^16-word slices and
+# 2,100 with these.
+PACK_SLICE = 1 << 13
 
 
 # ---------------------------------------------------------------------------
@@ -204,8 +200,8 @@ class ValidationReport:
     """``zero_bit_cycle`` lists the decoder states, ascending, on a cycle
     of zero-length codewords: from them a stream decodes any number of
     symbols without reading a bit.  ``decode`` stays bounded on such
-    tables because ``RUN_CAP`` ends each run-level run and the declared
-    symbol count ends the node walk."""
+    tables because ``RUN_CAP`` ends each window's run and the declared
+    symbol count ends the decode."""
 
     well_formed: bool
     ergodicity: ErgodicityReport
@@ -315,15 +311,18 @@ POLICY_MINIMIZE = "minimize-length"
 def _backward_pass(into, m, indices, start):
     """Run the backward recursion over ``into``, the x-major list of next
     states times m = |A|; return (final_state, the cells x|A| + s visited,
-    in forward order)."""
+    in forward order).  The cells fill a preallocated buffer back to
+    front, one byte each when the table has at most 256 cells, else four,
+    and come back as a numpy view of it."""
+    n = len(indices)
+    cells = bytearray(n) if len(into) <= 256 else array("I", [0]) * n
     at = start * m
-    cells = []
     for s in reversed(indices):
+        n -= 1
         cell = at + s
-        cells.append(cell)
+        cells[n] = cell
         at = into[cell]
-    cells.reverse()
-    return at // m, cells
+    return at // m, np.asarray(cells)
 
 
 def symbol_indices(table, sequence):
@@ -366,7 +365,6 @@ def encode(table, sequence, initial_state_policy=POLICY_FIRST_STATE):
         raise ValueError(f"unknown policy {initial_state_policy!r}")
 
     x0, cells = _backward_pass(into, m, indices, start)
-    cells = np.fromiter(cells, np.min_scalar_type(lengths.size), len(cells))
     return Bitstream.assemble(table.n_states, x0, len(indices),
                               table.values.ravel(), lengths, cells)
 
@@ -375,25 +373,22 @@ def decode(table, stream):
     """Recover the symbol sequence; consumes exactly the declared payload.
 
     Bits are peeked from a local accumulator that is refilled 8 bytes at a
-    time.  Tables of at most ``RUN_SLOTS >> LOOKUP_BITS`` = 8 states have
-    a run level (``table.decoding_runs()``): one lookup of the next
-    ``LOOKUP_BITS`` = 12 bits decodes every whole codeword they hold, up to
-    ``RUN_CAP`` = 16.  It is built on the first decode with the table, so
-    its build time is part of the benchmark's ``codec.decode_walk_s``.
-    The node walk over ``table.decoding_tries()`` decodes one codeword per
-    lookup (two or more for codewords longer than a state's table width):
-    every symbol of larger tables, the codewords a run cannot start (long
-    or damaged ones) and the last ``RUN_CAP - 1`` or fewer symbols.
-    Zero bytes past the end of the stream keep every refill whole (a
-    refill starts at most one byte past the end, or the end check before
-    it raises); a codeword that consumes them makes the stream truncated.
+    time.  Each lookup in ``table.decoding_tries()`` reads the next k bits
+    of the current state's window (k = ``LOOKUP_BITS`` = 12 for tables of
+    up to 8 states) and decodes every whole codeword they hold, up to
+    ``RUN_CAP`` = 16.  When that run is empty or longer than the symbols
+    left, one codeword is read bit by bit from ``table.codeword_trie``:
+    codewords longer than the window, damaged ones and the last few
+    symbols of a block.  Zero bytes past the end of the stream keep every
+    refill whole (a refill starts at most one byte past the end, or the
+    end check before it raises); a codeword that consumes them makes the
+    stream truncated.
     """
     if stream.n_states != table.n_states:
         raise MalformedStream(
             f"stream was written for {stream.n_states} states, "
             f"table has {table.n_states}")
     nodes = table.decoding_tries()
-    runs = table.decoding_runs()
     symbols = table.symbols
     data = stream.data + bytes(16)
     end = 8 * len(stream.data)
@@ -403,46 +398,48 @@ def decode(table, stream):
     pos += 1
     x = stream.initial_state
     out = []
-    append, extend = out.append, out.extend
+    extend = out.extend
     left = stream.length
-    # without a run level the run loop never starts
-    cap = RUN_CAP if runs is not None else left + 1
     while left:
-        while left >= cap:
-            if nbits < LOOKUP_BITS:
-                if 8 * pos - nbits > end:
-                    raise TruncatedStream("bit stream exhausted")
-                acc = (((acc & ((1 << nbits) - 1)) << 64)
-                       | int.from_bytes(data[pos:pos + 8], "big"))
-                pos += 8
-                nbits += 64
-            # an empty run leaves x as it is
-            run, x, used, count = runs[x][(acc >> (nbits - LOOKUP_BITS))
-                                          & WINDOW_MASK]
-            if not count:
-                break
+        k, mask, slots = nodes[x]
+        if nbits < k:
+            if 8 * pos - nbits > end:
+                raise TruncatedStream("bit stream exhausted")
+            acc = (((acc & ((1 << nbits) - 1)) << 64)
+                   | int.from_bytes(data[pos:pos + 8], "big"))
+            pos += 8
+            nbits += 64
+        run, y, used = slots[(acc >> (nbits - k)) & mask]
+        count = len(run)
+        if 0 < count <= left:
             extend(run)
+            x = y
             nbits -= used
             left -= count
-        walk = 1 if left >= cap else left
-        for _ in range(walk):
-            while True:
-                k, mask, slots = nodes[x]
-                if nbits < k:
-                    if 8 * pos - nbits > end:
-                        raise TruncatedStream("bit stream exhausted")
-                    acc = (((acc & ((1 << nbits) - 1)) << 64)
-                           | int.from_bytes(data[pos:pos + 8], "big"))
-                    pos += 8
-                    nbits += 64
-                s, x, n = slots[(acc >> (nbits - k)) & mask]
-                nbits -= n
-                if s >= 0:
-                    break
-                if s == UNMATCHED:
-                    raise _unmatched(stream.data, 8 * pos - nbits, *x)
-            append(symbols[s])
-        left -= walk
+            continue
+        # one codeword bit by bit, after runs that may have read past the end
+        if 8 * pos - nbits > end:
+            raise TruncatedStream("bit stream exhausted")
+        trie, leaves = table.codeword_trie(x)
+        node = 0 if leaves else None  # None: no codeword starts here
+        value = depth = 0
+        while node not in leaves:
+            if node is None:
+                raise UnmatchedCodeword(
+                    x, format(value, f"0{depth}b") if depth else "")
+            if 8 * pos - nbits == end:
+                raise TruncatedStream("bit stream exhausted")
+            if not nbits:
+                acc = int.from_bytes(data[pos:pos + 8], "big")
+                pos += 8
+                nbits = 64
+            nbits -= 1
+            bit = (acc >> nbits) & 1
+            value, depth = (value << 1) | bit, depth + 1
+            node = trie.get((node, bit))
+        s, x = leaves[node]
+        out.append(symbols[s])
+        left -= 1
     if 8 * pos - nbits > end:
         raise TruncatedStream("bit stream exhausted")
     reader = BitReader(stream.data, 8 * pos - nbits)
@@ -451,16 +448,6 @@ def decode(table, stream):
     if reader.bits_left and reader.read(reader.bits_left):
         raise TrailingGarbage("nonzero padding bits")
     return out
-
-
-def _unmatched(data, position, state, offset, depth):
-    """The error for a parse at bit ``position`` that has followed the
-    first ``offset`` bits of a symbol and finds no codeword of ``state``
-    starting with its first ``depth`` bits.  Reading those bits raises
-    TruncatedStream instead if the stream ends before them."""
-    prefix = BitReader(data, position - offset).read(depth)
-    return UnmatchedCodeword(state, format(prefix, f"0{depth}b")
-                             if depth else "")
 
 
 def trace_lengths(table, sequence, initial_state=0):

@@ -6,8 +6,10 @@ threads.  Symbols are opaque hashable tokens; states are dense indices
 ``AedsTable``); ``Codeword`` objects appear only in its views.
 """
 
+import bisect
 import math
 from dataclasses import dataclass
+from operator import itemgetter
 
 import numpy as np
 
@@ -23,15 +25,12 @@ from .errors import (
 
 PROB_SUM_TOL = 1e-12
 
-# Decoder index (AedsTable.decoding_tries): widest lookup table per node,
-# and the markers of the two non-leaf slot kinds.
+# Decoder index (AedsTable.decoding_tries): the widest window a state's
+# table reads; the most slots that full-width windows of every state may
+# hold, which gives them to tables of up to RUN_SLOTS >> LOOKUP_BITS = 8
+# states; and the most codewords one slot decodes, which bounds runs
+# through zero-bit cycles.
 LOOKUP_BITS = 12
-SUBTABLE = -1
-UNMATCHED = -2
-
-# Run level (AedsTable.decoding_runs): the most slots it may hold, which
-# admits tables of up to RUN_SLOTS >> LOOKUP_BITS = 8 states, and the most
-# codewords one run decodes, which bounds runs through zero-bit cycles.
 RUN_SLOTS = 1 << 15
 RUN_CAP = 16
 
@@ -197,14 +196,26 @@ def value_dtype(lengths):
     return object if np.max(lengths, initial=0) > INT_BITS else np.int64
 
 
-def incoming(nexts):
+def incoming(nexts, lengths=None):
     """The cells x|A| + s of a next-state array grouped by the state they
-    lead to, in x-major order within a group, and the group bounds: the
-    cells entering state x are ``order[bounds[x]:bounds[x + 1]]``."""
+    lead to, in x-major order within a group (by ascending ``lengths``
+    first, if given), and the group bounds: the cells entering state x are
+    ``order[bounds[x]:bounds[x + 1]]``."""
     flat = nexts.ravel()
     counts = np.bincount(flat, minlength=len(nexts))
-    return (np.argsort(flat, kind="stable"),
+    return (np.argsort(flat, kind="stable") if lengths is None
+            else np.lexsort((lengths.ravel(), flat)),
             np.concatenate(([0], np.cumsum(counts))))
+
+
+def prefix_clash(words):
+    """The first pair (word, longer) of Codewords, in descending bit-string
+    order, in which ``word`` repeats or is a prefix of ``longer``, or None
+    for a prefix-free collection.  Sorted, a word follows any word it is a
+    prefix of, so comparing neighbours finds every clash."""
+    order = sorted(words, key=lambda w: w.bits, reverse=True)
+    return next(((word, longer) for longer, word in zip(order, order[1:])
+                 if word.is_prefix_of(longer)), None)
 
 
 def _bfs_depths(starts, adj, n):
@@ -273,7 +284,7 @@ class AedsTable:
     """
 
     __slots__ = ("symbols", "n_states", "nexts", "lengths", "values",
-                 "state_names", "_index", "_lookup", "_runs", "_ergodicity",
+                 "state_names", "_index", "_lookup", "_tries", "_ergodicity",
                  "_encoder", "_entries")
 
     def __init__(self, symbols, nexts, lengths, values, state_names=None):
@@ -311,7 +322,7 @@ class AedsTable:
             a.flags.writeable = False
         fields = dict(symbols=symbols, n_states=n, nexts=nexts,
                       lengths=lengths, values=values, state_names=state_names,
-                      _index={s: i for i, s in enumerate(symbols)})
+                      _index={s: i for i, s in enumerate(symbols)}, _tries={})
         for name in self.__slots__:
             object.__setattr__(self, name, fields.get(name))
 
@@ -355,24 +366,27 @@ class AedsTable:
     @property
     def decoder_entries(self):
         """``decoder_entries[x]``: the (codeword, symbol index, origin
-        state) triples of the cells leading to x, in x-major order."""
+        state) triples of the cells leading to x, by ascending codeword
+        length and then in x-major order."""
         if self._entries is None:
-            cells, bounds = self._incoming_cells()
-            flat = [(Codeword(v, n), s, x) for v, n, s, x in cells]
             object.__setattr__(self, "_entries", tuple(
-                tuple(flat[a:b]) for a, b in zip(bounds, bounds[1:])))
+                tuple((Codeword(v, n), s, x) for v, n, s, x in group)
+                for group in self._incoming_cells()))
         return self._entries
 
     def _incoming_cells(self):
-        """(value, length, symbol index, origin) of every cell, grouped by
-        the state it leads to as in ``incoming``, and the group bounds."""
+        """Per state, the (value, length, symbol index, origin) of every
+        cell leading to it, by ascending length and then in x-major
+        order."""
         m = len(self.symbols)
-        order, bounds = incoming(self.nexts)
+        order, bounds = incoming(self.nexts, self.lengths)
         states = list(range(self.n_states))  # one int object per state
-        cells = zip(self.values.ravel()[order].tolist(),
-                    self.lengths.ravel()[order].tolist(), (order % m).tolist(),
-                    map(states.__getitem__, (order // m).tolist()))
-        return list(cells), bounds.tolist()
+        cells = list(zip(self.values.ravel()[order].tolist(),
+                         self.lengths.ravel()[order].tolist(),
+                         (order % m).tolist(),
+                         map(states.__getitem__, (order // m).tolist())))
+        bounds = bounds.tolist()
+        return [cells[a:b] for a, b in zip(bounds, bounds[1:])]
 
     def decoder_set(self, state):
         """The codeword set parsed at ``state`` during decoding."""
@@ -390,119 +404,124 @@ class AedsTable:
     # -- decoder index -----------------------------------------------------
 
     def decoding_tries(self):
-        """Per-state lookup tables over the decoder codeword sets.
+        """Per-state window tables over the decoder codeword sets.
 
-        Returns a tuple of nodes ``(k, mask, slots)`` with ``mask = 2^k - 1``.
-        Node x < n_states is the first-level table of state x; the nodes
-        after them are subtables.  The decoder peeks the next k bits and
-        reads ``slots[bits]``, which is one of
+        Returns one ``(k, mask, slots)`` per state, with ``mask = 2^k - 1``.
+        The decoder peeks the next k bits w and reads ``slots[w]``, which is
+        ``(symbols, state, used)``: the run of whole codewords that w starts
+        with, at most ``RUN_CAP``, decodes to the tuple ``symbols`` in
+        ``used`` bits and leaves the decoder in ``state``.  An empty run
+        (state unchanged, 0 bits) means that no codeword of at most k bits
+        starts w; the decoder then reads one codeword bit by bit with
+        ``codeword_trie``.
 
-        * ``(symbol_index, origin_state, n)``: a codeword ends within these
-          k bits after ``n`` of them (n may be 0 for a zero-bit codeword);
-        * ``(SUBTABLE, node, k)``: the codewords continue in ``node`` after
-          all k bits are consumed;
-        * ``(UNMATCHED, (state, offset, depth), 0)``: no codeword of
-          ``state`` starts with the first ``depth`` bits of the symbol,
-          whose first ``offset`` bits were consumed by earlier levels.
-
-        k is the smallest of the longest codeword, ``LOOKUP_BITS`` and the
-        widest table with at most two slots per codeword, so the index is
-        linear in the total codeword length.  Raises PrefixViolation if
-        some state's codewords are not prefix-free.
+        k is ``LOOKUP_BITS`` for tables of at most ``RUN_SLOTS >>
+        LOOKUP_BITS`` states.  Larger tables take the smallest of the
+        longest codeword, ``LOOKUP_BITS`` and the widest table with at most
+        two slots per codeword, so the index is linear in the number of
+        cells.  Raises PrefixViolation if some state's codewords are not
+        prefix-free.
         """
         if self._lookup is None:
             object.__setattr__(self, "_lookup", self._build_index())
         return self._lookup
 
     def _build_index(self):
-        entries, bounds = self._incoming_cells()
-        nodes = [None] * self.n_states
-        work = [(x, x, 0, entries[bounds[x]:bounds[x + 1]])
-                for x in range(self.n_states)]
-        while work:  # a worklist, not recursion: codewords can be very long
-            at, state, offset, group = work.pop()
-            k = min(max((n for _, n, _, _ in group), default=offset)
-                    - offset, LOOKUP_BITS, len(group).bit_length())
-            mask = (1 << k) - 1
-            slots = [None] * (1 << k)
-            groups = {}
-            for entry in group:
-                value, length, s, origin = entry
-                rest = length - offset
-                if rest > k:
-                    groups.setdefault((value >> (rest - k)) & mask,
-                                      []).append(entry)
-                    continue
-                base = (value & ((1 << rest) - 1)) << (k - rest)
-                span = 1 << (k - rest)
-                if span == 1 and slots[base] is None:  # the common case
-                    slots[base] = (s, origin, rest)
-                    continue
-                taken = next(filter(None, slots[base:base + span]), None)
-                if taken is not None:
-                    self._collision(state, taken, value, length)
-                slots[base:base + span] = [(s, origin, rest)] * span
-            for bits, members in groups.items():
-                if slots[bits] is not None:
-                    self._collision(state, slots[bits], *members[0][:2])
-                slots[bits] = (SUBTABLE, len(nodes), k)
-                work.append((len(nodes), state, offset + k, members))
-                nodes.append(None)
-            if None in slots:
-                _fill_unmatched(slots, k, state, offset, group)
-            nodes[at] = (k, mask, tuple(slots))
+        groups = self._incoming_cells()
+        singles = [(s,) for s in self.symbols]
+        shortest = [g[0][1] if g else LOOKUP_BITS + 1 for g in groups]
+        # the symbol and origin of each state's empty codeword, if any
+        zero = [g and not g[0][1] and (singles[g[0][2]], g[0][3])
+                for g in groups]
+        wide = self.n_states << LOOKUP_BITS <= RUN_SLOTS
+        nodes = []
+        for x, group in enumerate(groups):
+            k = LOOKUP_BITS if wide else min(group[-1][1] if group else 0,
+                                             LOOKUP_BITS,
+                                             len(group).bit_length())
+            empty = ((), x, 0)
+            slots = [empty] * (1 << k)
+            cut = bisect.bisect_right(group, k, key=itemgetter(1))
+            # (state, bits used, their value, symbols so far) of the runs
+            # that may go on; a longer run overwrites its share of the
+            # windows its prefix filled
+            work = []
+            for value, length, s, origin in group[:cut]:
+                base, span = value << (k - length), 1 << (k - length)
+                slot = (singles[s], origin, length)
+                if span == 1 and slots[base] is empty:  # the common case
+                    slots[base] = slot
+                else:
+                    for taken in slots[base:base + span]:
+                        if taken is not empty:
+                            self._collision(x, taken, value, length)
+                    slots[base:base + span] = [slot] * span
+                if shortest[origin] <= k - length:
+                    work.append((origin, length, value, slot[0]))
+            self._check_long(x, k, slots, group[cut:])
+            while work:
+                y, used, bits, run = work.pop()
+                room = k - used
+                for value, length, s, origin in groups[y]:
+                    if length > room:
+                        break
+                    rest = room - length
+                    more, at = run + singles[s], (bits << length) | value
+                    # a state's empty codeword is its only one, so its run
+                    # would overwrite every window of this one: follow it
+                    while zero[origin] and len(more) < RUN_CAP:
+                        single, origin = zero[origin]
+                        more += single
+                    slot = (more, origin, k - rest)
+                    if rest:
+                        span = 1 << rest
+                        slots[at * span:(at + 1) * span] = [slot] * span
+                    else:
+                        slots[at] = slot
+                    if len(more) < RUN_CAP and shortest[origin] <= rest:
+                        work.append((origin, k - rest, at, more))
+            nodes.append((k, (1 << k) - 1, tuple(slots)))
         return tuple(nodes)
 
-    def decoding_runs(self):
-        """Per-state run tables over ``LOOKUP_BITS``-bit windows, or None
-        for tables of more than ``RUN_SLOTS >> LOOKUP_BITS`` states.
+    def _check_long(self, state, k, slots, group):
+        """Raise PrefixViolation if a codeword of ``group``, all longer
+        than k bits, repeats or extends another, or extends a shorter word
+        that fills its first k bits' slot."""
+        clash = prefix_clash(Codeword(v, n) for v, n, _, _ in group)
+        if clash is not None:
+            raise PrefixViolation(state, *(w.bits for w in clash))
+        for value, length, _, _ in group:
+            taken = slots[value >> (length - k)]
+            if taken[0]:  # a shorter word's run starts there
+                self._collision(state, taken, value, length)
 
-        ``decoding_runs()[x][w]`` is ``(symbols, state, used, count)``:
-        walking ``decoding_tries()`` from state x over the window w, the
-        ``count`` codewords that fit in it decode to the tuple ``symbols``
-        in ``used`` bits and leave the decoder in ``state``.  The walk stops
-        before a subtable, an unmatched slot, a codeword that runs past the
-        window, or a ``RUN_CAP + 1``-th codeword; a run that stops before
-        its first codeword is empty, and leaves that codeword to the node
-        walk.
-        """
-        if self.n_states << LOOKUP_BITS > RUN_SLOTS:
-            return None
-        if self._runs is None:
-            object.__setattr__(self, "_runs", self._build_runs())
-        return self._runs
-
-    def _build_runs(self):
-        nodes, symbols = self.decoding_tries(), self.symbols
-        levels = []
-        for start in range(self.n_states):
-            level = [None] * (1 << LOOKUP_BITS)
-            # (state, bits used, their value, symbols so far): each entry
-            # covers the windows that begin with its bits, and its longer
-            # runs, popped after it, overwrite their share of those windows
-            work = [(start, 0, 0, ())]
-            while work:
-                x, used, bits, run = work.pop()
-                span = 1 << (LOOKUP_BITS - used)
-                level[bits * span:(bits + 1) * span] = [
-                    (run, x, used, len(run))] * span
-                k, _, slots = nodes[x]
-                if used + k > LOOKUP_BITS or len(run) == RUN_CAP:
-                    continue
-                for i, (s, y, n) in enumerate(slots):
-                    # a codeword of n bits fills 2^(k - n) aligned slots
-                    if s >= 0 and not i & ((1 << (k - n)) - 1):
-                        work.append((y, used + n, (bits << n) | (i >> (k - n)),
-                                     run + (symbols[s],)))
-            levels.append(tuple(level))
-        return tuple(levels)
-
-    def _collision(self, state, leaf, value, length):
-        s, origin, _ = leaf
+    def _collision(self, state, slot, value, length):
+        (symbol,), origin, _ = slot
+        s = self._index[symbol]
         first, second = sorted((
             Codeword(int(self.values[origin, s]), int(self.lengths[origin, s])),
             Codeword(value, length)))
         raise PrefixViolation(state, first.bits, second.bits)
+
+    def codeword_trie(self, state):
+        """The bit-serial parse of ``state``: a binary trie over its
+        codewords as a map (node, bit) -> child, with node 0 the root, and
+        the map from each node that ends a codeword to its (symbol index,
+        origin).  Its size is linear in the total codeword length.  Built
+        on first use and kept."""
+        if state not in self._tries:
+            trie, leaves = {}, {}
+            origins, s = np.nonzero(self.nexts == state)
+            for value, length, cell in zip(
+                    self.values[origins, s].tolist(),
+                    self.lengths[origins, s].tolist(),
+                    zip(s.tolist(), origins.tolist())):
+                node = 0  # the slice drops the "0" that formats length 0
+                for bit in map(int, format(value, f"0{length}b")[:length]):
+                    node = trie.setdefault((node, bit), len(trie) + 1)
+                leaves[node] = cell
+            self._tries[state] = trie, leaves
+        return self._tries[state]
 
     # -- structure queries -------------------------------------------------
 
@@ -528,22 +547,6 @@ class AedsTable:
     def __repr__(self):
         return (f"AedsTable({self.n_states} states, "
                 f"{len(self.symbols)} symbols)")
-
-
-def _fill_unmatched(slots, k, state, offset, entries):
-    """Mark the empty slots of one lookup node with the depth at which a
-    bit-by-bit parse finds no codeword left to follow."""
-    prefixes = set()
-    for value, length, _, _ in entries:
-        rest = min(length - offset, k)
-        bits = (value >> (length - offset - rest)) & ((1 << rest) - 1)
-        for d in range(rest + 1):
-            prefixes.add((d, bits >> (rest - d)))
-    for i, slot in enumerate(slots):
-        if slot is None:
-            depth = next(d for d in range(k + 1)
-                         if (d, i >> (k - d)) not in prefixes)
-            slots[i] = (UNMATCHED, (state, offset, offset + depth), 0)
 
 
 @dataclass(frozen=True, eq=False)

@@ -12,7 +12,7 @@ from types import MappingProxyType
 import numpy as np
 
 from .errors import AlphabetMismatch, DegenerateAlphabet, InvalidWeight
-from .model import Codeword, SourceDistribution
+from .model import Codeword, SourceDistribution, prefix_clash
 
 # Peak redundancy of a phased-in code over a uniform source,
 # lg lg e + 1 - lg e.
@@ -40,15 +40,15 @@ class CodeTree:
     def __init__(self, words):
         if len(words) < 2:
             raise DegenerateAlphabet("a code tree needs at least two leaves")
-        order = sorted(words.items(), key=lambda sw: sw[1].bits, reverse=True)
-        for (_, longer), (_, word) in zip(order, order[1:]):
-            # sorted, a word follows any word it is a prefix of (or equals)
-            if word.is_prefix_of(longer):
-                raise InvalidWeight(f"codeword {longer.bits!r} repeats or "
-                                    f"extends {word.bits!r}")
+        clash = prefix_clash(words.values())
+        if clash is not None:
+            word, longer = clash
+            raise InvalidWeight(f"codeword {longer.bits!r} repeats or "
+                                f"extends {word.bits!r}")
         depth = max(w.length for w in words.values())
         if sum(1 << (depth - w.length) for w in words.values()) < 1 << depth:
             raise InvalidWeight("codeword set is not complete (Kraft sum < 1)")
+        order = sorted(words.items(), key=lambda sw: sw[1].bits, reverse=True)
         object.__setattr__(self, "_words", MappingProxyType(dict(order)))
 
     def __setattr__(self, *_):

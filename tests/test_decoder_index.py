@@ -4,9 +4,10 @@ The reference below is the oracle: it grows a prefix one ``read_bit`` at a
 time until the prefix is a codeword of the current state, straight from
 ``decoder_entries``.  ``codec.decode`` must give the same symbols, or raise
 the same exception with the same message, on intact, truncated, extended
-and bit-flipped streams, through the node walk and the run level alike.
+and bit-flipped streams, through window runs and bit-serial reads alike.
 """
 
+import functools
 import random
 import time
 import tracemalloc
@@ -171,7 +172,15 @@ def test_two_level_lookups_on_the_skewed_type2_table():
     longest = max(w.length for row in table.encoder for w, _ in row)
     assert longest == 21
     nodes = table.decoding_tries()
-    assert len(nodes) > table.n_states           # subtables exist
+    words = codeword_maps(table)
+    # every window is 12 bits wide; those that start with a longer
+    # codeword hold an empty run, so the decoder reads that one bit-serially
+    assert {k for k, _, _ in nodes} == {LOOKUP_BITS}
+    empty = [(x, w) for x, (_, _, slots) in enumerate(nodes)
+             for w, (run, _, _) in enumerate(slots) if not run]
+    assert empty and all(
+        next(reference_run(table, words, x, w, LOOKUP_BITS), None) is None
+        for x, w in empty)
     rng = random.Random(21)
     rare = list(range(12, 20)) * 4               # long codewords only
     assert_equivalent(rng, table, rare)
@@ -182,8 +191,18 @@ def test_two_level_lookups_on_the_skewed_type2_table():
 def test_zero_bit_states():
     table = demo_table()
     nodes = table.decoding_tries()
-    zero = [x for x in range(table.n_states) if nodes[x][0] == 0]
+    words = codeword_maps(table)
+    zero = [x for x in range(table.n_states) if (0, 0) in words[x]]
     assert zero == [2, 4]                        # alpha3 and alpha5
+    for x in zero:
+        # each window of a zero-bit state is its next state's window, one
+        # symbol earlier, as the reference parses it
+        s, y = words[x][0, 0]
+        for w, ((run, z, used), (tail, *_)) in enumerate(
+                zip(nodes[x][2], nodes[y][2])):
+            assert run == ((table.symbols[s],) + tail)[:RUN_CAP]
+            assert (run, z, used) == last_run(table, words, x, w,
+                                              LOOKUP_BITS)
     rng = random.Random(0)
     p = validate_distribution([("a", 5), ("b", 3), ("c", 2)])
     for _ in range(40):
@@ -214,7 +233,9 @@ def ending_on_a_byte(bits):
 def test_errors_raised_inside_a_subtable():
     table = long_word_table()
     nodes = table.decoding_tries()
-    assert nodes[0][0] < 22 and len(nodes) > 2
+    # the windows of the long words' first bits read them bit-serially
+    k, _, slots = nodes[0]
+    assert k < 22 and slots[-1] == ((), 0, 0)
     cases = {
         # no codeword starts with these 11 bits
         "11" + "1" * 8 + "0": UnmatchedCodeword,
@@ -240,6 +261,22 @@ def test_long_word_table_roundtrip_and_fuzz():
     for _ in range(40):
         assert_equivalent(rng, table,
                           random_sequence(rng, p, rng.randint(1, 30)))
+
+
+@pytest.mark.parametrize("states", [2, 16])  # full, then per-state widths
+def test_state_without_codewords(states):
+    # every cell leads to state 0, so a codeword from origin x > 0 leaves
+    # the decoder at a state without codewords: the error names the empty
+    # prefix, before the end of the stream would be read
+    rows = [((Codeword(x << 1, 7), 0), (Codeword(x << 1 | 1, 7), 0))
+            for x in range(states)]
+    table = AedsTable.from_rows("ab", rows)
+    for origin in range(states):
+        stream = Bitstream.assemble(states, 0, 2, [origin << 1], [7])
+        want = outcome(reference_decode, table, stream)
+        assert outcome(decode, table, stream) == want
+    assert want == (UnmatchedCodeword,
+                    f"no codeword starting with '' at state {states - 1}")
 
 
 def test_very_long_codeword_index_is_bounded():
@@ -286,7 +323,7 @@ def test_truncation_found_without_decoding_the_declared_length():
 
 
 # ---------------------------------------------------------------------------
-# run level
+# window runs
 
 
 def zero_bit_cycle_table():
@@ -309,18 +346,24 @@ def zero_bit_cycle_pair():
     return AedsTable.from_rows("ab", rows)
 
 
-def reference_run(table, words, x, window):
-    """Parse the ``LOOKUP_BITS``-bit ``window`` from state x bit by bit,
-    with ``words[x]`` mapping (value, length) to (symbol index, origin),
-    for as long as whole codewords fit in it: yields the (symbols, state,
-    bits used) after each codeword."""
+def codeword_maps(table):
+    """Per state, the map (value, length) -> (symbol index, origin)."""
+    return [{(w.value, w.length): (s, origin) for w, s, origin in entries}
+            for entries in table.decoder_entries]
+
+
+def reference_run(table, words, x, window, k):
+    """Parse the k-bit ``window`` from state x bit by bit, with
+    ``words[x]`` mapping (value, length) to (symbol index, origin), for as
+    long as whole codewords fit in it: yields the (symbols, state, bits
+    used) after each codeword."""
     symbols, used = (), 0
     while True:
         value = depth = 0
         while (value, depth) not in words[x]:
-            if used + depth == LOOKUP_BITS:
+            if used + depth == k:
                 return
-            bit = (window >> (LOOKUP_BITS - 1 - used - depth)) & 1
+            bit = (window >> (k - 1 - used - depth)) & 1
             value, depth = (value << 1) | bit, depth + 1
         s, x = words[x][value, depth]
         symbols, used = symbols + (table.symbols[s],), used + depth
@@ -329,44 +372,72 @@ def reference_run(table, words, x, window):
             return
 
 
+def last_run(table, words, x, window, k):
+    """The slot the index must hold: the longest reference run, or the
+    empty run that leaves x where it is."""
+    runs = list(reference_run(table, words, x, window, k))
+    return runs[-1] if runs else ((), x, 0)
+
+
+def window_width(table, x):
+    """k: ``LOOKUP_BITS`` within the slot budget, else the smallest of the
+    longest codeword, ``LOOKUP_BITS`` and the bit length of the count."""
+    if table.n_states << LOOKUP_BITS <= RUN_SLOTS:
+        return LOOKUP_BITS
+    entries = table.decoder_entries[x]
+    return min(max((w.length for w, _, _ in entries), default=0),
+               LOOKUP_BITS, len(entries).bit_length())
+
+
 def skewed_type2_table():
     return stream_type2_table()[1]
 
 
+def nine_state_table():
+    """A random table one state past the slot budget: per-state widths."""
+    n = (RUN_SLOTS >> LOOKUP_BITS) + 1
+    return random_table(random.Random(n), n_states=n, n_symbols=3)
+
+
+def builder_table(codec, states):
+    p = validate_distribution(
+        [(b, 1.0 / (b + 1) ** 1.3) for b in range(12)])
+    return cli.build_table(p, codec, states)
+
+
 @pytest.mark.parametrize("make", [
     skewed_type2_table, demo_table, long_word_table, zero_bit_cycle_table,
-    zero_bit_cycle_pair])
+    zero_bit_cycle_pair, nine_state_table,
+] + [pytest.param(functools.partial(builder_table, codec, states), id=codec)
+     for codec, states in BUILDERS])
 def test_every_run_is_a_prefix_of_the_reference_parse(make):
     table = make()
-    nodes, runs = table.decoding_tries(), table.decoding_runs()
-    words = [{(w.value, w.length): (s, origin) for w, s, origin in entries}
-             for entries in table.decoder_entries]
-    assert len(runs) == table.n_states
-    for x, level in enumerate(runs):
-        assert len(level) == 1 << LOOKUP_BITS
-        for window, (symbols, y, used, count) in enumerate(level):
-            assert count == len(symbols) <= RUN_CAP
-            if count:
-                assert (symbols, y, used) in reference_run(
-                    table, words, x, window)
-            else:
-                assert (y, used) == (x, 0)
-            if count < RUN_CAP:
-                # the run stops only where the node walk must take over
-                k, mask, slots = nodes[y]
-                assert (used + k > LOOKUP_BITS or slots[
-                    (window >> (LOOKUP_BITS - used - k)) & mask][0] < 0)
+    nodes = table.decoding_tries()
+    words = codeword_maps(table)
+    assert len(nodes) == table.n_states
+    for x, (k, mask, slots) in enumerate(nodes):
+        assert k == window_width(table, x)
+        assert mask == (1 << k) - 1 and len(slots) == 1 << k
+        for window, slot in enumerate(slots):
+            # the run is the reference parse of the window, stopped only
+            # where the bit-serial read must take over, or at RUN_CAP
+            assert slot == last_run(table, words, x, window, k)
 
 
 def test_runs_stop_before_long_words():
     _, table = stream_type2_table()
-    runs = table.decoding_runs()
+    nodes = table.decoding_tries()
+    words = codeword_maps(table)
     # windows of state 0 that start with a codeword longer than 12 bits
-    assert any(count == 0 for _, _, _, count in runs[0])
-    assert max(count for level in runs for *_, count in level) == RUN_CAP
-    assert table.decoding_runs() is runs                 # built once
-    (symbols, _, used, count), = set(zero_bit_cycle_table().decoding_runs()[0])
-    assert (symbols, used, count) == ((7,) * RUN_CAP, 0, RUN_CAP)
+    long_starts = [w for w in range(1 << LOOKUP_BITS) if next(
+        reference_run(table, words, 0, w, LOOKUP_BITS), None) is None]
+    assert long_starts
+    assert all(nodes[0][2][w] == ((), 0, 0) for w in long_starts)
+    assert max(len(run) for _, _, slots in nodes
+               for run, _, _ in slots) == RUN_CAP
+    assert table.decoding_tries() is nodes               # built once
+    (symbols, _, used), = set(zero_bit_cycle_table().decoding_tries()[0][2])
+    assert (symbols, used) == ((7,) * RUN_CAP, 0)
 
 
 def test_every_tail_split_on_the_skewed_type2_table():
@@ -404,11 +475,16 @@ def test_run_level_exists_within_the_slot_budget_only(extra):
     n = (RUN_SLOTS >> LOOKUP_BITS) + extra
     rng = random.Random(n)
     table = random_table(rng, n_states=n, n_symbols=3)
-    runs = table.decoding_runs()
+    nodes = table.decoding_tries()
+    widths = [k for k, _, _ in nodes]
     if extra:
-        assert runs is None
+        # per-state widths: at most two slots per codeword
+        assert widths == [window_width(table, x) for x in range(n)]
+        assert max(widths) < LOOKUP_BITS
+        assert sum(1 << k for k in widths) <= 2 * n * len(table.symbols)
     else:
-        assert len(runs) << LOOKUP_BITS == RUN_SLOTS
+        assert widths == [LOOKUP_BITS] * n
+        assert sum(len(slots) for _, _, slots in nodes) == RUN_SLOTS
     p = random_source(rng, symbols=list(table.symbols))
     for length in (0, RUN_CAP - 1, RUN_CAP, 200, 1000):
         assert_equivalent(rng, table, random_sequence(rng, p, length))
@@ -417,17 +493,20 @@ def test_run_level_exists_within_the_slot_budget_only(extra):
 @pytest.mark.parametrize("make", [zero_bit_cycle_table, demo_table])
 def test_run_level_build_is_bounded(make):
     table = make()
-    table.decoding_tries()
     tracemalloc.start()
     started = time.perf_counter()
     try:
-        table.decoding_runs()
+        nodes = table.decoding_tries()
         elapsed = time.perf_counter() - started
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert elapsed < 2.0                         # about 0.4 s under tracing
-    assert peak < 4 << 20                        # 1.8 MB for the demo table
+    assert elapsed < 2.0                         # about 0.5 s under tracing
+    assert peak < 4 << 20                        # 3.6 MB for the demo table
+    words = codeword_maps(table)
+    for x, (k, mask, slots) in enumerate(nodes):
+        for window in (0, mask // 3, mask):
+            assert slots[window] == last_run(table, words, x, window, k)
 
 
 def test_validation_reports_zero_bit_cycles():
