@@ -32,7 +32,7 @@ from .errors import (
     UnmatchedCodeword,
     VersionMismatch,
 )
-from .model import AedsTable, ErgodicityReport, zero_bit_cycle
+from .model import RUN_CAP, AedsTable, ErgodicityReport, zero_bit_cycle
 
 STREAM_MAGIC = b"AEDS"
 STREAM_VERSION = 1
@@ -376,13 +376,14 @@ def decode(table, stream):
     time.  Each lookup in ``table.decoding_tries()`` reads the next k bits
     of the current state's window (k = ``LOOKUP_BITS`` = 12 for tables of
     up to 8 states) and decodes every whole codeword they hold, up to
-    ``RUN_CAP`` = 16.  When that run is empty or longer than the symbols
-    left, one codeword is read bit by bit from ``table.codeword_trie``:
-    codewords longer than the window, damaged ones and the last few
-    symbols of a block.  Zero bytes past the end of the stream keep every
-    refill whole (a refill starts at most one byte past the end, or the
-    end check before it raises); a codeword that consumes them makes the
-    stream truncated.
+    ``RUN_CAP`` = 16, so left // 16 lookups never pass the block's end.
+    When a run is empty or, in a block's last 15 symbols, longer than the
+    symbols left, one codeword is read bit by bit from
+    ``table.codeword_trie``: codewords longer than the window, damaged
+    ones and some block tails.  Zero bytes past the end of the stream keep
+    every refill whole (a refill starts at most one byte past the end, or
+    the end check before it raises); a codeword that consumes them makes
+    the stream truncated.
     """
     if stream.n_states != table.n_states:
         raise MalformedStream(
@@ -399,24 +400,30 @@ def decode(table, stream):
     x = stream.initial_state
     out = []
     extend = out.extend
-    left = stream.length
-    while left:
-        k, mask, slots = nodes[x]
-        if nbits < k:
-            if 8 * pos - nbits > end:
-                raise TruncatedStream("bit stream exhausted")
-            acc = (((acc & ((1 << nbits) - 1)) << 64)
-                   | int.from_bytes(data[pos:pos + 8], "big"))
-            pos += 8
-            nbits += 64
-        run, y, used = slots[(acc >> (nbits - k)) & mask]
-        count = len(run)
-        if 0 < count <= left:
+    total = stream.length
+    while left := total - len(out):
+        before = x
+        # no run holds more than RUN_CAP symbols, so left // RUN_CAP runs
+        # all fit; the last few symbols of a block try one run at a time
+        for _ in range(left // RUN_CAP or 1):
+            k, mask, slots = nodes[x]
+            if nbits < k:
+                if 8 * pos - nbits > end:
+                    raise TruncatedStream("bit stream exhausted")
+                acc = (((acc & ((1 << nbits) - 1)) << 64)
+                       | int.from_bytes(data[pos:pos + 8], "big"))
+                pos += 8
+                nbits += 64
+            run, x, used = slots[(acc >> (nbits - k)) & mask]
+            if not run:  # an empty run keeps the state
+                break
             extend(run)
-            x = y
             nbits -= used
-            left -= count
-            continue
+        else:
+            if len(out) <= total:
+                continue
+            del out[-len(run):]  # a run past the block's end: take it back
+            x, nbits = before, nbits + used
         # one codeword bit by bit, after runs that may have read past the end
         if 8 * pos - nbits > end:
             raise TruncatedStream("bit stream exhausted")
@@ -439,7 +446,6 @@ def decode(table, stream):
             node = trie.get((node, bit))
         s, x = leaves[node]
         out.append(symbols[s])
-        left -= 1
     if 8 * pos - nbits > end:
         raise TruncatedStream("bit stream exhausted")
     reader = BitReader(stream.data, 8 * pos - nbits)

@@ -285,7 +285,7 @@ class AedsTable:
 
     __slots__ = ("symbols", "n_states", "nexts", "lengths", "values",
                  "state_names", "_index", "_lookup", "_tries", "_ergodicity",
-                 "_encoder", "_entries")
+                 "_encoder", "_entries", "_incoming")
 
     def __init__(self, symbols, nexts, lengths, values, state_names=None):
         symbols = tuple(symbols)
@@ -378,15 +378,18 @@ class AedsTable:
         """Per state, the (value, length, symbol index, origin) of every
         cell leading to it, by ascending length and then in x-major
         order."""
-        m = len(self.symbols)
         order, bounds = incoming(self.nexts, self.lengths)
-        states = list(range(self.n_states))  # one int object per state
-        cells = list(zip(self.values.ravel()[order].tolist(),
-                         self.lengths.ravel()[order].tolist(),
-                         (order % m).tolist(),
-                         map(states.__getitem__, (order // m).tolist())))
+        cells = self._cells(order, list(range(self.n_states)))  # shared ints
         bounds = bounds.tolist()
         return [cells[a:b] for a, b in zip(bounds, bounds[1:])]
+
+    def _cells(self, order, states):
+        """(value, length, symbol index, states[origin]) of flat cells."""
+        m = len(self.symbols)
+        return list(zip(self.values.ravel()[order].tolist(),
+                        self.lengths.ravel()[order].tolist(),
+                        (order % m).tolist(),
+                        map(states.__getitem__, (order // m).tolist())))
 
     def decoder_set(self, state):
         """The codeword set parsed at ``state`` during decoding."""
@@ -434,7 +437,9 @@ class AedsTable:
         zero = [g and not g[0][1] and (singles[g[0][2]], g[0][3])
                 for g in groups]
         wide = self.n_states << LOOKUP_BITS <= RUN_SLOTS
-        nodes = []
+        # every state's own codewords first, so that each set is known to
+        # be prefix-free before runs are parsed through it
+        tables = []
         for x, group in enumerate(groups):
             k = LOOKUP_BITS if wide else min(group[-1][1] if group else 0,
                                              LOOKUP_BITS,
@@ -442,9 +447,7 @@ class AedsTable:
             empty = ((), x, 0)
             slots = [empty] * (1 << k)
             cut = bisect.bisect_right(group, k, key=itemgetter(1))
-            # (state, bits used, their value, symbols so far) of the runs
-            # that may go on; a longer run overwrites its share of the
-            # windows its prefix filled
+            # runs that may go on: (state, bits used, their value, symbols)
             work = []
             for value, length, s, origin in group[:cut]:
                 base, span = value << (k - length), 1 << (k - length)
@@ -458,7 +461,18 @@ class AedsTable:
                     slots[base:base + span] = [slot] * span
                 if shortest[origin] <= k - length:
                     work.append((origin, length, value, slot[0]))
-            self._check_long(x, k, slots, group[cut:])
+            long = group[cut:]  # codewords longer than k bits
+            clash = prefix_clash(Codeword(v, n) for v, n, _, _ in long)
+            if clash is not None:
+                raise PrefixViolation(x, *(w.bits for w in clash))
+            for value, length, _, _ in long:
+                taken = slots[value >> (length - k)]
+                if taken[0]:  # a shorter word's run starts there
+                    self._collision(x, taken, value, length)
+            # no run of this state goes on: make its tuple while in cache
+            tables.append((k, slots if work else tuple(slots), work))
+        # a longer run overwrites its share of the windows its prefix filled
+        for x, (k, slots, work) in enumerate(tables):
             while work:
                 y, used, bits, run = work.pop()
                 room = k - used
@@ -480,46 +494,35 @@ class AedsTable:
                         slots[at] = slot
                     if len(more) < RUN_CAP and shortest[origin] <= rest:
                         work.append((origin, k - rest, at, more))
-            nodes.append((k, (1 << k) - 1, tuple(slots)))
-        return tuple(nodes)
-
-    def _check_long(self, state, k, slots, group):
-        """Raise PrefixViolation if a codeword of ``group``, all longer
-        than k bits, repeats or extends another, or extends a shorter word
-        that fills its first k bits' slot."""
-        clash = prefix_clash(Codeword(v, n) for v, n, _, _ in group)
-        if clash is not None:
-            raise PrefixViolation(state, *(w.bits for w in clash))
-        for value, length, _, _ in group:
-            taken = slots[value >> (length - k)]
-            if taken[0]:  # a shorter word's run starts there
-                self._collision(state, taken, value, length)
+            tables[x] = k, (1 << k) - 1, tuple(slots)  # frees the list
+        return tuple(tables)
 
     def _collision(self, state, slot, value, length):
         (symbol,), origin, _ = slot
         s = self._index[symbol]
-        first, second = sorted((
-            Codeword(int(self.values[origin, s]), int(self.lengths[origin, s])),
-            Codeword(value, length)))
-        raise PrefixViolation(state, first.bits, second.bits)
+        words = sorted((Codeword(value, length), Codeword(
+            int(self.values[origin, s]), int(self.lengths[origin, s]))))
+        raise PrefixViolation(state, *(w.bits for w in words))
 
     def codeword_trie(self, state):
         """The bit-serial parse of ``state``: a binary trie over its
         codewords as a map (node, bit) -> child, with node 0 the root, and
         the map from each node that ends a codeword to its (symbol index,
         origin).  Its size is linear in the total codeword length.  Built
-        on first use and kept."""
+        on first use and kept, as is the grouping of cells by state."""
         if state not in self._tries:
+            if self._incoming is None:
+                object.__setattr__(self, "_incoming",
+                                   incoming(self.nexts, self.lengths))
+            order, bounds = self._incoming
+            cells = order[bounds[state]:bounds[state + 1]]
             trie, leaves = {}, {}
-            origins, s = np.nonzero(self.nexts == state)
-            for value, length, cell in zip(
-                    self.values[origins, s].tolist(),
-                    self.lengths[origins, s].tolist(),
-                    zip(s.tolist(), origins.tolist())):
+            for value, length, s, origin in self._cells(
+                    cells, range(self.n_states)):
                 node = 0  # the slice drops the "0" that formats length 0
                 for bit in map(int, format(value, f"0{length}b")[:length]):
                     node = trie.setdefault((node, bit), len(trie) + 1)
-                leaves[node] = cell
+                leaves[node] = s, origin
             self._tries[state] = trie, leaves
         return self._tries[state]
 

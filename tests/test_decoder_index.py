@@ -12,6 +12,7 @@ import random
 import time
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from aeds import cli
@@ -310,6 +311,31 @@ def test_prefix_collisions_name_both_words(words):
     with pytest.raises(PrefixViolation) as err:
         table.decoding_tries()
     assert (err.value.first, err.value.second) == tuple(sorted(words, key=len))
+
+
+def test_prefix_checks_precede_runs_through_other_states():
+    # state 1 is entered by 511 copies of "0"; state 0 only by "1" from
+    # state 1, so a run from state 0 parses on through state 1's words,
+    # one run for each copy at every depth, unless state 1's duplicate
+    # words are rejected before any run is built
+    m = 256
+    nexts = np.ones((2, m), dtype=np.int64)
+    nexts[1, m - 1] = 0
+    lengths = np.ones((2, m), dtype=np.int64)
+    values = np.zeros((2, m), dtype=np.int64)
+    values[1, m - 1] = 1
+    table = AedsTable(range(m), nexts, lengths, values)
+    started = time.perf_counter()
+    with pytest.raises(PrefixViolation) as err:
+        table.decoding_tries()
+    assert time.perf_counter() - started < 1.0
+    # the same table read from bytes fails the same way on any stream
+    back = deserialize_table(serialize_table(table))
+    with pytest.raises(PrefixViolation):
+        decode(back, Bitstream.assemble(2, 0, 1, [1], [1]))
+    assert time.perf_counter() - started < 2.0
+    assert (err.value.state, err.value.first, err.value.second) == (
+        1, "0", "0")
 
 
 def test_truncation_found_without_decoding_the_declared_length():
