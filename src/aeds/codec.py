@@ -32,18 +32,20 @@ from .errors import (
     UnmatchedCodeword,
     VersionMismatch,
 )
-from .model import RUN_CAP, AedsTable, ErgodicityReport, zero_bit_cycle
+from .model import (INT_BITS, RUN_CAP, AedsTable, ErgodicityReport,
+                    value_dtype, zero_bit_cycle)
 
 STREAM_MAGIC = b"AEDS"
 STREAM_VERSION = 1
 TABLE_MAGIC = b"AEDT"
 TABLE_VERSION = 1
 
-# Codewords ``BitWriter.write_words`` packs at a time; bounds its temporaries.
-# At 64 KB per int64 array they stay below the 128 KB from which glibc's
-# malloc maps fresh pages for each array and faults them in every time: a
-# 2 MiB type2 compress took 29,000 minor faults with 2^16-word slices and
-# 2,100 with these.
+# Codewords ``BitWriter.write_words`` packs, and grid cells that
+# ``deserialize_table`` decodes, at a time.  At 64 KB per int64 array the
+# temporaries stay below the 128 KB from which glibc's malloc maps fresh
+# pages for each array and faults them in every time (a 2 MiB type2
+# compress took 29,000 minor faults with 2^16-word slices and 2,100 with
+# these), and freed ones do not stay resident under a table's arrays.
 PACK_SLICE = 1 << 13
 
 
@@ -521,14 +523,26 @@ def _table_body(table):
 def _grid_bytes(table):
     """The encoder grid, cell by cell in x-major order: the next state and
     the codeword length as LEB128, then the value in ceil(length / 8)
-    big-endian bytes."""
-    out = bytearray()
-    for nxt, length, value in zip(*(a.ravel().tolist() for a in (
-            table.nexts, table.lengths, table.values))):
-        out += _leb128(nxt)
-        out += _leb128(length)
-        out += value.to_bytes((length + 7) >> 3, "big")
-    return bytes(out)
+    big-endian bytes, one byte lane at a time as arrays (``int.to_bytes``
+    for values of more than ``INT_BITS`` bits)."""
+    lengths, values = table.lengths.ravel(), table.values.ravel()
+    vsize, long = (lengths + 7) >> 3, lengths > INT_BITS
+    leb = [(a, sum(a >> k > 0 for k in (7, 14, 21, 28)) + 1)
+           for a in (table.nexts.ravel(), lengths)]
+    at = np.cumsum(leb[0][1] + leb[1][1] + vsize)
+    out = np.zeros(int(at[-1]) if at.size else 0, np.uint8)
+    at -= leb[0][1] + leb[1][1] + vsize
+    for a, size in leb:
+        for j in range(int(size.max(initial=0))):
+            m = size > j
+            out[at[m] + j] = a[m] >> 7 * j & 0x7F | (size[m] > j + 1) << 7
+        at += size
+    for j in range(8):  # value bytes, the last one first
+        m = (vsize > j) & ~long
+        out[at[m] + vsize[m] - 1 - j] = values[m] >> 8 * j & 0xFF
+    for i in np.flatnonzero(long).tolist():
+        out[at[i]:at[i] + vsize[i]] = list(values[i].to_bytes(vsize[i], "big"))
+    return out.tobytes()
 
 
 def _leb128(value):
@@ -559,6 +573,9 @@ def table_digest(table):
 
 
 def deserialize_table(data):
+    """The table ``serialize_table`` wrote.  A grid with more cells than
+    the bytes left can hold (two or more each) fails before allocation;
+    one pass records where each cell starts, and numpy decodes the cells."""
     if len(data) < 32 + 6:
         raise MalformedTable("too short to hold a table")
     body = data[:-32]
@@ -571,46 +588,62 @@ def deserialize_table(data):
         version = r.read(8)
         if version != TABLE_VERSION:
             raise VersionMismatch(f"table version {version}")
-        n = r.read_leb128()
-        n_sym = r.read_leb128()
+        n, n_sym = r.read_leb128(), r.read_leb128()
         if n < 1 or n_sym < 1:
             raise MalformedTable("empty table")
         symbols = [_read_symbol(r) for _ in range(n_sym)]
-        pos, grid = r.position >> 3, ([], [], [])  # see _grid_bytes
-        for _ in range(n * n_sym):
-            nxt, pos = ((body[pos], pos + 1) if body[pos] < 0x80
-                        else _leb128_at(body, pos))
-            length, pos = ((body[pos], pos + 1) if body[pos] < 0x80
-                           else _leb128_at(body, pos))
-            stop = pos + ((length + 7) >> 3)
-            if stop > len(body):
-                raise TruncatedStream("table grid ends early")
-            grid[0].append(nxt)
-            grid[1].append(length)
-            grid[2].append(int.from_bytes(body[pos:stop], "big"))
-            pos = stop
-    except (TruncatedStream, IndexError):
+        if 2 * n * n_sym > len(body) - (r.position >> 3):
+            raise MalformedTable(f"no room for {n} x {n_sym} grid cells")
+        pos, starts = r.position >> 3, array("q", [0]) * (n * n_sym)
+        for i in range(len(starts)):  # skip to the next cell
+            starts[i] = pos
+            while body[pos] > 0x7F:
+                pos += 1
+            length = body[pos + 1]
+            if length < 0x80:
+                pos += 2 + ((length + 7) >> 3)
+            else:
+                r = BitReader(body, 8 * pos + 8)
+                length = r.read_leb128()
+                pos = (r.position >> 3) + ((length + 7) >> 3)
+    except (TruncatedStream, IndexError, OverflowError):
         raise MalformedTable("table bytes end early") from None
     except (MalformedStream, ValueError, UnicodeDecodeError) as exc:
         raise MalformedTable(str(exc)) from None
-    if pos < len(body):
-        raise MalformedTable("unexpected bytes after the encoder grid")
+    if pos != len(body):
+        raise MalformedTable("the encoder grid does not end with the bytes")
+    b, starts = np.frombuffer(body, np.uint8), np.frombuffer(starts, np.int64)
+    ends = np.append(starts[1:], len(body))  # where the next cell starts
+    nexts, lengths, values = (np.empty_like(starts) for _ in range(3))
+    for i in range(0, len(starts), PACK_SLICE):
+        part = slice(i, i + PACK_SLICE)
+        nexts[part], at = _leb128_column(b, starts[part])
+        lengths[part] = _leb128_column(b, at)[0]
+        # each value: the 8 bytes up to its end (byte 11 or later), cut
+        cut = np.maximum(64 - (lengths[part] + 7 & -8), 0).astype(np.uint64)
+        values[part] = (np.lib.stride_tricks.sliding_window_view(b, 8)[
+            ends[part] - 8].view(">u8").ravel() << cut >> cut)
+    values = values.astype(value_dtype(lengths), copy=False)
+    for i in np.flatnonzero(lengths > INT_BITS).tolist():
+        size = (lengths[i] + 7) >> 3
+        values[i] = int.from_bytes(body[ends[i] - size:ends[i]], "big")
     try:
-        return AedsTable(symbols, *(np.reshape(np.array(column, dtype=object),
-                                               (n, n_sym)) for column in grid))
+        return AedsTable(symbols, *(a.reshape(n, n_sym)
+                                    for a in (nexts, lengths, values)))
     except TableError as exc:
         raise MalformedTable(str(exc)) from None
 
 
-def _leb128_at(body, pos):
-    """The LEB128 integer at byte ``pos`` and the position after it."""
-    value = shift = 0
-    while True:
-        if shift > 63:
-            raise MalformedStream("LEB128 value too large")
-        byte = body[pos]
-        value |= (byte & 0x7F) << shift
-        if byte < 0x80:
-            return value, pos + 1
-        pos += 1
-        shift += 7
+def _leb128_column(b, at):
+    """The 63-bit LEB128 numbers at offsets ``at`` of ``b``, and their ends."""
+    value, going = np.zeros(len(at), np.int64), np.ones(len(at), bool)
+    for shift in range(0, 64, 7):
+        byte = np.take(b, at, mode="clip") * going
+        if shift == 63 and byte.any():
+            break  # a tenth byte may only be a zero that ends the number
+        value |= (byte & 0x7F).astype(np.int64) << shift
+        at = at + going
+        going &= byte > 0x7F
+        if not going.any():
+            return value, at
+    raise MalformedTable("LEB128 value too large")

@@ -7,6 +7,7 @@ threads.  Symbols are opaque hashable tokens; states are dense indices
 """
 
 import bisect
+import gc
 import math
 from dataclasses import dataclass
 from operator import itemgetter
@@ -426,7 +427,13 @@ class AedsTable:
         prefix-free.
         """
         if self._lookup is None:
-            object.__setattr__(self, "_lookup", self._build_index())
+            enabled = gc.isenabled()
+            gc.disable()  # the build frees none of the tuples it makes
+            try:
+                object.__setattr__(self, "_lookup", self._build_index())
+            finally:
+                if enabled:
+                    gc.enable()
         return self._lookup
 
     def _build_index(self):
