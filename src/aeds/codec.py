@@ -376,9 +376,11 @@ def decode(table, stream):
 
     Bits are peeked from a local accumulator that is refilled 8 bytes at a
     time.  Each lookup in ``table.decoding_tries()`` reads the next k bits
-    of the current state's window (k = ``LOOKUP_BITS`` = 12 for tables of
-    up to 8 states) and decodes every whole codeword they hold, up to
-    ``RUN_CAP`` = 16, so left // 16 lookups never pass the block's end.
+    w of the current state's window (k = ``LOOKUP_BITS`` = 12 for tables
+    of up to 8 states) and then two lists at w: the run of whole codewords
+    w holds, up to ``RUN_CAP`` = 16, and the pair of the state after it
+    and the bits it uses, so left // 16 lookups never pass the block's
+    end.
     When a run is empty or, in a block's last 15 symbols, longer than the
     symbols left, one codeword is read bit by bit from
     ``table.codeword_trie``: codewords longer than the window, damaged
@@ -408,7 +410,7 @@ def decode(table, stream):
         # no run holds more than RUN_CAP symbols, so left // RUN_CAP runs
         # all fit; the last few symbols of a block try one run at a time
         for _ in range(left // RUN_CAP or 1):
-            k, mask, slots = nodes[x]
+            k, mask, runs, moves = nodes[x]
             if nbits < k:
                 if 8 * pos - nbits > end:
                     raise TruncatedStream("bit stream exhausted")
@@ -416,9 +418,11 @@ def decode(table, stream):
                        | int.from_bytes(data[pos:pos + 8], "big"))
                 pos += 8
                 nbits += 64
-            run, x, used = slots[(acc >> (nbits - k)) & mask]
+            window = (acc >> (nbits - k)) & mask
+            run = runs[window]
             if not run:  # an empty run keeps the state
                 break
+            x, used = moves[window]
             extend(run)
             nbits -= used
         else:

@@ -6,11 +6,9 @@ threads.  Symbols are opaque hashable tokens; states are dense indices
 ``AedsTable``); ``Codeword`` objects appear only in its views.
 """
 
-import bisect
 import gc
 import math
 from dataclasses import dataclass
-from operator import itemgetter
 
 import numpy as np
 
@@ -219,6 +217,26 @@ def prefix_clash(words):
                  if word.is_prefix_of(longer)), None)
 
 
+def check_prefixes(x, k, words):
+    """Raise PrefixViolation unless the (value, length) words entering x,
+    by ascending length, are prefix-free, naming the first clash as the
+    index fills x's k-bit windows: each word of at most k bits after the
+    shorter ones, then the longer words among themselves, then each of
+    them."""
+    cut = sum(length <= k for _, length in words)
+    seen = set()
+    for i, (value, length) in enumerate(words):
+        if i == cut and len(words) > cut + 1:
+            clash = prefix_clash(Codeword(*w) for w in words[cut:])
+            if clash is not None:
+                raise PrefixViolation(x, *(w.bits for w in clash))
+        for depth in range(min(length, k) + 1):
+            if (head := (value >> (length - depth), depth)) in seen:
+                raise PrefixViolation(x, Codeword(*head).bits,
+                                      Codeword(value, length).bits)
+        seen.add((value, length))
+
+
 def _bfs_depths(starts, adj, n):
     """Breadth-first depth of every state from state 0 in the graph whose
     successors of u are ``adj[starts[u]:starts[u+1]]`` (-1: not reached)."""
@@ -375,22 +393,31 @@ class AedsTable:
                 for group in self._incoming_cells()))
         return self._entries
 
-    def _incoming_cells(self):
-        """Per state, the (value, length, symbol index, origin) of every
-        cell leading to it, by ascending length and then in x-major
-        order."""
-        order, bounds = incoming(self.nexts, self.lengths)
-        cells = self._cells(order, list(range(self.n_states)))  # shared ints
+    def _incoming_cells(self, state=None):
+        """The (value, length, symbol index, origin) of every cell leading
+        to ``state``, by ascending length and then in x-major order, or
+        for no state a list of them per state, sharing the origin ints."""
+        order, bounds = self._grouping()
+        m, states = len(self.symbols), range(self.n_states)
+        if state is None:
+            states = list(states)
+        else:
+            order = order[bounds[state]:bounds[state + 1]]
+        cells = list(zip(self.values.ravel()[order].tolist(),
+                         self.lengths.ravel()[order].tolist(),
+                         (order % m).tolist(),
+                         map(states.__getitem__, (order // m).tolist())))
+        if state is not None:
+            return cells
         bounds = bounds.tolist()
         return [cells[a:b] for a, b in zip(bounds, bounds[1:])]
 
-    def _cells(self, order, states):
-        """(value, length, symbol index, states[origin]) of flat cells."""
-        m = len(self.symbols)
-        return list(zip(self.values.ravel()[order].tolist(),
-                        self.lengths.ravel()[order].tolist(),
-                        (order % m).tolist(),
-                        map(states.__getitem__, (order // m).tolist())))
+    def _grouping(self):
+        """``incoming(nexts, lengths)``, computed once."""
+        if self._incoming is None:
+            object.__setattr__(self, "_incoming",
+                               incoming(self.nexts, self.lengths))
+        return self._incoming
 
     def decoder_set(self, state):
         """The codeword set parsed at ``state`` during decoding."""
@@ -410,14 +437,14 @@ class AedsTable:
     def decoding_tries(self):
         """Per-state window tables over the decoder codeword sets.
 
-        Returns one ``(k, mask, slots)`` per state, with ``mask = 2^k - 1``.
-        The decoder peeks the next k bits w and reads ``slots[w]``, which is
-        ``(symbols, state, used)``: the run of whole codewords that w starts
-        with, at most ``RUN_CAP``, decodes to the tuple ``symbols`` in
-        ``used`` bits and leaves the decoder in ``state``.  An empty run
-        (state unchanged, 0 bits) means that no codeword of at most k bits
-        starts w; the decoder then reads one codeword bit by bit with
-        ``codeword_trie``.
+        Returns one ``(k, mask, runs, moves)`` per state: ``mask = 2^k - 1``
+        and two lists of 2^k entries.  The run of whole codewords that a
+        k-bit window w starts with, at most ``RUN_CAP``, decodes to the
+        tuple ``runs[w]``, and ``moves[w] = (state, used)``: the decoder
+        goes to ``state`` after ``used`` bits.  An empty run (the move
+        (x, 0) of state x) means that no codeword of at most k bits starts
+        w; the decoder then reads one codeword bit by bit with
+        ``codeword_trie``.  One-symbol runs and moves are shared tuples.
 
         k is ``LOOKUP_BITS`` for tables of at most ``RUN_SLOTS >>
         LOOKUP_BITS`` states.  Larger tables take the smallest of the
@@ -425,10 +452,16 @@ class AedsTable:
         two slots per codeword, so the index is linear in the number of
         cells.  Raises PrefixViolation if some state's codewords are not
         prefix-free.
+
+        numpy places every codeword of at most k bits in the windows it
+        starts and flags the states whose codewords may clash, which are
+        checked word by word; then runs grow one codeword a round for all
+        windows at once.  On a shared 2-CPU host the large-n index of 512
+        states over 256 bytes builds in 0.02 s, that of 4096 in 0.2-0.3 s.
         """
         if self._lookup is None:
             enabled = gc.isenabled()
-            gc.disable()  # the build frees none of the tuples it makes
+            gc.disable()  # it would only rescan the tuples the index keeps
             try:
                 object.__setattr__(self, "_lookup", self._build_index())
             finally:
@@ -437,79 +470,104 @@ class AedsTable:
         return self._lookup
 
     def _build_index(self):
-        groups = self._incoming_cells()
-        singles = [(s,) for s in self.symbols]
-        shortest = [g[0][1] if g else LOOKUP_BITS + 1 for g in groups]
-        # the symbol and origin of each state's empty codeword, if any
-        zero = [g and not g[0][1] and (singles[g[0][2]], g[0][3])
-                for g in groups]
-        wide = self.n_states << LOOKUP_BITS <= RUN_SLOTS
-        # every state's own codewords first, so that each set is known to
-        # be prefix-free before runs are parsed through it
-        tables = []
-        for x, group in enumerate(groups):
-            k = LOOKUP_BITS if wide else min(group[-1][1] if group else 0,
-                                             LOOKUP_BITS,
-                                             len(group).bit_length())
-            empty = ((), x, 0)
-            slots = [empty] * (1 << k)
-            cut = bisect.bisect_right(group, k, key=itemgetter(1))
-            # runs that may go on: (state, bits used, their value, symbols)
-            work = []
-            for value, length, s, origin in group[:cut]:
-                base, span = value << (k - length), 1 << (k - length)
-                slot = (singles[s], origin, length)
-                if span == 1 and slots[base] is empty:  # the common case
-                    slots[base] = slot
-                else:
-                    for taken in slots[base:base + span]:
-                        if taken is not empty:
-                            self._collision(x, taken, value, length)
-                    slots[base:base + span] = [slot] * span
-                if shortest[origin] <= k - length:
-                    work.append((origin, length, value, slot[0]))
-            long = group[cut:]  # codewords longer than k bits
-            clash = prefix_clash(Codeword(v, n) for v, n, _, _ in long)
-            if clash is not None:
-                raise PrefixViolation(x, *(w.bits for w in clash))
-            for value, length, _, _ in long:
-                taken = slots[value >> (length - k)]
-                if taken[0]:  # a shorter word's run starts there
-                    self._collision(x, taken, value, length)
-            # no run of this state goes on: make its tuple while in cache
-            tables.append((k, slots if work else tuple(slots), work))
-        # a longer run overwrites its share of the windows its prefix filled
-        for x, (k, slots, work) in enumerate(tables):
-            while work:
-                y, used, bits, run = work.pop()
-                room = k - used
-                for value, length, s, origin in groups[y]:
-                    if length > room:
-                        break
-                    rest = room - length
-                    more, at = run + singles[s], (bits << length) | value
-                    # a state's empty codeword is its only one, so its run
-                    # would overwrite every window of this one: follow it
-                    while zero[origin] and len(more) < RUN_CAP:
-                        single, origin = zero[origin]
-                        more += single
-                    slot = (more, origin, k - rest)
-                    if rest:
-                        span = 1 << rest
-                        slots[at * span:(at + 1) * span] = [slot] * span
-                    else:
-                        slots[at] = slot
-                    if len(more) < RUN_CAP and shortest[origin] <= rest:
-                        work.append((origin, k - rest, at, more))
-            tables[x] = k, (1 << k) - 1, tuple(slots)  # frees the list
-        return tuple(tables)
+        n, m = self.nexts.shape
+        nexts, lengths = self.nexts.ravel(), self.lengths.ravel()
+        longest = np.zeros(n, dtype=lengths.dtype)  # one dtype: fast .at
+        np.maximum.at(longest, nexts, lengths)
+        shortest = np.full(n, LOOKUP_BITS + 1, dtype=lengths.dtype)
+        np.minimum.at(shortest, nexts, lengths)
+        if n << LOOKUP_BITS <= RUN_SLOTS:
+            k = np.full(n, LOOKUP_BITS)
+        else:  # frexp gives the bit length of the count of cells
+            k = np.minimum(np.minimum(longest, LOOKUP_BITS),
+                           np.frexp(np.bincount(nexts, minlength=n))[1])
+        size = 1 << k
+        ends = np.cumsum(size)
+        room = k[nexts] - lengths  # the window bits a codeword leaves
+        cells = np.flatnonzero(room >= 0)
+        span, into = 1 << room[cells], nexts[cells]
+        # a state whose codewords of at most k bits span more windows than
+        # it has (left unfilled), or one window twice, or that has longer
+        # codewords, is checked word by word
+        over = np.bincount(into, weights=span, minlength=n) > size
+        fill = ~over[into]
+        cells, span, into = cells[fill], span[fill], into[fill]
+        value = self.values.ravel()[cells].astype(np.int64)
+        start = ends[into] - size[into] + (value << room[cells])
+        slot = (np.repeat(start - np.cumsum(span) + span, span)
+                + np.arange(span.sum()))
+        twice = np.bincount(slot, minlength=ends[-1]) > 1
+        flagged = over | (np.bincount(nexts[room < 0], minlength=n) > 0)
+        flagged[np.searchsorted(ends, np.flatnonzero(twice), "right")] = True
+        if flagged.any():
+            order, bounds = self._grouping()
+            words = list(zip(self.values.ravel()[order].tolist(),
+                             self.lengths.ravel()[order].tolist()))
+            for x in np.flatnonzero(flagged).tolist():
+                check_prefixes(x, int(k[x]), words[bounds[x]:bounds[x + 1]])
+        # every window: its first codeword, else the empty run (symbol m)
+        # and the move (x, 0) that keeps state x; a move (y, used) is
+        # numbered y * width + used
+        symbol = np.full(ends[-1], m)
+        symbol[slot] = np.repeat(cells % m, span)
+        width = int(k.max()) + 1
+        move = np.repeat(np.arange(n) * width, size)
+        move[slot] = np.repeat(cells // m * width + lengths[cells], span)
+        singles = np.fromiter([(s,) for s in self.symbols] + [()], object,
+                              m + 1)
+        runs = singles[symbol]
+        go = shortest[cells // m] <= room[cells]
+        if go.any():
+            self._extend_runs(runs, move, width, singles, k[into[go]],
+                              start[go], room[cells[go]], cells[go],
+                              shortest)
+        moves = np.fromiter([(x, u) for x in range(n) for u in range(width)],
+                            object, n * width)[move]
+        bounds = [0] + ends.tolist()
+        return tuple((kx, (1 << kx) - 1, runs[a:b].tolist(),
+                      moves[a:b].tolist())
+                     for kx, a, b in zip(k.tolist(), bounds, bounds[1:]))
 
-    def _collision(self, state, slot, value, length):
-        (symbol,), origin, _ = slot
-        s = self._index[symbol]
-        words = sorted((Codeword(value, length), Codeword(
-            int(self.values[origin, s]), int(self.lengths[origin, s]))))
-        raise PrefixViolation(state, *(w.bits for w in words))
+    def _extend_runs(self, runs, move, width, singles, k, start, rest,
+                     cells, shortest):
+        """Parse on, one codeword a round for all runs at once, after the
+        first codewords ``cells`` that start at ``start`` in the windows
+        ``runs`` and ``move`` of k-bit states and leave ``rest`` bits: each
+        run goes on with every codeword of its last state that fits, over
+        the windows that codeword starts, so the longest run of a window
+        is written last.  The runs of one round cover disjoint windows, as
+        every state's codewords were checked before."""
+        n, m = self.nexts.shape
+        order, bounds = self._grouping()
+        lengths, values = self.lengths.ravel(), self.values.ravel()
+        # fits[x, r]: the codewords of x of at most r bits, which lead
+        # its length-sorted group
+        fits = np.bincount(self.nexts.ravel() * (LOOKUP_BITS + 2)
+                           + np.minimum(lengths, LOOKUP_BITS + 1),
+                           minlength=n * (LOOKUP_BITS + 2))
+        fits = fits.reshape(n, LOOKUP_BITS + 2).cumsum(axis=1)
+        state, run = cells // m, singles[cells % m]
+        for _ in range(RUN_CAP - 1):
+            count = fits[state, rest]
+            parent = np.repeat(np.arange(len(count)), count)
+            cell = order[np.repeat(bounds[state] - np.cumsum(count) + count,
+                                   count) + np.arange(count.sum())]
+            rest = rest[parent] - lengths[cell]
+            start = start[parent] + (values[cell].astype(np.int64) << rest)
+            state, k = cell // m, k[parent]
+            run = np.fromiter(map(tuple.__add__, run[parent].tolist(),
+                                  singles[cell % m].tolist()), object,
+                              len(cell))
+            span = 1 << rest
+            at = (np.repeat(start - np.cumsum(span) + span, span)
+                  + np.arange(span.sum()))
+            runs[at] = np.repeat(run, span)
+            move[at] = np.repeat(state * width + k - rest, span)
+            go = shortest[state] <= rest
+            if not go.any():
+                break
+            state, run, k, start, rest = (
+                a[go] for a in (state, run, k, start, rest))
 
     def codeword_trie(self, state):
         """The bit-serial parse of ``state``: a binary trie over its
@@ -518,14 +576,8 @@ class AedsTable:
         origin).  Its size is linear in the total codeword length.  Built
         on first use and kept, as is the grouping of cells by state."""
         if state not in self._tries:
-            if self._incoming is None:
-                object.__setattr__(self, "_incoming",
-                                   incoming(self.nexts, self.lengths))
-            order, bounds = self._incoming
-            cells = order[bounds[state]:bounds[state + 1]]
             trie, leaves = {}, {}
-            for value, length, s, origin in self._cells(
-                    cells, range(self.n_states)):
+            for value, length, s, origin in self._incoming_cells(state):
                 node = 0  # the slice drops the "0" that formats length 0
                 for bit in map(int, format(value, f"0{length}b")[:length]):
                     node = trie.setdefault((node, bit), len(trie) + 1)

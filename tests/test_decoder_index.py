@@ -176,9 +176,9 @@ def test_two_level_lookups_on_the_skewed_type2_table():
     words = codeword_maps(table)
     # every window is 12 bits wide; those that start with a longer
     # codeword hold an empty run, so the decoder reads that one bit-serially
-    assert {k for k, _, _ in nodes} == {LOOKUP_BITS}
-    empty = [(x, w) for x, (_, _, slots) in enumerate(nodes)
-             for w, (run, _, _) in enumerate(slots) if not run]
+    assert {k for k, *_ in nodes} == {LOOKUP_BITS}
+    empty = [(x, w) for x, entry in enumerate(nodes)
+             for w, (run, _, _) in enumerate(window_slots(entry)) if not run]
     assert empty and all(
         next(reference_run(table, words, x, w, LOOKUP_BITS), None) is None
         for x, w in empty)
@@ -200,7 +200,7 @@ def test_zero_bit_states():
         # symbol earlier, as the reference parses it
         s, y = words[x][0, 0]
         for w, ((run, z, used), (tail, *_)) in enumerate(
-                zip(nodes[x][2], nodes[y][2])):
+                zip(window_slots(nodes[x]), window_slots(nodes[y]))):
             assert run == ((table.symbols[s],) + tail)[:RUN_CAP]
             assert (run, z, used) == last_run(table, words, x, w,
                                               LOOKUP_BITS)
@@ -235,7 +235,7 @@ def test_errors_raised_inside_a_subtable():
     table = long_word_table()
     nodes = table.decoding_tries()
     # the windows of the long words' first bits read them bit-serially
-    k, _, slots = nodes[0]
+    k, slots = nodes[0][0], window_slots(nodes[0])
     assert k < 22 and slots[-1] == ((), 0, 0)
     cases = {
         # no codeword starts with these 11 bits
@@ -293,7 +293,7 @@ def test_very_long_codeword_index_is_bounded():
         tracemalloc.stop()
     assert elapsed < 5.0
     assert peak < 8 << 20
-    assert sum(len(slots) for _, _, slots in nodes) <= 2 * (1 + 4096)
+    assert sum(len(window_slots(entry)) for entry in nodes) <= 2 * (1 + 4096)
     validate_aeds(table)
     seq = list("abbab")
     assert decode(table, encode(table, seq)) == seq
@@ -372,6 +372,13 @@ def zero_bit_cycle_pair():
     return AedsTable.from_rows("ab", rows)
 
 
+def window_slots(entry):
+    """The (run, state, bits used) of every window of one state's entry
+    ``(k, mask, runs, moves)`` of ``decoding_tries()``."""
+    _, _, runs, moves = entry
+    return [(run, *move) for run, move in zip(runs, moves, strict=True)]
+
+
 def codeword_maps(table):
     """Per state, the map (value, length) -> (symbol index, origin)."""
     return [{(w.value, w.length): (s, origin) for w, s, origin in entries}
@@ -441,7 +448,8 @@ def test_every_run_is_a_prefix_of_the_reference_parse(make):
     nodes = table.decoding_tries()
     words = codeword_maps(table)
     assert len(nodes) == table.n_states
-    for x, (k, mask, slots) in enumerate(nodes):
+    for x, entry in enumerate(nodes):
+        k, mask, slots = entry[0], entry[1], window_slots(entry)
         assert k == window_width(table, x)
         assert mask == (1 << k) - 1 and len(slots) == 1 << k
         for window, slot in enumerate(slots):
@@ -458,11 +466,13 @@ def test_runs_stop_before_long_words():
     long_starts = [w for w in range(1 << LOOKUP_BITS) if next(
         reference_run(table, words, 0, w, LOOKUP_BITS), None) is None]
     assert long_starts
-    assert all(nodes[0][2][w] == ((), 0, 0) for w in long_starts)
-    assert max(len(run) for _, _, slots in nodes
-               for run, _, _ in slots) == RUN_CAP
+    slots = window_slots(nodes[0])
+    assert all(slots[w] == ((), 0, 0) for w in long_starts)
+    assert max(len(run) for entry in nodes
+               for run, _, _ in window_slots(entry)) == RUN_CAP
     assert table.decoding_tries() is nodes               # built once
-    (symbols, _, used), = set(zero_bit_cycle_table().decoding_tries()[0][2])
+    (symbols, _, used), = set(
+        window_slots(zero_bit_cycle_table().decoding_tries()[0]))
     assert (symbols, used) == ((7,) * RUN_CAP, 0)
 
 
@@ -472,7 +482,7 @@ def test_every_tail_split_on_the_skewed_type2_table():
     for length in range(RUN_CAP + 9):
         for _ in range(3):
             assert_equivalent(rng, table, random_sequence(rng, p, length))
-        # rare symbols: long codewords that the run level leaves to the walk
+        # rare symbols: long codewords, read bit by bit after an empty run
         assert_equivalent(rng, table, rng.choices(p.symbols[8:], k=length))
 
 
@@ -502,7 +512,7 @@ def test_run_level_exists_within_the_slot_budget_only(extra):
     rng = random.Random(n)
     table = random_table(rng, n_states=n, n_symbols=3)
     nodes = table.decoding_tries()
-    widths = [k for k, _, _ in nodes]
+    widths = [k for k, *_ in nodes]
     if extra:
         # per-state widths: at most two slots per codeword
         assert widths == [window_width(table, x) for x in range(n)]
@@ -510,7 +520,7 @@ def test_run_level_exists_within_the_slot_budget_only(extra):
         assert sum(1 << k for k in widths) <= 2 * n * len(table.symbols)
     else:
         assert widths == [LOOKUP_BITS] * n
-        assert sum(len(slots) for _, _, slots in nodes) == RUN_SLOTS
+        assert sum(len(window_slots(entry)) for entry in nodes) == RUN_SLOTS
     p = random_source(rng, symbols=list(table.symbols))
     for length in (0, RUN_CAP - 1, RUN_CAP, 200, 1000):
         assert_equivalent(rng, table, random_sequence(rng, p, length))
@@ -530,7 +540,8 @@ def test_run_level_build_is_bounded(make):
     assert elapsed < 2.0                         # about 0.5 s under tracing
     assert peak < 4 << 20                        # 3.6 MB for the demo table
     words = codeword_maps(table)
-    for x, (k, mask, slots) in enumerate(nodes):
+    for x, entry in enumerate(nodes):
+        k, mask, slots = entry[0], entry[1], window_slots(entry)
         for window in (0, mask // 3, mask):
             assert slots[window] == last_run(table, words, x, window, k)
 
