@@ -358,8 +358,7 @@ def _figure_rows(figure):
                      for n in range(2, 17)]
             two = analysis.binary_redundancy(r, "type2")
             rows.append([r, analysis.binary_redundancy(r)]
-                        + [analysis.binary_redundancy(r, "type1", n)
-                           for n in ns]
+                        + [per_n[n - 2] for n in ns]
                         + [two, min(min(per_n), two)])
         return header, rows
     if figure == "table1":

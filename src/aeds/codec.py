@@ -176,6 +176,14 @@ class BitReader:
         self._pos += 8 * n
         return bytes(self._data[start:start + n])
 
+    def check_padding(self):
+        """Raise TrailingGarbage unless what is left is a stream's padding:
+        fewer than 8 bits, all of them zero."""
+        if self.bits_left >= 8:
+            raise TrailingGarbage(f"{self.bits_left} bits after the payload")
+        if self.bits_left and self.read(self.bits_left):
+            raise TrailingGarbage("nonzero padding bits")
+
     def read_leb128(self):
         value, shift = 0, 0
         while True:
@@ -306,10 +314,6 @@ class Bitstream:
 # ---------------------------------------------------------------------------
 # encode / decode
 
-POLICY_FIRST_STATE = "index0"
-POLICY_MINIMIZE = "minimize-length"
-
-
 def _backward_pass(into, m, indices, start):
     """Run the backward recursion over ``into``, the x-major list of next
     states times m = |A|; return (final_state, the cells x|A| + s visited,
@@ -342,33 +346,20 @@ def symbol_indices(table, sequence):
         raise UnknownSymbol(t, s) from None
 
 
-def encode(table, sequence, initial_state_policy=POLICY_FIRST_STATE):
-    """Compress ``sequence`` with ``table``; symbols are eaten back to front.
-
-    ``initial_state_policy`` selects the state the backward pass starts
-    from: "index0" pins state 0 for reproducibility, "minimize-length"
-    tries every state and keeps the shortest stream (smallest index wins
-    ties), and an integer pins that state.
+def encode(table, sequence, initial_state=0):
+    """Compress ``sequence`` with ``table``; symbols are eaten back to front
+    by the backward pass, which starts from state ``initial_state``.  The
+    stream records the state where that pass ends, so any start decodes.
     """
+    if not 0 <= initial_state < table.n_states:
+        raise TableError(f"initial state {initial_state} out of range")
     indices = symbol_indices(table, sequence)
     m = len(table.symbols)
-    into = (table.nexts.ravel() * m).tolist()
-    lengths = table.lengths.ravel()
-    if isinstance(initial_state_policy, int):
-        start = initial_state_policy
-        if not 0 <= start < table.n_states:
-            raise TableError(f"initial state {start} out of range")
-    elif initial_state_policy == POLICY_FIRST_STATE:
-        start = 0
-    elif initial_state_policy == POLICY_MINIMIZE:
-        start = min(range(table.n_states), key=lambda cand: lengths[
-            _backward_pass(into, m, indices, cand)[1]].sum())
-    else:
-        raise ValueError(f"unknown policy {initial_state_policy!r}")
-
-    x0, cells = _backward_pass(into, m, indices, start)
+    x0, cells = _backward_pass((table.nexts.ravel() * m).tolist(), m, indices,
+                               initial_state)
     return Bitstream.assemble(table.n_states, x0, len(indices),
-                              table.values.ravel(), lengths, cells)
+                              table.values.ravel(), table.lengths.ravel(),
+                              cells)
 
 
 def decode(table, stream):
@@ -454,11 +445,7 @@ def decode(table, stream):
         out.append(symbols[s])
     if 8 * pos - nbits > end:
         raise TruncatedStream("bit stream exhausted")
-    reader = BitReader(stream.data, 8 * pos - nbits)
-    if reader.bits_left >= 8:
-        raise TrailingGarbage(f"{reader.bits_left} bits after the payload")
-    if reader.bits_left and reader.read(reader.bits_left):
-        raise TrailingGarbage("nonzero padding bits")
+    BitReader(stream.data, 8 * pos - nbits).check_padding()
     return out
 
 

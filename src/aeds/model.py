@@ -217,17 +217,17 @@ def prefix_clash(words):
                  if word.is_prefix_of(longer)), None)
 
 
-def check_prefixes(x, k, words):
-    """Raise PrefixViolation unless the (value, length) words entering x,
-    by ascending length, are prefix-free, naming the first clash as the
-    index fills x's k-bit windows: each word of at most k bits after the
-    shorter ones, then the longer words among themselves, then each of
-    them."""
-    cut = sum(length <= k for _, length in words)
+def check_prefixes(x, k, cells):
+    """Raise PrefixViolation unless the codewords of the cells entering x,
+    the (value, length, symbol index, origin) of ``AedsTable._cells``, are
+    prefix-free, naming the first clash as the index fills x's k-bit
+    windows: each word of at most k bits after the shorter ones, then the
+    longer words among themselves, then each of them."""
+    cut = sum(length <= k for _, length, _, _ in cells)
     seen = set()
-    for i, (value, length) in enumerate(words):
-        if i == cut and len(words) > cut + 1:
-            clash = prefix_clash(Codeword(*w) for w in words[cut:])
+    for i, (value, length, _, _) in enumerate(cells):
+        if i == cut and len(cells) > cut + 1:
+            clash = prefix_clash(Codeword(v, n) for v, n, _, _ in cells[cut:])
             if clash is not None:
                 raise PrefixViolation(x, *(w.bits for w in clash))
         for depth in range(min(length, k) + 1):
@@ -385,32 +385,22 @@ class AedsTable:
     @property
     def decoder_entries(self):
         """``decoder_entries[x]``: the (codeword, symbol index, origin
-        state) triples of the cells leading to x, by ascending codeword
-        length and then in x-major order."""
+        state) triples of the cells leading to x, in the order of
+        ``_cells(x)``."""
         if self._entries is None:
             object.__setattr__(self, "_entries", tuple(
-                tuple((Codeword(v, n), s, x) for v, n, s, x in group)
-                for group in self._incoming_cells()))
+                tuple((Codeword(v, n), s, x) for v, n, s, x in self._cells(y))
+                for y in range(self.n_states)))
         return self._entries
 
-    def _incoming_cells(self, state=None):
+    def _cells(self, x):
         """The (value, length, symbol index, origin) of every cell leading
-        to ``state``, by ascending length and then in x-major order, or
-        for no state a list of them per state, sharing the origin ints."""
+        to state x, by ascending length and then in x-major order."""
         order, bounds = self._grouping()
-        m, states = len(self.symbols), range(self.n_states)
-        if state is None:
-            states = list(states)
-        else:
-            order = order[bounds[state]:bounds[state + 1]]
-        cells = list(zip(self.values.ravel()[order].tolist(),
-                         self.lengths.ravel()[order].tolist(),
-                         (order % m).tolist(),
-                         map(states.__getitem__, (order // m).tolist())))
-        if state is not None:
-            return cells
-        bounds = bounds.tolist()
-        return [cells[a:b] for a, b in zip(bounds, bounds[1:])]
+        order, m = order[bounds[x]:bounds[x + 1]], len(self.symbols)
+        return list(zip(self.values.ravel()[order].tolist(),
+                        self.lengths.ravel()[order].tolist(),
+                        (order % m).tolist(), (order // m).tolist()))
 
     def _grouping(self):
         """``incoming(nexts, lengths)``, computed once."""
@@ -420,8 +410,9 @@ class AedsTable:
         return self._incoming
 
     def decoder_set(self, state):
-        """The codeword set parsed at ``state`` during decoding."""
-        return frozenset(w for w, _, _ in self.decoder_entries[state])
+        """The codeword set parsed at ``state`` during decoding, read from
+        that state's cells alone."""
+        return frozenset(Codeword(v, n) for v, n, _, _ in self._cells(state))
 
     def state_name(self, x):
         return self.state_names[x] if self.state_names else f"state{x}"
@@ -499,12 +490,8 @@ class AedsTable:
         twice = np.bincount(slot, minlength=ends[-1]) > 1
         flagged = over | (np.bincount(nexts[room < 0], minlength=n) > 0)
         flagged[np.searchsorted(ends, np.flatnonzero(twice), "right")] = True
-        if flagged.any():
-            order, bounds = self._grouping()
-            words = list(zip(self.values.ravel()[order].tolist(),
-                             self.lengths.ravel()[order].tolist()))
-            for x in np.flatnonzero(flagged).tolist():
-                check_prefixes(x, int(k[x]), words[bounds[x]:bounds[x + 1]])
+        for x in np.flatnonzero(flagged).tolist():
+            check_prefixes(x, int(k[x]), self._cells(x))
         # every window: its first codeword, else the empty run (symbol m)
         # and the move (x, 0) that keeps state x; a move (y, used) is
         # numbered y * width + used
@@ -574,10 +561,11 @@ class AedsTable:
         codewords as a map (node, bit) -> child, with node 0 the root, and
         the map from each node that ends a codeword to its (symbol index,
         origin).  Its size is linear in the total codeword length.  Built
-        on first use and kept, as is the grouping of cells by state."""
+        on first use from ``_cells(state)`` and kept, as is the grouping of
+        cells by state."""
         if state not in self._tries:
             trie, leaves = {}, {}
-            for value, length, s, origin in self._incoming_cells(state):
+            for value, length, s, origin in self._cells(state):
                 node = 0  # the slice drops the "0" that formats length 0
                 for bit in map(int, format(value, f"0{length}b")[:length]):
                     node = trie.setdefault((node, bit), len(trie) + 1)

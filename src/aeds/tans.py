@@ -9,7 +9,7 @@ State counts must be powers of two here; the table constructors in
 import numpy as np
 
 from .codec import Bitstream, symbol_indices
-from .errors import NotPowerOfTwo, TableError, TooFewStates, TrailingGarbage
+from .errors import NotPowerOfTwo, TableError, TooFewStates
 from .model import AedsTable, Codeword
 
 SPREAD_SORTED = "sorted-interval"
@@ -173,10 +173,7 @@ def tans_decode(table, stream):
             k += 1
         x = (y << k) | reader.read(k)
         out.append(table.symbols[s])
-    if reader.bits_left >= 8:
-        raise TrailingGarbage(f"{reader.bits_left} bits after the payload")
-    if reader.bits_left and reader.read(reader.bits_left):
-        raise TrailingGarbage("nonzero padding bits")
+    reader.check_padding()
     return out
 
 

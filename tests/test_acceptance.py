@@ -427,7 +427,7 @@ def test_criterion_11_tans_equivalence():
             seq = random_sequence(rng, p, rng.randint(0, 30))
             start = rng.randrange(n)
             a = tans_encode(native, seq, initial_state=n + start)
-            b = encode(converted, seq, initial_state_policy=start)
+            b = encode(converted, seq, initial_state=start)
             assert a.data == b.data
 
     for _ in range(20):

@@ -214,6 +214,30 @@ def test_container_rejects_trailing_bytes_and_unknown_flags():
                 read_container(bytes(bad))
 
 
+@pytest.mark.parametrize("data,damage,error,message", [
+    # a bare stream's magic where the container's belongs
+    (b"abracadabra", lambda b: b"AEDS" + b[4:], MalformedStream,
+     "not a container"),
+    (b"abracadabra", lambda b: b[:9], MalformedStream, "not a container"),
+    (b"abracadabra", lambda b: b[:4] + bytes([b[4] + 1]) + b[5:],
+     MalformedStream, "container version"),
+    (b"", lambda b: b[:9] + b"\x01", HashMismatch,
+     "empty container with nonzero checksum"),
+    # the blocks decode, and then the checksum in bytes 6..9 disagrees
+    (b"abracadabra", lambda b: b[:9] + bytes([b[9] ^ 1]) + b[10:],
+     HashMismatch, "decompressed data fails its checksum"),
+])
+def test_damaged_containers(tmp_path, data, damage, error, message):
+    blob = container(data)
+    assert read_container(blob) == data
+    with pytest.raises(error, match=message):
+        read_container(damage(blob))
+    bad = tmp_path / "bad.aedc"
+    bad.write_bytes(damage(blob))
+    assert main(["decompress", "--input", str(bad),
+                 "--output", str(tmp_path / "out")]) == 3
+
+
 def test_usage_errors_exit_two(tmp_path):
     with pytest.raises(SystemExit) as err:
         main(["figures", "--figure", "no-such-figure",

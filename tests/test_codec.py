@@ -18,8 +18,10 @@ from aeds.codec import (
 from aeds.constructors import build_type1, build_type2
 from aeds.errors import (
     HashMismatch,
+    MalformedStream,
     MalformedTable,
     PrefixViolation,
+    TableError,
     TrailingGarbage,
     TruncatedStream,
     UnknownSymbol,
@@ -184,11 +186,7 @@ def test_initial_state_policies():
     p = random_source(rng, symbols=list(SIX.symbols))
     table = build_type1(build_huffman(SIX), SIX, 4)
     seq = random_sequence(rng, SIX, 50)
-    default = encode(table, seq)
-    shortest = encode(table, seq, initial_state_policy="minimize-length")
-    assert len(shortest.data) <= len(default.data)
-    assert decode(table, shortest) == seq
-    pinned = encode(table, seq, initial_state_policy=2)
+    pinned = encode(table, seq, initial_state=2)
     assert decode(table, pinned) == seq
 
 
@@ -238,6 +236,32 @@ def test_truncated_and_garbage_streams():
         decode(t, Bitstream(stream.data[:-4]))
     with pytest.raises(TrailingGarbage):
         decode(t, Bitstream(stream.data + b"\xff"))
+
+
+def _set(data, at, value):
+    return data[:at] + bytes([value]) + data[at + 1:]
+
+
+@pytest.mark.parametrize("damage,error,message", [
+    (lambda d: b"AEDX" + d[4:], MalformedStream, "bad stream magic"),
+    (lambda d: _set(d, 4, 2), VersionMismatch, "stream version 2"),
+    (lambda d: _set(d, 5, 0), MalformedStream, "state count must be positive"),
+    # the 3-bit initial state of the 5-state table leads byte 6
+    (lambda d: _set(d, 6, d[6] | 0xE0), MalformedStream,
+     "initial state out of range"),
+    (lambda d: d[:6], MalformedStream, "stream ends inside the header"),
+])
+def test_damaged_stream_headers(damage, error, message):
+    data = encode(demo_table(), list("cbba")).data
+    assert Bitstream(data).n_states == 5
+    with pytest.raises(error, match=message):
+        Bitstream(damage(data))
+
+
+@pytest.mark.parametrize("start", [-1, 5, 6])
+def test_encode_rejects_a_start_state_out_of_range(start):
+    with pytest.raises(TableError, match=f"initial state {start} out of"):
+        encode(demo_table(), list("cbba"), initial_state=start)
 
 
 def test_unmatched_codeword():
@@ -372,22 +396,6 @@ def test_very_long_codewords_roundtrip():
     assert decode(table, stream) == seq
     back = deserialize_table(serialize_table(table))
     assert back.encoder == table.encoder
-
-
-def test_minimize_length_picks_lowest_index_shortest_start():
-    rng = random.Random(31)
-    ties = 0
-    for _ in range(60):
-        table = random_table(rng)
-        seq = [rng.choice(table.symbols) for _ in range(rng.randint(0, 4))]
-        totals = [sum(trace_lengths(table, seq, x))
-                  for x in range(table.n_states)]
-        want = totals.index(min(totals))
-        ties += totals.count(min(totals)) > 1
-        got = encode(table, seq, initial_state_policy="minimize-length")
-        assert got == encode(table, seq, initial_state_policy=want)
-        assert got.exact_payload_bits == min(totals)
-    assert ties > 10
 
 
 def test_table_blob_errors():

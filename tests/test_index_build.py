@@ -252,6 +252,23 @@ def test_clashes_among_long_words_are_named_first():
         lambda: oracle_index(table)) == (0, "1" * 14, "1" * 15)
 
 
+def test_a_run_goes_on_through_a_word_longer_than_the_next_window():
+    # state 0 (k = 3) is entered by "0" from state 1, whose only word "11"
+    # (from state 0) is longer than its 1-bit window; every other cell
+    # goes to state 8 with its own 6-bit word
+    w = Codeword.from_bits
+    rows = [[(w(format(4 * x + s, "06b")), 8) for s in range(4)]
+            for x in range(9)]
+    for x, word, to in ((0, "11", 1), (1, "0", 0), (2, "10", 0),
+                        (3, "110", 0), (4, "111", 0)):
+        rows[x][0] = w(word), to
+    table = AedsTable.from_rows(range(4), rows)
+    got = windows(table)
+    assert [k for k, _, _ in got[:2]] == [3, 1]
+    assert got == built(lambda: oracle_index(table))
+    assert got[0][2][3] == ((0, 0), 0, 3)  # "011": "0" then "11"
+
+
 def test_overfull_state_fails_before_its_windows_are_filled():
     # 1,000 empty words entering one state would span 1,000 times its
     # 4,096 windows

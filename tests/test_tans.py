@@ -3,8 +3,8 @@ import random
 
 import pytest
 
-from aeds.codec import encode, validate_aeds
-from aeds.errors import NotPowerOfTwo, TableError, TooFewStates
+from aeds.codec import Bitstream, decode, encode, validate_aeds
+from aeds.errors import NotPowerOfTwo, TableError, TooFewStates, TrailingGarbage
 from aeds.model import validate_distribution
 from aeds.tans import (
     TansTable,
@@ -174,8 +174,25 @@ def test_conversion_streams_match():
             seq = random_sequence(rng, p, rng.randint(0, 100))
             start = rng.randrange(n)
             native = tans_encode(t, seq, initial_state=n + start)
-            generic = encode(conv, seq, initial_state_policy=start)
+            generic = encode(conv, seq, initial_state=start)
             assert native.data == generic.data
+
+
+@pytest.mark.parametrize("damage,message", [
+    (lambda data: data + bytes(1), "bits after the payload"),
+    (lambda data: data[:-1] + bytes([data[-1] | 1]), "nonzero padding bits"),
+])
+def test_both_decoders_reject_the_same_padding(damage, message):
+    p = validate_distribution([("a", 5), ("b", 2), ("c", 1)])
+    t = build_tans(p, 16)
+    seq = list("abacabaaab")
+    stream = tans_encode(t, seq)
+    assert (stream.payload_start + stream.exact_payload_bits) % 8  # padded
+    bad = Bitstream(damage(stream.data))
+    for decoder, table in ((tans_decode, t), (decode, tans_to_aeds(t))):
+        assert decoder(table, stream) == seq
+        with pytest.raises(TrailingGarbage, match=message):
+            decoder(table, bad)
 
 
 def test_dyadic_rate_meets_entropy():
