@@ -8,11 +8,12 @@ Stream layout (bit granularity, MSB first inside bytes):
     codewords in decode order | zero padding to a byte boundary
 
 Encoding maps the whole sequence to symbol indices in one call, then runs
-the backward recursion, the only per-symbol loop, which records the table
-cell each symbol visits in a buffer of one or four bytes per symbol.
-``BitWriter.write_words`` packs those cells' codewords in forward order
-with array operations, ``PACK_SLICE`` words at a time, so memory is that
-buffer plus the payload.
+the backward recursion, which records the table cell each symbol visits in
+a buffer of one or four bytes per symbol: chunks of the block run in step
+from a guessed state, and the few cells where a guess was wrong are
+re-run one at a time.  ``BitWriter.write_words`` packs those cells'
+codewords in forward order with array operations, ``PACK_SLICE`` words at
+a time, so memory is that buffer, one work copy of it, plus the payload.
 """
 
 import hashlib
@@ -47,6 +48,17 @@ TABLE_VERSION = 1
 # compress took 29,000 minor faults with 2^16-word slices and 2,100 with
 # these), and freed ones do not stay resident under a table's arrays.
 PACK_SLICE = 1 << 13
+
+# Symbols in a chunk of the speculative backward pass, and the chunks in a
+# row that may re-run whole before the rest of a block runs serially: on 16
+# states whose maps are rotations, which never meet, a 2^20-symbol pass
+# then takes 1.1 to 1.2 times the serial loop.  The lockstep costs about
+# 2.5 ms whatever the block length (two numpy calls per symbol position of
+# a chunk, on a shared 2-CPU host); it overtook the serial loop at 28 to 40
+# chunks there, so shorter blocks run serially.
+CHUNK = 1 << 10
+RERUN_LIMIT = 3
+LOCKSTEP_CHUNKS = 32
 
 
 # ---------------------------------------------------------------------------
@@ -314,33 +326,87 @@ class Bitstream:
 # ---------------------------------------------------------------------------
 # encode / decode
 
-def _backward_pass(into, m, indices, start):
-    """Run the backward recursion over ``into``, the x-major list of next
-    states times m = |A|; return (final_state, the cells x|A| + s visited,
-    in forward order).  The cells fill a preallocated buffer back to
-    front, one byte each when the table has at most 256 cells, else four,
-    and come back as a numpy view of it."""
-    n = len(indices)
-    cells = bytearray(n) if len(into) <= 256 else array("I", [0]) * n
+def _backward_pass(nexts, indices, start):
+    """Run the backward recursion x <- nexts[x, s] over ``indices`` from
+    state ``start``; return (final state, the cells x|A| + s visited, in
+    forward order) as a numpy view of one byte a cell up to 256 table
+    cells, else four.  Whole ``CHUNK``s run speculatively (Mytkowicz et
+    al., "Data-Parallel Finite-State Machines", ASPLOS 2014): all of them
+    in step from ``start`` (``_lockstep``), then right to left a chunk
+    entered in another state re-runs until its cell equals the speculated
+    one.  The serial loop runs the rest: blocks of fewer than
+    ``LOCKSTEP_CHUNKS`` chunks, the symbols before the first whole chunk,
+    and all that is left once ``RERUN_LIMIT`` chunks in a row re-ran
+    whole.  On a one-state table every guess is right, so nothing
+    re-runs."""
+    m = nexts.shape[1]
+    small = nexts.size <= 256
+    into = (nexts.ravel() * m).astype(np.uint8 if small else np.uint32)
+    step = into.tolist() if small else memoryview(into)
+    hi = len(indices)
+    cells = bytearray(hi) if small else array("I", [0]) * hi
     at = start * m
-    for s in reversed(indices):
-        n -= 1
+    head = hi % CHUNK  # the symbols before the first whole chunk
+    if hi >= LOCKSTEP_CHUNKS * CHUNK:
+        ends = _lockstep(into, indices, cells, head, at)
+        guess, misses, hi = at, 0, head
+        for lo in range(len(indices) - CHUNK, head - 1, -CHUNK):
+            if at != guess:
+                for i in range(lo + CHUNK - 1, lo - 1, -1):
+                    cell = at + indices[i]
+                    if cell == cells[i]:
+                        break
+                    cells[i] = cell
+                    at = step[cell]
+                else:  # re-run to the chunk's start without meeting
+                    misses += 1
+                    if misses < RERUN_LIMIT:
+                        continue
+                    hi = lo
+                    break
+            at, misses = ends[(lo - head) // CHUNK], 0
+    for s in memoryview(indices)[:hi][::-1]:
+        hi -= 1
         cell = at + s
-        cells[n] = cell
-        at = into[cell]
+        cells[hi] = cell
+        at = step[cell]
     return at // m, np.asarray(cells)
+
+
+def _lockstep(into, indices, cells, head, at):
+    """Fill the whole chunks of ``cells`` after the first ``head`` as if
+    each chunk were entered at cell base ``at``, all in step, one numpy
+    gather per symbol position; return the cell base each chunk leaves
+    with, as a list.  The work array, one cell wide per symbol, holds
+    symbol position j of every chunk in row j."""
+    chunks = (len(indices) - head) // CHUNK
+    work = np.asarray(memoryview(indices))[head:].reshape(chunks, CHUNK).T
+    work = work.astype(into.dtype, order="C")
+    at = np.full(chunks, at, into.dtype)
+    for row in work[::-1]:
+        np.add(at, row, out=row)
+        np.take(into, row, out=at)
+    np.frombuffer(cells, into.dtype)[head:].reshape(chunks, CHUNK)[:] = work.T
+    return at.tolist()
 
 
 def symbol_indices(table, sequence):
     """The alphabet index of each symbol of ``sequence``, as bytes when
-    every index fits in one (an eighth of a list's memory); raises
-    UnknownSymbol at the first symbol the table does not know."""
+    every index fits in one, else as a 4-byte array; raises UnknownSymbol
+    at the first symbol the table does not know.  Bytes over an alphabet
+    of byte values map in one ``bytes.translate``."""
     if iter(sequence) is sequence:  # an iterator: keep it for the search
         sequence = list(sequence)
     index = table._index
+    if isinstance(sequence, (bytes, bytearray)) and all(
+            isinstance(s, int) and 0 <= s < 256 for s in index):
+        if not sequence.translate(None, bytes(index)):  # no unknown byte
+            lut = bytes(index.get(b, 0) for b in range(256))
+            return bytes(sequence.translate(lut))
     try:
-        return (bytes if len(index) <= 256 else list)(
-            map(index.__getitem__, sequence))
+        if len(index) <= 256:
+            return bytes(map(index.__getitem__, sequence))
+        return array("I", map(index.__getitem__, sequence))
     except KeyError:
         t, s = next((t, s) for t, s in enumerate(sequence) if s not in index)
         raise UnknownSymbol(t, s) from None
@@ -354,9 +420,7 @@ def encode(table, sequence, initial_state=0):
     if not 0 <= initial_state < table.n_states:
         raise TableError(f"initial state {initial_state} out of range")
     indices = symbol_indices(table, sequence)
-    m = len(table.symbols)
-    x0, cells = _backward_pass((table.nexts.ravel() * m).tolist(), m, indices,
-                               initial_state)
+    x0, cells = _backward_pass(table.nexts, indices, initial_state)
     return Bitstream.assemble(table.n_states, x0, len(indices),
                               table.values.ravel(), table.lengths.ravel(),
                               cells)
@@ -452,9 +516,8 @@ def decode(table, stream):
 def trace_lengths(table, sequence, initial_state=0):
     """Per-symbol codeword lengths of an encode from a pinned start state,
     independent of the bit writer (used by tests and rate accounting)."""
-    m = len(table.symbols)
-    cells = _backward_pass((table.nexts.ravel() * m).tolist(), m,
-                           symbol_indices(table, sequence), initial_state)[1]
+    cells = _backward_pass(table.nexts, symbol_indices(table, sequence),
+                           initial_state)[1]
     return table.lengths.ravel()[cells].tolist()
 
 
