@@ -20,6 +20,7 @@ LG_E = math.log2(math.e)
 DIRECT_SOLVE_LIMIT = 1024
 POWER_ITER_LIMIT = 10 ** 6
 POWER_ITER_RESIDUAL = 1e-12
+BICGSTAB_RESIDUAL = 1e-15
 
 
 # ---------------------------------------------------------------------------
@@ -48,10 +49,17 @@ def _step(nexts, w, q):
                        minlength=len(q))
 
 
+def _normalized(q):
+    q = np.maximum(q, 0.0)
+    q /= q.sum()
+    return q
+
+
 def _solve_direct(nexts, w):
     n, m = nexts.shape
-    a = np.zeros((n, n))
-    np.add.at(a, (nexts.ravel(), np.repeat(np.arange(n), m)), w)
+    # entry (to, from) of P^T sits at flat index to * n + from
+    a = np.bincount(nexts.ravel() * n + np.repeat(np.arange(n), m),
+                    weights=w, minlength=n * n).reshape(n, n)
     np.subtract(np.eye(n), a, out=a)  # I - P without a second matrix
     a[-1, :] = 1.0
     b = np.zeros(n)
@@ -62,9 +70,7 @@ def _solve_direct(nexts, w):
         warnings.warn(f"balance system is ill-conditioned "
                       f"(solve residual {np.max(np.abs(check)):.2e})",
                       RuntimeWarning, stacklevel=4)
-    q = np.maximum(q, 0.0)
-    q /= q.sum()
-    return q
+    return _normalized(q)
 
 
 def _solve_power(nexts, w):
@@ -80,19 +86,82 @@ def _solve_power(nexts, w):
     raise NoConvergence(residual, POWER_ITER_LIMIT)
 
 
+def _broken(x):
+    return not (x and math.isfinite(x))
+
+
+def _bicgstab_cycle(apply, q, r, limit):
+    """Bi-CGSTAB (van der Vorst, 1992) from ``q`` with residual ``r``, both
+    updated in place, shadowing the residual it starts from.  Returns the
+    number of iterations run when the residual falls to BICGSTAB_RESIDUAL,
+    a scalar breaks down (zero or not finite) or ``limit`` is reached."""
+    rh, d, v = r.copy(), np.zeros(len(r)), np.zeros(len(r))
+    rho = alpha = omega = 1.0
+    for i in range(limit):
+        rho, last = float(rh @ r), rho
+        if _broken(rho):
+            return i
+        d = r + rho / last * alpha / omega * (d - omega * v)
+        v = apply(d)
+        rv = float(rh @ v)
+        if _broken(rv):
+            return i
+        alpha = rho / rv
+        q += alpha * d
+        r -= alpha * v
+        if np.max(np.abs(r)) <= BICGSTAB_RESIDUAL:
+            return i + 1
+        t = apply(r)
+        tt = float(t @ t)
+        omega = 0.0 if _broken(tt) else float(t @ r) / tt
+        if _broken(omega):
+            return i + 1
+        q += omega * r
+        r -= omega * t
+        if np.max(np.abs(r)) <= BICGSTAB_RESIDUAL:
+            return i + 1
+    return limit
+
+
+def _solve_bicgstab(nexts, w):
+    """Solve the bordered balance system that ``_solve_direct`` factors,
+    I - P^T with its last row replaced by the normalization, by Krylov
+    iterations that apply it one ``_step`` at a time, from uniform Q.  A
+    breakdown restarts the iteration from where it stands; a restart that
+    makes no progress, or 2N + 64 iterations in all, raise NoConvergence."""
+    n = len(nexts)
+
+    def apply(v):
+        out = v - _step(nexts, w, v)
+        out[-1] = v.sum()
+        return out
+
+    q = np.full(n, 1.0 / n)
+    r = -apply(q)
+    r[-1] += 1.0
+    limit, done, ran = 2 * n + 64, 0, None
+    while not (residual := float(np.max(np.abs(r)))) <= BICGSTAB_RESIDUAL:
+        if ran == 0 or done == limit:
+            raise NoConvergence(residual, done)
+        ran = _bicgstab_cycle(apply, q, r, limit - done)
+        done += ran
+    return _normalized(q)
+
+
 def _solve_chain(nexts, p, method):
     """Solve Q = QP for the ergodic chain of a next-state array.  Returns
     Q, the method used and the residual of one more step."""
     if method == "auto":
         method = ("direct-solve" if len(nexts) <= DIRECT_SOLVE_LIMIT
-                  else "power-iteration")
-    w = np.tile(np.array(p.probs), len(nexts))
-    if method == "direct-solve":
-        q = _solve_direct(nexts, w)
-    elif method == "power-iteration":
-        q = _solve_power(nexts, w)
-    else:
+                  else "bicgstab")
+    solve = {"direct-solve": _solve_direct, "power-iteration": _solve_power,
+             "bicgstab": _solve_bicgstab}.get(method)
+    if solve is None:
         raise ValueError(f"unknown method {method!r}")
+    # bincount takes intp indices: convert the int32 table once, not per step
+    nexts = np.asarray(nexts, dtype=np.intp)
+    w = np.tile(np.array(p.probs), len(nexts))
+    q = solve(nexts, w)
     return q, method, float(np.max(np.abs(_step(nexts, w, q) - q)))
 
 
@@ -119,10 +188,13 @@ def _decoder_view(table, probs, q):
 def stationary_distribution(table, p, method="auto"):
     """Solve Q = QP for the encoding chain driven by i.i.d. symbols.
 
-    Small chains go through a dense partial-pivot solve with one balance
-    equation replaced by normalization; larger ones use power iteration.
-    The two average-length representations (grouped by encoder state and by
-    decoder state) are both evaluated.
+    Both solvers of ``method="auto"`` take the balance equations with one
+    replaced by normalization: chains of up to DIRECT_SOLVE_LIMIT states
+    go through a dense partial-pivot solve ("direct-solve"), larger ones
+    through Bi-CGSTAB, a Krylov solver that needs only one pass over the
+    table per product ("bicgstab").  "power-iteration" stays available on
+    request.  The two average-length representations (grouped by encoder
+    state and by decoder state) are both evaluated.
     """
     if tuple(p.symbols) != table.symbols:
         raise AlphabetMismatch("distribution and table alphabets differ")

@@ -17,7 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import _solve_chain, q_star, stationary_distribution
+from .analysis import (DIRECT_SOLVE_LIMIT, _solve_chain, q_star,
+                       stationary_distribution)
 from .errors import (
     DegenerateSingleSymbol,
     InvalidWeight,
@@ -147,7 +148,13 @@ def _assemble(p, n_states, positions, forward, rank=False):
     nexts[cells] = np.repeat([x for x, _, _ in sets], sizes)
     nexts = nexts.reshape(n_states, m)
     if rank and ergodicity(nexts).ergodic:
-        q = _solve_chain(nexts, p, "auto")[0]
+        # Solver rounding breaks ties between near-equal members, so the
+        # ranking solver is part of the table's bits: the dense solve up
+        # to DIRECT_SOLVE_LIMIT and power iteration above, whatever
+        # "auto" takes.
+        method = ("direct-solve" if n_states <= DIRECT_SOLVE_LIMIT
+                  else "power-iteration")
+        q = _solve_chain(nexts, p, method)[0]
         set_ids = np.repeat(np.arange(len(sets)), sizes)
         cells = cells[np.lexsort((members, -q[members], set_ids))]
     values, lengths = np.empty((2, n_states * m), dtype=np.int64)

@@ -1,12 +1,16 @@
 import math
 import random
+import time
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 import aeds.model
 from aeds.analysis import (
     LG_E,
     SIGMA,
+    _solve_chain,
     check_bound,
     closed_form_stationary,
     delta_type1,
@@ -32,9 +36,10 @@ from aeds.constructors import (
     build_type1,
     build_type2,
 )
-from aeds.errors import KindMismatch, NotErgodic
+from aeds.errors import KindMismatch, NoConvergence, NotErgodic
 from aeds.model import AedsTable, Codeword, validate_distribution
 from aeds.prefix_codes import build_huffman, phased_in_redundancy, tree_metrics
+from aeds.tans import build_tans, tans_to_aeds
 
 from conftest import random_source, random_table
 
@@ -322,6 +327,73 @@ def test_power_iteration_agrees_with_direct():
                for a, b in zip(direct.probs, power.probs)) < 1e-9
     assert direct.method == "direct-solve"
     assert power.method == "power-iteration"
+
+
+SWEEP = validate_distribution([("a", 3), ("b", 3), ("c", 2)])
+
+
+def test_auto_agrees_with_direct_above_the_dense_limit():
+    # the N = 2048 table of the largeN-sweep figure, whose slowly mixing
+    # chain (|lambda_2| about 0.998) left power iteration 1e-11 off
+    n = 2048
+    table, _ = build_large_n(SWEEP, [3 * n // 8, 3 * n // 8, n // 4])
+    auto = stationary_distribution(table, SWEEP)
+    direct = stationary_distribution(table, SWEEP, method="direct-solve")
+    assert auto.method == "bicgstab"
+    assert auto.residual <= 1e-14
+    assert max(abs(a - b) for a, b in zip(auto.probs, direct.probs)) <= 1e-13
+    h = aeds.model.entropy(SWEEP)
+    assert abs((auto.mean_bits - h) * n - (direct.mean_bits - h) * n) <= 1e-9
+
+
+def test_bicgstab_agrees_with_direct_on_random_tables():
+    # rh . r is exactly zero in the second iteration on this chain, a
+    # breakdown that a restart from the current residual gets past
+    nexts = np.array([[2, 1], [2, 2], [0, 0]])
+    p = validate_distribution([("a", 3), ("b", 1)])
+    krylov = _solve_chain(nexts, p, "bicgstab")[0]
+    assert max(abs(krylov - _solve_chain(nexts, p, "direct-solve")[0])) \
+        <= 1e-15
+    rng = random.Random(17)
+    for _ in range(40):
+        table = random_table(rng, n_states=rng.randint(1, 64))
+        p = random_source(rng, symbols=table.symbols)
+        krylov = stationary_distribution(table, p, method="bicgstab")
+        direct = stationary_distribution(table, p, method="direct-solve")
+        assert krylov.method == "bicgstab"
+        assert max(abs(a - b)
+                   for a, b in zip(krylov.probs, direct.probs)) <= 1e-12
+        assert abs(krylov.mean_bits - direct.mean_bits) <= 1e-12
+
+
+def test_bicgstab_returns_an_exact_start_at_once():
+    # two equiprobable symbols: Q is uniform, the start vector, and the
+    # first residual is zero, which must not reach a division
+    p = validate_distribution([("a", 1), ("b", 1)])
+    table = tans_to_aeds(build_tans(p, 2048))
+    start = time.perf_counter()
+    rep = stationary_distribution(table, p)
+    assert time.perf_counter() - start < 1.0
+    assert rep.method == "bicgstab"
+    assert rep.probs == (1 / 2048,) * 2048
+
+
+def test_bicgstab_breakdowns_raise_no_convergence(monkeypatch):
+    two = validate_distribution([("a", 0.5), ("b", 0.5)])
+    # two closed classes make the bordered system singular: rh . v = 0
+    with pytest.raises(NoConvergence):
+        _solve_chain(np.array([[0, 0], [1, 1], [1, 1]]), two, "bicgstab")
+    # non-finite weights: rho is NaN
+    nan = SimpleNamespace(probs=(math.nan, 0.5))
+    with pytest.raises(NoConvergence):
+        _solve_chain(np.array([[1, 0], [0, 1]]), nan, "bicgstab")
+    # an unreachable stop rule ends at the iteration cap of 2N + 64 (or
+    # at a breakdown once the residual underflows), never in a spin
+    monkeypatch.setattr(aeds.analysis, "BICGSTAB_RESIDUAL", -1.0)
+    table, _ = build_large_n(SWEEP, [12, 12, 8])
+    with pytest.raises(NoConvergence) as caught:
+        stationary_distribution(table, SWEEP, method="bicgstab")
+    assert caught.value.iterations <= 2 * 32 + 64
 
 
 def test_length_identity_grid_type2():

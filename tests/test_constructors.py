@@ -283,6 +283,32 @@ def test_builder_tables_pinned_at_512_states():
         ZIPF_512_PROBS
 
 
+# table_digest of case1 and case2 at N = 2048 on the byte histogram of a
+# seeded 64 KiB Zipf corpus.  Their ranking solve takes power iteration
+# above DIRECT_SOLVE_LIMIT, and solver rounding decides ties between
+# near-equal members: ranking with Bi-CGSTAB changes both digests.
+ZIPF_CORPUS_2048 = {
+    "case1": "6096571fad6edd4cd8297c8db495cfa8"
+             "9d79de2fdadb0d8ce0d3a1d77d892679",
+    "case2": "d1b8992f0d359b69f4f1ff46400622ff"
+             "eb498bf1b9122d11bb2c10dfe43f9b24",
+}
+
+
+def test_ranked_builders_pinned_above_the_dense_limit():
+    data = random.Random(1).choices(
+        range(256), [1 / (b + 1) ** 1.2 for b in range(256)], k=1 << 16)
+    counts = np.bincount(data, minlength=256)
+    p = validate_distribution([(b, int(c)) for b, c in enumerate(counts)
+                               if c])
+    tables = {
+        "case1": build_saeds_case1(p, cli._pow2_counts(p, 2048)),
+        "case2": build_saeds_case2(p, quantize_counts(p, 2048)),
+    }
+    assert {k: table_digest(t) for k, t in tables.items()} == \
+        ZIPF_CORPUS_2048
+
+
 def test_large_n_table_at_4096_states_is_small():
     counts = quantize_counts(ZIPF, 4096)
     gc.collect()

@@ -25,7 +25,7 @@ STDOUT_DIGESTS = {
     "04_state_divided_bounds":
         "235fa34f65c36de21cb4ed88e2192b8b2f03198e23265cc71b137eba69f8bb3f",
     "05_rate_convergence":
-        "a4afae7212a8364e7ebcb76bb55ccd5ebafcc42c94995d4b94a481e0f8beb21e",
+        "0734ae79f5556422a3e6cc22dc8e2ac2e38651ad317bd744510fb73f5225d84d",
     "06_uniform_sources":
         "9293fed7e3913944610b59dfb70aa6bbd42733c0c855eade158442df1d670f44",
     "07_file_compression":
