@@ -21,6 +21,9 @@ DIRECT_SOLVE_LIMIT = 1024
 POWER_ITER_LIMIT = 10 ** 6
 POWER_ITER_RESIDUAL = 1e-12
 BICGSTAB_RESIDUAL = 1e-15
+MC_BATCHES = 100       # Monte Carlo lanes, one batch of the standard error
+MC_WARMUP = 1000       # steps each lane runs before its bits count
+GAMMA_SWEEP = (3, 4, 8, 16)
 
 
 # ---------------------------------------------------------------------------
@@ -289,16 +292,10 @@ def omega_type1():
     return (math.sqrt(5.0) - 1.0) / 2.0
 
 
-def omega_type2(tol=1e-12):
-    """Root of w^3 - w^2 + 2w - 1 located by bisection on [0.5, 0.7]."""
-    lo, hi = 0.5, 0.7
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if mid ** 3 - mid * mid + 2.0 * mid - 1.0 < 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+def omega_type2():
+    """Five-state threshold: the real root of w^3 - w^2 + 2w - 1 (Cardano)."""
+    u = ((11.0 + math.sqrt(621.0)) / 54.0) ** (1.0 / 3.0)
+    return 1.0 / 3.0 + u - 5.0 / (9.0 * u)  # the cube roots multiply to -5/9
 
 
 def binary_entropy(u):
@@ -545,9 +542,9 @@ def _dominated(q, n_states, gamma):
                for qi, si in zip(q, q_star_shifted(n_states, gamma)))
 
 
-def smallest_dominating_gamma(q, n_states, candidates=(3, 4, 8, 16)):
-    """The smallest swept shift whose slack target dominates the solved Q."""
-    return next((g for g in candidates if _dominated(q, n_states, g)), None)
+def smallest_dominating_gamma(q, n_states):
+    """First shift in GAMMA_SWEEP whose slack target dominates Q, or None."""
+    return next((g for g in GAMMA_SWEEP if _dominated(q, n_states, g)), None)
 
 
 # ---------------------------------------------------------------------------
@@ -562,29 +559,30 @@ class RateEstimate:
     batches: int
 
 
-def monte_carlo_rate(table, p, n, seed, batches=100, warmup=1000):
+def monte_carlo_rate(table, p, n, seed):
     """Empirical bits/symbol over ``n`` i.i.d. symbols, deterministic per seed.
 
-    The encoder state chain is simulated directly in ``batches`` independent
-    lanes; each lane is one batch for the batch-means standard error.  A
-    short warmup run is discarded so the lanes forget their common start.
+    The encoder state chain is simulated directly in MC_BATCHES independent
+    lanes; each lane is one batch for the batch-means standard error.  The
+    first MC_WARMUP steps are discarded so the lanes forget their common start.
     """
     _require_ergodic(table, "monte carlo")
-    steps = max(n // batches, 1)
+    steps = max(n // MC_BATCHES, 1)
     rng = np.random.default_rng(seed)
     n_sym = len(p.symbols)
     nexts, lengths = table.nexts, table.lengths
     probs = np.array(p.probs)
     probs = probs / probs.sum()
-    states = np.zeros(batches, dtype=np.int64)
-    draws = rng.choice(n_sym, size=(warmup + steps, batches), p=probs)
-    for t in range(warmup):
+    states = np.zeros(MC_BATCHES, dtype=np.int64)
+    draws = rng.choice(n_sym, size=(MC_WARMUP + steps, MC_BATCHES), p=probs)
+    for t in range(MC_WARMUP):
         states = nexts[states, draws[t]]
-    totals = np.zeros(batches, dtype=np.int64)
-    for t in range(warmup, warmup + steps):
+    totals = np.zeros(MC_BATCHES, dtype=np.int64)
+    for t in range(MC_WARMUP, MC_WARMUP + steps):
         sym = draws[t]
         totals += lengths[states, sym]
         states = nexts[states, sym]
     rates = totals / steps
-    stderr = float(rates.std(ddof=1) / math.sqrt(batches))
-    return RateEstimate(float(rates.mean()), stderr, steps * batches, batches)
+    stderr = float(rates.std(ddof=1) / math.sqrt(MC_BATCHES))
+    return RateEstimate(float(rates.mean()), stderr, steps * MC_BATCHES,
+                        MC_BATCHES)

@@ -26,7 +26,8 @@ import numpy as np
 
 from . import analysis, codec, constructors, model, prefix_codes, tans
 from .codec import BitReader, Bitstream
-from .errors import AedsError, HashMismatch, MalformedStream, TrailingGarbage
+from .errors import (AedsError, HashMismatch, MalformedStream, TooFewStates,
+                     TrailingGarbage)
 
 CONTAINER_MAGIC = b"AEDC"
 CONTAINER_VERSION = 1
@@ -37,7 +38,6 @@ BLOCK_SYMBOLS = 1 << 20
 REDUCTION_TOLERANCE = 1e-9
 
 EXIT_OK = 0
-EXIT_USAGE = 2
 EXIT_DATA = 3
 EXIT_INTERNAL = 4
 
@@ -47,13 +47,6 @@ CODECS = ("huffman", "type1", "type2", "saeds-case1", "saeds-case2",
 FIGURES = ("delta-type1", "delta-type2", "worst-case", "uniform-n2",
            "uniform-nsweep", "uniform-type2", "binary", "table1",
            "largeN-sweep")
-
-
-def _one_state_table(p, tree):
-    """Plain prefix coding expressed as a single-state machine."""
-    words = tree.codewords()
-    return model.AedsTable.from_rows(p.symbols,
-                                     [[(words[s], 0) for s in p.symbols]])
 
 
 def _pow2_counts(p, n_states):
@@ -92,15 +85,17 @@ def build_table(p, codec_name, n_states):
     """
     tree = prefix_codes.build_huffman(p)
     if codec_name == "huffman":
-        return _one_state_table(p, tree)
+        return constructors.build_prefix_table(tree, p)
     if codec_name in ("type1", "type2"):
         mets = prefix_codes.tree_metrics(tree, p)
         if codec_name == "type1":
+            if n_states < 2:
+                raise TooFewStates("the chain layout needs at least two states")
             drop = analysis.delta_type1(mets.right_weight, n_states)
         else:
             drop = analysis.delta_type2(mets.right_weight)
         if drop <= REDUCTION_TOLERANCE:
-            return _one_state_table(p, tree)
+            return constructors.build_prefix_table(tree, p)
         if codec_name == "type1":
             return constructors.build_type1(tree, p, n_states)
         return constructors.build_type2(tree, p)
@@ -393,6 +388,12 @@ def cmd_figures(args):
 # entry point
 
 
+def positive_int(text):
+    if int(text) < 1:
+        raise argparse.ArgumentTypeError(f"{text} is not a positive integer")
+    return int(text)
+
+
 def _parser():
     parser = argparse.ArgumentParser(
         prog="aeds",
@@ -404,7 +405,7 @@ def _parser():
     c.add_argument("--input", required=True)
     c.add_argument("--output", required=True)
     c.add_argument("--codec", choices=CODECS, default="type1")
-    c.add_argument("--states", type=int, default=2,
+    c.add_argument("--states", type=positive_int, default=2,
                    help="state budget N for the table builders")
     c.add_argument("--table-out", default=None,
                    help="write the table to a side file and store only "

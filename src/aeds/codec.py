@@ -199,9 +199,9 @@ class BitReader:
     def read_leb128(self):
         value, shift = 0, 0
         while True:
-            if shift > 63:
-                raise MalformedStream("LEB128 value too large")
             byte = self.read(8)
+            if shift == 63 and byte:  # below 2^63, as in _leb128_column
+                raise MalformedStream("LEB128 value too large")
             value |= (byte & 0x7F) << shift
             if not byte & 0x80:
                 return value
@@ -313,8 +313,11 @@ class Bitstream:
         r = self.payload_reader()
         return "".join(str(r.read_bit()) for _ in range(r.bits_left))
 
-    def __len__(self):
-        return len(self.data)
+    def check_states(self, n):
+        """Raise MalformedStream unless the stream was written for n states."""
+        if self.n_states != n:
+            raise MalformedStream(f"stream was written for {self.n_states} "
+                                  f"states, table has {n}")
 
     def __eq__(self, other):
         return isinstance(other, Bitstream) and self.data == other.data
@@ -444,10 +447,7 @@ def decode(table, stream):
     the end check before it raises); a codeword that consumes them makes
     the stream truncated.
     """
-    if stream.n_states != table.n_states:
-        raise MalformedStream(
-            f"stream was written for {stream.n_states} states, "
-            f"table has {table.n_states}")
+    stream.check_states(table.n_states)
     nodes = table.decoding_tries()
     symbols = table.symbols
     data = stream.data + bytes(16)

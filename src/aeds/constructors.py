@@ -68,6 +68,11 @@ def _tree_layout(tree, p, plan):
     return AedsTable(p.symbols, nexts, lengths, values)
 
 
+def build_prefix_table(tree, p):
+    """Plain prefix coding with ``tree.normalized(p)`` as a one-state table."""
+    return _tree_layout(tree, p, (((_ONE, 0), (_ZERO, 0)),))
+
+
 def build_type1(tree, p, n_states):
     """N-state chain: right-subtree symbols walk the chain forward one state
     per symbol (wrapping at the end with one extra bit), left-subtree
@@ -276,7 +281,6 @@ class SymbolLayout:
 class LargeNLayout:
     n_states: int
     per_symbol: tuple
-    positions: tuple      # positions[s][j] = global id of the j-th state
 
 
 def _symbol_layout(n, ns):
@@ -331,9 +335,7 @@ def build_large_n(p, counts):
         positions[s][j] = rank
 
     table = _assemble(p, n, positions, forward)
-    layout = LargeNLayout(n, tuple(specs),
-                          tuple(tuple(pos) for pos in positions))
-    return table, layout
+    return table, LargeNLayout(n, tuple(specs))
 
 
 # ---------------------------------------------------------------------------

@@ -159,9 +159,7 @@ def tans_encode(table, sequence, initial_state=None):
 
 def tans_decode(table, stream):
     n = table.n_states
-    if stream.n_states != n:
-        raise TableError(f"stream carries {stream.n_states} states, "
-                         f"table {n}")
+    stream.check_states(n)
     reader = stream.payload_reader()
     x = n + stream.initial_state
     out = []

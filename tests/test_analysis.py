@@ -33,6 +33,7 @@ from aeds.codec import validate_aeds
 from aeds.constructors import (
     build_large_n,
     build_saeds_case2,
+    build_saeds_case3,
     build_type1,
     build_type2,
 )
@@ -225,6 +226,21 @@ def test_check_bound_kind_mismatch():
     table = build_type2(build_huffman(p), p)  # not state-divided
     with pytest.raises(KindMismatch):
         check_bound(table, p, "case1")
+
+
+@pytest.mark.parametrize("build,which,message", [
+    (lambda p: build_large_n(p, [4, 4])[0], "target-identity",
+     "target-identity needs the interval layout"),
+    # "a" owns 3 of N = 8 states: forward sets of 2, 2 and 4, M = 8 // 3 = 2
+    (lambda p: build_saeds_case3(p, [3, 5]), "case2",
+     "forward sets are not M or M\\+1 sized"),
+    (lambda p: build_saeds_case2(p, [3, 3]), "case3",
+     "state count is not a power of two"),
+])
+def test_check_bound_rejects_the_wrong_layout(build, which, message):
+    p = validate_distribution([("a", 1), ("b", 1)])
+    with pytest.raises(KindMismatch, match=message):
+        check_bound(build(p), p, which)
 
 
 def test_check_bound_rejects_the_kind_before_solving(monkeypatch):

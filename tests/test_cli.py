@@ -9,7 +9,8 @@ import pytest
 
 from aeds import codec
 from aeds.codec import Bitstream
-from aeds.cli import build_table, main, read_container, write_container_stream
+from aeds.cli import (CODECS, build_table, main, read_container,
+                      write_container_stream)
 from aeds.errors import HashMismatch, MalformedStream, TrailingGarbage
 from aeds.model import validate_distribution
 
@@ -226,6 +227,10 @@ def test_container_rejects_trailing_bytes_and_unknown_flags():
     # the blocks decode, and then the checksum in bytes 6..9 disagrees
     (b"abracadabra", lambda b: b[:9] + bytes([b[9] ^ 1]) + b[10:],
      HashMismatch, "decompressed data fails its checksum"),
+    # a block count of 2^64 - 1 in place of the one-byte count after the
+    # table (its length fits one LEB128 byte, at offset 10)
+    (b"abracadabra", lambda b: b[:11 + b[10]] + bytes([0xFF] * 9 + [0x01])
+     + b[12 + b[10]:], MalformedStream, "LEB128 value too large"),
 ])
 def test_damaged_containers(tmp_path, data, damage, error, message):
     blob = container(data)
@@ -318,6 +323,40 @@ def test_multi_block_container(tmp_path, monkeypatch):
     assert main(["decompress", "--input", str(out),
                  "--output", str(back)]) == 0
     assert back.read_bytes() == data
+
+
+@pytest.mark.parametrize("states", ["0", "-5"])
+@pytest.mark.parametrize("codec", ["type1", "saeds-case1"])
+def test_state_budget_must_be_positive(tmp_path, codec, states):
+    src, _ = make_input(tmp_path, size=100)
+    with pytest.raises(SystemExit) as err:
+        main(["compress", "--input", str(src), "--output", str(tmp_path / "x"),
+              "--codec", codec, "--states", states])
+    assert err.value.code == 2
+
+
+def test_type1_with_one_state_is_a_data_error(tmp_path, capsys):
+    src, _ = make_input(tmp_path, size=100)
+    assert main(["compress", "--input", str(src), "--output",
+                 str(tmp_path / "x"), "--codec", "type1",
+                 "--states", "1"]) == 3
+    assert "at least two states" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("codec_name", CODECS)
+def test_alphabet_above_256_symbols_round_trips(codec_name):
+    # 300 symbols map to 4-byte indices; one heavy symbol gives the tree
+    # codes a root child above both thresholds, so type1 and type2 build
+    # their own tables instead of falling back (type1 only up to 4 states)
+    rng = random.Random(300)
+    p = validate_distribution([(0, 0.7)] + [(s, 0.3 / 299)
+                                            for s in range(1, 300)])
+    table = build_table(p, codec_name, 2 if codec_name == "type1" else 1024)
+    assert (table.n_states == 1) == (codec_name == "huffman")
+    seq = rng.choices(range(300), weights=p.probs, k=5000)
+    stream = codec.encode(table, seq)
+    assert codec.decode(table, stream) == seq
+    assert codec.decode(table, Bitstream(stream.data)) == seq
 
 
 def test_tans_codec_rejects_bad_state_count(tmp_path):

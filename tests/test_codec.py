@@ -250,6 +250,9 @@ def _set(data, at, value):
     (lambda d: _set(d, 6, d[6] | 0xE0), MalformedStream,
      "initial state out of range"),
     (lambda d: d[:6], MalformedStream, "stream ends inside the header"),
+    # one state, so no initial-state bits: a symbol count of 2^64 - 1
+    (lambda d: d[:5] + b"\x01" + bytes([0xFF] * 9 + [0x01]), MalformedStream,
+     "LEB128 value too large"),
 ])
 def test_damaged_stream_headers(damage, error, message):
     data = encode(demo_table(), list("cbba")).data
@@ -323,10 +326,21 @@ def test_serialize_byte_and_int_symbols():
     blob = serialize_table(table)
     assert deserialize_table(blob).encoder == table.encoder
     p = validate_distribution([(7, 1), (250, 2), (b"raw", 1)])
-    from aeds.cli import _one_state_table
-    one = _one_state_table(p, build_huffman(p))
+    from aeds.constructors import build_prefix_table
+    one = build_prefix_table(build_huffman(p), p)
     back = deserialize_table(serialize_table(one))
     assert back.symbols == (7, 250, b"raw")
+
+
+@pytest.mark.parametrize("symbol,message", [
+    (True, "boolean symbols"),
+    (-1, "negative integer symbols"),
+    (1.5, "cannot serialize symbol of type <class 'float'>"),
+])
+def test_serialize_rejects_unwritable_symbols(symbol, message):
+    table = AedsTable((symbol, "b"), [[0, 0]], [[1, 1]], [[0, 1]])
+    with pytest.raises(MalformedTable, match=message):
+        serialize_table(table)
 
 
 def test_serialize_rejects_damage():

@@ -171,6 +171,10 @@ def test_non_state_divided_table_has_no_partition():
     ]
     table = AedsTable.from_rows(("a", "b"), rows)
     assert table.saeds_partition() is None
+    # no cell enters state 1
+    table = AedsTable("ab", [[0, 0], [0, 0]], [[2, 2], [2, 2]],
+                      [[0, 1], [2, 3]])
+    assert table.saeds_partition() is None
 
 
 def test_byte_histogram_constructor():

@@ -4,7 +4,8 @@ import random
 import pytest
 
 from aeds.codec import Bitstream, decode, encode, validate_aeds
-from aeds.errors import NotPowerOfTwo, TableError, TooFewStates, TrailingGarbage
+from aeds.errors import (MalformedStream, NotPowerOfTwo, TableError,
+                         TooFewStates, TrailingGarbage)
 from aeds.model import validate_distribution
 from aeds.tans import (
     TansTable,
@@ -193,6 +194,23 @@ def test_both_decoders_reject_the_same_padding(damage, message):
         assert decoder(table, stream) == seq
         with pytest.raises(TrailingGarbage, match=message):
             decoder(table, bad)
+
+
+def test_both_decoders_reject_a_stream_for_another_state_count():
+    p = validate_distribution([("a", 5), ("b", 2), ("c", 1)])
+    stream = tans_encode(build_tans(p, 16), list("abacab"))
+    t = build_tans(p, 32)
+    for decoder, table in ((tans_decode, t), (decode, tans_to_aeds(t))):
+        with pytest.raises(MalformedStream,
+                           match="written for 16 states, table has 32"):
+            decoder(table, stream)
+
+
+@pytest.mark.parametrize("start", [15, 32])
+def test_tans_encode_rejects_a_start_state_out_of_range(start):
+    p = validate_distribution([("a", 5), ("b", 2), ("c", 1)])
+    with pytest.raises(TableError, match=f"initial state {start} outside"):
+        tans_encode(build_tans(p, 16), list("abacab"), initial_state=start)
 
 
 def test_dyadic_rate_meets_entropy():
