@@ -11,6 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .codec import walk_lanes
 from .errors import AlphabetMismatch, KindMismatch, NoConvergence, NotErgodic
 from .model import SourceDistribution, entropy, relative_entropy
 from .prefix_codes import SIGMA, phased_in_mean_length, phased_in_redundancy
@@ -23,6 +24,8 @@ POWER_ITER_RESIDUAL = 1e-12
 BICGSTAB_RESIDUAL = 1e-15
 MC_BATCHES = 100       # Monte Carlo lanes, one batch of the standard error
 MC_WARMUP = 1000       # steps each lane runs before its bits count
+MC_ROWS = 1 << 10      # counted steps of all lanes drawn at a time
+DRAW_BUCKETS = 1 << 12  # equal slices of [0, 1) in the draw table
 GAMMA_SWEEP = (3, 4, 8, 16)
 
 
@@ -168,6 +171,11 @@ def _solve_chain(nexts, p, method):
     return q, method, float(np.max(np.abs(_step(nexts, w, q) - q)))
 
 
+def _require_alphabet(table, p):
+    if tuple(p.symbols) != table.symbols:
+        raise AlphabetMismatch("distribution and table alphabets differ")
+
+
 def _require_ergodic(table, what):
     report = table.ergodicity()
     if not report.ergodic:
@@ -199,8 +207,7 @@ def stationary_distribution(table, p, method="auto"):
     request.  The two average-length representations (grouped by encoder
     state and by decoder state) are both evaluated.
     """
-    if tuple(p.symbols) != table.symbols:
-        raise AlphabetMismatch("distribution and table alphabets differ")
+    _require_alphabet(table, p)
     _require_ergodic(table, "the stationary distribution")
     q, method, residual = _solve_chain(table.nexts, p, method)
     probs = np.array(p.probs)
@@ -442,16 +449,17 @@ def check_bound(table, p, which, report=None, layout=None,
                 gamma=4, eta=1.0, rate="inverse"):
     """Evaluate one of the analytic upper bounds against the solved chain.
 
-    ``which`` selects the bound; every bound needs a state-divided table,
-    and both are checked before the chain is solved.  "target-identity"
-    reads only the layout, H and D and never solves.  ``report`` may carry
-    a precomputed StationaryReport.  Measured quantities (the per-state
-    masses entering the case-2 and case-3 corrections) always come from
-    the solved chain, never from assumptions.
+    ``which`` selects the bound; every bound needs a state-divided table
+    over the alphabet of ``p``, all checked before the chain is solved.
+    "target-identity" reads only the layout, H and D and never solves.
+    ``report`` may carry a precomputed StationaryReport.  Measured
+    quantities (the per-state masses entering the case-2 and case-3
+    corrections) always come from the solved chain, never assumptions.
     """
     if which not in ("case1", "case2", "case3", "target-identity",
                      "target-gap", "large-n"):
         raise KindMismatch(f"unknown bound {which!r}")
+    _require_alphabet(table, p)
     part = table.saeds_partition()
     if part is None:
         raise KindMismatch("table is not state-divided")
@@ -559,29 +567,45 @@ class RateEstimate:
     batches: int
 
 
-def monte_carlo_rate(table, p, n, seed):
-    """Empirical bits/symbol over ``n`` i.i.d. symbols, deterministic per seed.
+def _sampler(probs):
+    """Map draws u as ``Generator.choice(p=probs / probs.sum())`` does, to
+    ``cdf.searchsorted(u, "right")``, by a table of DRAW_BUCKETS equal
+    slices of [0, 1); draws in a slice that a ``cdf`` step cuts search."""
+    cdf = (probs / probs.sum()).cumsum()
+    cdf /= cdf[-1]
+    edges = np.arange(DRAW_BUCKETS + 1) / DRAW_BUCKETS
+    lo = cdf.searchsorted(edges[:-1], side="right")
+    lut = np.where(lo == cdf.searchsorted(edges[1:]), lo, -1)
 
-    The encoder state chain is simulated directly in MC_BATCHES independent
-    lanes; each lane is one batch for the batch-means standard error.  The
-    first MC_WARMUP steps are discarded so the lanes forget their common start.
+    def draw(u):
+        out = lut[(u * DRAW_BUCKETS).astype(np.intp)]
+        cut = out < 0
+        out[cut] = cdf.searchsorted(u[cut], side="right")
+        return out
+    return draw
+
+
+def monte_carlo_rate(table, p, n, seed):
+    """Empirical bits/symbol over i.i.d. symbols, deterministic per seed.
+
+    MC_BATCHES lanes, each one batch of the batch-means standard error,
+    run the chain in step from state 0 on ``default_rng(seed).choice``'s
+    draws: MC_WARMUP discarded steps that let them forget their common
+    start, then ``n`` rounded to ``max(n // MC_BATCHES, 1)`` steps each.
     """
+    _require_alphabet(table, p)
     _require_ergodic(table, "monte carlo")
     steps = max(n // MC_BATCHES, 1)
     rng = np.random.default_rng(seed)
-    n_sym = len(p.symbols)
-    nexts, lengths = table.nexts, table.lengths
-    probs = np.array(p.probs)
-    probs = probs / probs.sum()
-    states = np.zeros(MC_BATCHES, dtype=np.int64)
-    draws = rng.choice(n_sym, size=(MC_WARMUP + steps, MC_BATCHES), p=probs)
-    for t in range(MC_WARMUP):
-        states = nexts[states, draws[t]]
+    draw = _sampler(np.array(p.probs))
+    into = table.nexts.ravel().astype(np.intp) * len(p.symbols)
+    at = np.zeros(MC_BATCHES, dtype=np.intp)
     totals = np.zeros(MC_BATCHES, dtype=np.int64)
-    for t in range(MC_WARMUP, MC_WARMUP + steps):
-        sym = draws[t]
-        totals += lengths[states, sym]
-        states = nexts[states, sym]
+    walk_lanes(into, draw(rng.random((MC_WARMUP, MC_BATCHES))), at)
+    for start in range(0, steps, MC_ROWS):
+        rows = draw(rng.random((min(MC_ROWS, steps - start), MC_BATCHES)))
+        walk_lanes(into, rows, at)
+        totals += table.lengths.take(rows).sum(0)
     rates = totals / steps
     stderr = float(rates.std(ddof=1) / math.sqrt(MC_BATCHES))
     return RateEstimate(float(rates.mean()), stderr, steps * MC_BATCHES,

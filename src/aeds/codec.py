@@ -385,12 +385,18 @@ def _lockstep(into, indices, cells, head, at):
     chunks = (len(indices) - head) // CHUNK
     work = np.asarray(memoryview(indices))[head:].reshape(chunks, CHUNK).T
     work = work.astype(into.dtype, order="C")
-    at = np.full(chunks, at, into.dtype)
-    for row in work[::-1]:
-        np.add(at, row, out=row)
-        np.take(into, row, out=at)
+    at = walk_lanes(into, work[::-1], np.full(chunks, at, into.dtype))
     np.frombuffer(cells, into.dtype)[head:].reshape(chunks, CHUNK)[:] = work.T
     return at.tolist()
+
+
+def walk_lanes(into, rows, at):
+    """Move lanes at cell bases ``at`` one symbol index a row, in place:
+    a row turns into the cells its lanes visit, ``at`` into their bases."""
+    for row in rows:
+        np.add(at, row, out=row)
+        into.take(row, out=at)  # the method skips np.take's Python wrapper
+    return at
 
 
 def symbol_indices(table, sequence):

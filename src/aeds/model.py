@@ -249,8 +249,9 @@ def _bfs_depths(starts, adj, n):
         sizes = starts[frontier + 1] - first
         edges = (np.repeat(first - np.cumsum(sizes) + sizes, sizes)
                  + np.arange(sizes.sum()))
-        reached = np.unique(adj[edges])
-        frontier = reached[depth[reached] < 0]
+        hit = np.zeros(n, dtype=bool)  # marks drop repeats without a sort
+        hit[adj[edges]] = True
+        frontier = np.flatnonzero(hit & (depth < 0))
         depth[frontier] = d
     return depth
 
@@ -590,7 +591,8 @@ class AedsTable:
         by_symbol = np.argsort(owner, kind="stable").tolist()
         cut = np.cumsum(np.bincount(owner, minlength=m)).tolist()
         subsets = tuple(tuple(by_symbol[a:b]) for a, b in zip([0] + cut, cut))
-        origins, bounds = (order // m).tolist(), bounds.tolist()
+        shared = np.arange(n).astype(object)  # one int object per state
+        origins, bounds = shared[order // m].tolist(), bounds.tolist()
         fplus = {x: tuple(origins[bounds[x]:bounds[x + 1]]) for x in range(n)}
         return SAedsPartition(self.symbols, subsets, fplus)
 

@@ -9,7 +9,11 @@ import pytest
 import aeds.model
 from aeds.analysis import (
     LG_E,
+    MC_BATCHES,
+    MC_WARMUP,
     SIGMA,
+    RateEstimate,
+    _sampler,
     _solve_chain,
     check_bound,
     closed_form_stationary,
@@ -32,15 +36,17 @@ from aeds.cli import _figure_rows
 from aeds.codec import validate_aeds
 from aeds.constructors import (
     build_large_n,
+    build_prefix_table,
     build_saeds_case2,
     build_saeds_case3,
     build_type1,
     build_type2,
 )
-from aeds.errors import KindMismatch, NoConvergence, NotErgodic
+from aeds.errors import (AlphabetMismatch, KindMismatch, NoConvergence,
+                         NotErgodic)
 from aeds.model import AedsTable, Codeword, validate_distribution
 from aeds.prefix_codes import build_huffman, phased_in_redundancy, tree_metrics
-from aeds.tans import build_tans, tans_to_aeds
+from aeds.tans import build_tans, quantize_counts, tans_to_aeds
 
 from conftest import random_source, random_table
 
@@ -243,6 +249,44 @@ def test_check_bound_rejects_the_wrong_layout(build, which, message):
         check_bound(build(p), p, which)
 
 
+ABC = validate_distribution([("a", 3), ("b", 3), ("c", 2)])
+WRONG_ALPHABETS = [
+    validate_distribution([("a", 1), ("b", 1)]),
+    validate_distribution([("a", 1), ("b", 1), ("c", 1), ("d", 1)]),
+    validate_distribution([("x", 3), ("y", 3), ("z", 2)]),
+]
+
+
+@pytest.mark.parametrize("p", WRONG_ALPHABETS)
+def test_stationary_distribution_checks_the_alphabet(p):
+    table, _ = build_large_n(ABC, [3, 3, 2])
+    with pytest.raises(AlphabetMismatch):
+        stationary_distribution(table, p)
+
+
+@pytest.mark.parametrize("p", WRONG_ALPHABETS)
+def test_monte_carlo_checks_the_alphabet(p):
+    # the largeN-sweep table: a two-symbol p used to give a rate, a
+    # four-symbol one an IndexError
+    table, _ = build_large_n(ABC, [3, 3, 2])
+    with pytest.raises(AlphabetMismatch):
+        monte_carlo_rate(table, p, 1000, seed=1)
+
+
+@pytest.mark.parametrize("p", WRONG_ALPHABETS)
+@pytest.mark.parametrize("which", ["large-n", "case3", "target-identity"])
+def test_check_bound_checks_the_alphabet_of_a_given_report(p, which):
+    if which == "case3":
+        table, extra = build_saeds_case3(ABC, [3, 3, 2]), {}
+    else:
+        table, layout = build_large_n(ABC, [3, 3, 2])
+        extra = {"layout": layout} if which == "target-identity" else {}
+    rep = stationary_distribution(table, ABC)
+    assert check_bound(table, ABC, which, report=rep, **extra).holds
+    with pytest.raises(AlphabetMismatch):
+        check_bound(table, p, which, report=rep, **extra)
+
+
 def test_check_bound_rejects_the_kind_before_solving(monkeypatch):
     # every state loops to itself: neither ergodic nor state-divided, so a
     # solve would raise NotErgodic
@@ -332,6 +376,105 @@ def test_monte_carlo_pinned():
     table = build_type2(build_huffman(SIX), SIX)
     assert monte_carlo_rate(table, SIX, 10 ** 5, seed=11).bits_per_symbol \
         == 2.44873
+
+
+def monte_carlo_oracle(table, p, n, seed):
+    """The per-step Monte Carlo loop over one bulk ``Generator.choice``
+    draw that ``monte_carlo_rate`` must reproduce exactly."""
+    steps = max(n // MC_BATCHES, 1)
+    rng = np.random.default_rng(seed)
+    nexts, lengths = table.nexts, table.lengths
+    probs = np.array(p.probs)
+    probs = probs / probs.sum()
+    states = np.zeros(MC_BATCHES, dtype=np.int64)
+    draws = rng.choice(len(p.symbols), size=(MC_WARMUP + steps, MC_BATCHES),
+                       p=probs)
+    for t in range(MC_WARMUP):
+        states = nexts[states, draws[t]]
+    totals = np.zeros(MC_BATCHES, dtype=np.int64)
+    for t in range(MC_WARMUP, MC_WARMUP + steps):
+        sym = draws[t]
+        totals += lengths[states, sym]
+        states = nexts[states, sym]
+    rates = totals / steps
+    stderr = float(rates.std(ddof=1) / math.sqrt(MC_BATCHES))
+    return RateEstimate(float(rates.mean()), stderr, steps * MC_BATCHES,
+                        MC_BATCHES)
+
+
+def _bytes_source(n_symbols, seed):
+    rng = random.Random(seed)
+    return validate_distribution(
+        [(b, rng.uniform(0.001, 1.0) / (b + 1)) for b in range(n_symbols)])
+
+
+@pytest.fixture(scope="module")
+def monte_carlo_tables():
+    p256, p300 = _bytes_source(256, 1), _bytes_source(300, 2)
+    return {
+        "one-state": (build_prefix_table(build_huffman(SIX), SIX), SIX),
+        "type2": (build_type2(build_huffman(SIX), SIX), SIX),
+        "case2": (build_saeds_case2(p256, quantize_counts(p256, 512)), p256),
+        "case3": (build_saeds_case3(p256, quantize_counts(p256, 512)), p256),
+        "300-symbols": (build_saeds_case2(p300, quantize_counts(p300, 1024)),
+                        p300),
+    }
+
+
+@pytest.mark.parametrize("n", [1, 99, 100, 10 ** 4 + 37, 10 ** 6])
+@pytest.mark.parametrize("name", ["one-state", "type2", "case2", "case3",
+                                  "300-symbols"])
+def test_monte_carlo_equals_the_per_step_oracle(monte_carlo_tables, name, n):
+    table, p = monte_carlo_tables[name]
+    assert monte_carlo_rate(table, p, n, seed=7) \
+        == monte_carlo_oracle(table, p, n, seed=7)
+
+
+@pytest.mark.parametrize("rows", [1, 7, 22, 23])
+def test_monte_carlo_draw_slices_do_not_change_the_estimate(
+        monte_carlo_tables, monkeypatch, rows):
+    # 23 counted steps a lane: one-row slices, a short last slice, and one
+    # slice one row short of or exactly all of them
+    table, p = monte_carlo_tables["type2"]
+    monkeypatch.setattr(aeds.analysis, "MC_ROWS", rows)
+    assert monte_carlo_rate(table, p, 2345, seed=3) \
+        == monte_carlo_oracle(table, p, 2345, seed=3)
+
+
+def _dyadic(rng, m):
+    """Probabilities that are multiples of 2^-12 over ``m`` symbols, so
+    every CDF step falls on an edge of the draw table's buckets."""
+    cuts = sorted(rng.sample(range(1, 1 << 12), m - 1))
+    return np.diff([0] + cuts + [1 << 12]) / (1 << 12)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_draw_table_equals_generator_choice(seed):
+    rng = random.Random(seed)
+    m = rng.choice([1, 2, 3, 17, 256, 300, 5000])
+    probs = np.array([rng.random() for _ in range(m)])
+    if seed % 3 == 1 and m > 1:
+        probs[rng.randrange(m)] = 0.0  # a repeated CDF step
+    if seed % 3 == 2 and m < 1 << 12:
+        probs = _dyadic(rng, m)
+    want = np.random.default_rng(seed).choice(m, size=(300, 100),
+                                              p=probs / probs.sum())
+    draw = _sampler(probs)
+    gen = np.random.default_rng(seed)
+    got = np.concatenate([draw(gen.random((k, 100))) for k in (1, 99, 200)])
+    assert (got == want).all()
+
+
+@pytest.mark.parametrize("bits", [0, 1, 11, 12, 13])
+def test_draw_table_on_uniform_dyadic_sources(bits):
+    # 2^12 symbols put a CDF step on every bucket edge, 2^13 one inside
+    # each bucket as well
+    probs = np.full(1 << bits, 1.0 / (1 << bits))
+    u = np.random.default_rng(bits).random(10 ** 5)
+    u[:4] = [0.0, 0.5, 0.25 - 2 ** -53, 1 - 2 ** -53]
+    cdf = probs.cumsum()
+    cdf /= cdf[-1]
+    assert (_sampler(probs)(u) == cdf.searchsorted(u, side="right")).all()
 
 
 def test_power_iteration_agrees_with_direct():

@@ -12,17 +12,27 @@ from aeds.errors import (
     PrefixViolation,
     TableError,
 )
+from aeds.constructors import (
+    build_large_n,
+    build_saeds_case2,
+    build_saeds_case3,
+)
 from aeds.model import (
     AedsTable,
     Codeword,
+    ErgodicityReport,
     SourceDistribution,
+    _bfs_depths,
     demo_table,
     entropy,
+    ergodicity,
+    incoming,
     relative_entropy,
     validate_distribution,
 )
+from aeds.tans import build_tans, quantize_counts, tans_to_aeds
 
-from conftest import random_source
+from conftest import random_source, random_table
 
 
 def test_validate_distribution_symmetric():
@@ -175,6 +185,102 @@ def test_non_state_divided_table_has_no_partition():
     table = AedsTable("ab", [[0, 0], [0, 0]], [[2, 2], [2, 2]],
                       [[0, 1], [2, 3]])
     assert table.saeds_partition() is None
+
+
+def bfs_depths_oracle(starts, adj, n):
+    """Breadth-first depths with one sorted, repeat-free frontier a level."""
+    depth = np.full(n, -1, dtype=np.int64)
+    depth[0] = 0
+    frontier, d = np.zeros(1, dtype=np.int64), 0
+    while frontier.size:
+        d += 1
+        first = starts[frontier]
+        sizes = starts[frontier + 1] - first
+        edges = (np.repeat(first - np.cumsum(sizes) + sizes, sizes)
+                 + np.arange(sizes.sum()))
+        reached = np.unique(adj[edges])
+        frontier = reached[depth[reached] < 0]
+        depth[frontier] = d
+    return depth
+
+
+def ergodicity_oracle(nexts):
+    n, m = nexts.shape
+    depth = bfs_depths_oracle(np.arange(n + 1) * m, nexts.ravel(), n)
+    order, bounds = incoming(nexts)
+    back = bfs_depths_oracle(bounds, order // m, n)
+    if (depth < 0).any() or (back < 0).any():
+        return ErgodicityReport(False, False, None)
+    period = int(np.gcd.reduce(
+        np.abs(np.repeat(depth, m) + 1 - depth[nexts.ravel()])))
+    return ErgodicityReport(True, period == 1, period)
+
+
+def _ergodicity_cases():
+    gen = np.random.default_rng(19)
+    cases = {
+        "one-state": np.zeros((1, 3), dtype=np.int32),
+        "cycle-4096": np.roll(np.arange(4096, dtype=np.int32), -1)[:, None],
+        # 0 <-> 1 and 2 <-> 3: bipartite, period 2
+        "period-2": np.array([[1, 3], [0, 2], [3, 1], [2, 0]]),
+        # 0 -> {1, 2} -> 3 -> {0, 4}, 4 -> {1, 2}: every cycle has length 3
+        "period-3": np.array([[1, 2], [3, 3], [3, 3], [0, 4], [1, 2]]),
+        # state 2 is never entered; states 3, 4 never return to 0
+        "reducible": np.array([[1, 3], [0, 1], [0, 1], [4, 4], [3, 4]]),
+        "large-n": build_large_n(validate_distribution(
+            [(b, 1 + b % 7) for b in range(40)]),
+            [8] * 20 + [4] * 20)[0].nexts,
+    }
+    for i in range(6):
+        n, m = int(gen.integers(2, 60)), int(gen.integers(1, 5))
+        cases[f"random-{i}"] = gen.integers(0, n, (n, m), dtype=np.int32)
+    rng = random.Random(19)
+    for i in range(6):
+        cases[f"random-table-{i}"] = random_table(
+            rng, require_ergodic=False).nexts
+    return cases
+
+
+ERGODICITY_CASES = _ergodicity_cases()
+
+
+@pytest.mark.parametrize("name", sorted(ERGODICITY_CASES))
+def test_ergodicity_and_depths_equal_the_sorting_bfs(name):
+    nexts = ERGODICITY_CASES[name]
+    n, m = nexts.shape
+    order, bounds = incoming(nexts)
+    for starts, adj in ((np.arange(n + 1) * m, nexts.ravel()),
+                        (bounds, order // m)):
+        assert (_bfs_depths(starts, adj, n)
+                == bfs_depths_oracle(starts, adj, n)).all()
+    assert ergodicity(nexts) == ergodicity_oracle(nexts)
+
+
+def test_ergodicity_cases_cover_every_kind_of_report():
+    reports = {ergodicity(nexts) for nexts in ERGODICITY_CASES.values()}
+    assert {(r.irreducible, r.aperiodic, r.period) for r in reports} >= {
+        (False, False, None), (True, True, 1), (True, False, 2),
+        (True, False, 3), (True, False, 4096)}
+
+
+def _partition_tables():
+    p = validate_distribution([(b, 1 + (b * 37) % 11) for b in range(64)])
+    return [demo_table(),
+            build_large_n(p, quantize_counts(p, 1024))[0],
+            build_saeds_case2(p, quantize_counts(p, 300)),
+            build_saeds_case3(p, quantize_counts(p, 256)),
+            tans_to_aeds(build_tans(p, 512))]
+
+
+@pytest.mark.parametrize("table", _partition_tables(), ids=repr)
+def test_forward_sets_equal_the_list_construction(table):
+    n, m = table.nexts.shape
+    order, bounds = incoming(table.nexts)
+    origins, bounds = (order // m).tolist(), bounds.tolist()
+    want = {x: tuple(origins[bounds[x]:bounds[x + 1]]) for x in range(n)}
+    got = table.saeds_partition().forward_sets
+    assert got == want
+    assert {type(y) for f in got.values() for y in f} == {int}
 
 
 def test_byte_histogram_constructor():
