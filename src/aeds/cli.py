@@ -16,9 +16,10 @@ is rejected before it is decoded; each block carries its own stream header.
 """
 
 import argparse
+import contextlib
 import math
 import os
-import pathlib
+import shutil
 import sys
 import zlib
 
@@ -83,10 +84,11 @@ def build_table(p, codec_name, n_states):
     The equal-ratio layout snaps the state budget down to a power of two.
     Both decisions show in the returned table's state count.
     """
-    tree = prefix_codes.build_huffman(p)
     if codec_name == "huffman":
+        tree = prefix_codes.build_huffman(p)
         return constructors.build_prefix_table(tree, p)
     if codec_name in ("type1", "type2"):
+        tree = prefix_codes.build_huffman(p)
         mets = prefix_codes.tree_metrics(tree, p)
         if codec_name == "type1":
             if n_states < 2:
@@ -129,7 +131,9 @@ def write_container_stream(reader, sink, crc, size, table, table_sink=None):
     time and frame each block on its own; returns the payload bits.
 
     With ``table_sink`` the table bytes go to it and the container holds
-    only their digest.
+    only their digest.  Raises HashMismatch if what ``reader`` gives
+    differs in length or checksum from the ``size`` and ``crc`` that the
+    header declares.
     """
     head = bytearray(CONTAINER_MAGIC)
     head.append(CONTAINER_VERSION)
@@ -148,11 +152,15 @@ def write_container_stream(reader, sink, crc, size, table, table_sink=None):
         head += codec._leb128(len(blob)) + blob
     head += codec._leb128(-(-size // BLOCK_SYMBOLS))
     sink(bytes(head))
-    payload_bits = 0
+    payload_bits = read = running = 0
     while chunk := reader(BLOCK_SYMBOLS):
+        read += len(chunk)
+        running = zlib.crc32(chunk, running)
         stream = codec.encode(table, chunk)
         sink(bytes(codec._leb128(len(stream.data))) + stream.data)
         payload_bits += stream.exact_payload_bits
+    if read != size or running != crc:
+        raise HashMismatch("the input changed between the two passes")
     return payload_bits
 
 
@@ -214,6 +222,32 @@ def _check_end(r):
 # subcommands
 
 
+@contextlib.contextmanager
+def _replaced_on_success(path):
+    """A binary file to write ``path`` through, which changes ``path`` only
+    if the block succeeds: the bytes go to a new file beside it, which
+    replaces it then and is deleted on any failure.  So a failed run
+    leaves no partial file, and an output over the input cannot truncate
+    it before it is read.  Devices and pipes are written directly."""
+    path = os.path.realpath(path)  # through a symlink, as open() writes
+    if os.path.exists(path) and not os.path.isfile(path):
+        with open(path, "wb") as fh:
+            yield fh
+        return
+    tmp = f"{path}.{os.urandom(6).hex()}.tmp"
+    # the mode that open(path, "wb") gives a new file
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        with open(fd, "wb") as fh:
+            yield fh
+        if os.path.exists(path):  # a replaced file keeps its mode
+            shutil.copymode(path, tmp)
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+
+
 def cmd_compress(args):
     # first pass: chunked histogram; bincount widens each byte to eight,
     # so small reads keep its temporary small
@@ -228,7 +262,7 @@ def cmd_compress(args):
                                   minlength=256)
     counts = counts.tolist()
     if size == 0:
-        with open(args.output, "wb") as out:
+        with _replaced_on_success(args.output) as out:
             write_container_stream(lambda n: b"", out.write, crc, 0, None)
         print("empty input: wrote a header-only container")
         return EXIT_OK
@@ -246,12 +280,14 @@ def cmd_compress(args):
         if args.codec == "saeds-case1" and table.n_states != args.states:
             print(f"equal-ratio layout uses {table.n_states} of the "
                   f"{args.states} requested states")
-    table_sink = (pathlib.Path(args.table_out).write_bytes
-                  if args.table_out else None)
+    side = (_replaced_on_success(args.table_out) if args.table_out
+            else contextlib.nullcontext())
     # second pass: blocked encode straight to the output file
-    with open(args.input, "rb") as src, open(args.output, "wb") as out:
+    with (_replaced_on_success(args.output) as out, side as table_out,
+          open(args.input, "rb") as src):
         payload_bits = write_container_stream(
-            src.read, out.write, crc, size, table, table_sink)
+            src.read, out.write, crc, size, table,
+            table_out.write if table_out else None)
     written = os.path.getsize(args.output)
     analytic = "n/a"
     if p is not None:
@@ -276,7 +312,7 @@ def cmd_decompress(args):
         with open(args.table, "rb") as fh:
             side = fh.read()
     restored = 0
-    with open(args.output, "wb") as out:
+    with _replaced_on_success(args.output) as out:
         def sink(piece):
             nonlocal restored
             restored += len(piece)

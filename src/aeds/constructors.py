@@ -152,7 +152,7 @@ def _assemble(p, n_states, positions, forward, rank=False):
     nexts = np.empty(n_states * m, dtype=np.int64)
     nexts[cells] = np.repeat([x for x, _, _ in sets], sizes)
     nexts = nexts.reshape(n_states, m)
-    if rank and ergodicity(nexts).ergodic:
+    if rank and ergodicity(nexts, incoming(nexts)).ergodic:
         # Solver rounding breaks ties between near-equal members, so the
         # ranking solver is part of the table's bits: the dense solve up
         # to DIRECT_SOLVE_LIMIT and power iteration above, whatever
@@ -352,7 +352,7 @@ def optimize_decoder_codes(table, p):
     """
     q = stationary_distribution(table, p).probs
     m = len(table.symbols)
-    order, bounds = incoming(table.nexts)
+    order, bounds = table._grouping()
     lengths = np.zeros(table.nexts.size, dtype=np.int64)
     values = np.zeros(table.nexts.size, dtype=object)
     for a, b in zip(bounds.tolist(), bounds[1:].tolist()):

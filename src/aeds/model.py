@@ -195,15 +195,13 @@ def value_dtype(lengths):
     return object if np.max(lengths, initial=0) > INT_BITS else np.int64
 
 
-def incoming(nexts, lengths=None):
+def incoming(nexts):
     """The cells x|A| + s of a next-state array grouped by the state they
-    lead to, in x-major order within a group (by ascending ``lengths``
-    first, if given), and the group bounds: the cells entering state x are
-    ``order[bounds[x]:bounds[x + 1]]``."""
+    lead to, in x-major order within a group, and the group bounds: the
+    cells entering state x are ``order[bounds[x]:bounds[x + 1]]``."""
     flat = nexts.ravel()
     counts = np.bincount(flat, minlength=len(nexts))
-    return (np.argsort(flat, kind="stable") if lengths is None
-            else np.lexsort((lengths.ravel(), flat)),
+    return (np.argsort(flat, kind="stable"),
             np.concatenate(([0], np.cumsum(counts))))
 
 
@@ -256,14 +254,14 @@ def _bfs_depths(starts, adj, n):
     return depth
 
 
-def ergodicity(nexts):
+def ergodicity(nexts, grouping):
     """Irreducibility and period of the chain x -> F(x, s) over all
-    symbols of a next-state array.  The period is the gcd, over all
-    edges u -> v, of depth(u) + 1 - depth(v) for breadth-first depths."""
+    symbols of a next-state array, given its ``incoming`` grouping.  The
+    period is the gcd, over edges u -> v, of BFS depth(u) + 1 - depth(v)."""
     n, m = nexts.shape
     flat = nexts.ravel()
     depth = _bfs_depths(np.arange(n + 1) * m, flat, n)
-    order, bounds = incoming(nexts)
+    order, bounds = grouping
     if (depth < 0).any() or (_bfs_depths(bounds, order // m, n) < 0).any():
         return ErgodicityReport(False, False, None)
     period = int(np.gcd.reduce(np.abs(np.repeat(depth, m) + 1 - depth[flat])))
@@ -399,15 +397,16 @@ class AedsTable:
         to state x, by ascending length and then in x-major order."""
         order, bounds = self._grouping()
         order, m = order[bounds[x]:bounds[x + 1]], len(self.symbols)
-        return list(zip(self.values.ravel()[order].tolist(),
-                        self.lengths.ravel()[order].tolist(),
-                        (order % m).tolist(), (order // m).tolist()))
+        return sorted(zip(self.values.ravel()[order].tolist(),
+                          self.lengths.ravel()[order].tolist(),
+                          (order % m).tolist(), (order // m).tolist()),
+                      key=lambda cell: cell[1])  # stable: x-major in a length
 
     def _grouping(self):
-        """``incoming(nexts, lengths)``, computed once."""
+        """``incoming(nexts)``, computed once: every reader of the cells
+        entering a state, from the decoder sets to ergodicity, takes it."""
         if self._incoming is None:
-            object.__setattr__(self, "_incoming",
-                               incoming(self.nexts, self.lengths))
+            object.__setattr__(self, "_incoming", incoming(self.nexts))
         return self._incoming
 
     def decoder_set(self, state):
@@ -421,7 +420,8 @@ class AedsTable:
     def ergodicity(self):
         """The ``ErgodicityReport`` of the encoding chain, computed once."""
         if self._ergodicity is None:
-            object.__setattr__(self, "_ergodicity", ergodicity(self.nexts))
+            object.__setattr__(self, "_ergodicity",
+                               ergodicity(self.nexts, self._grouping()))
         return self._ergodicity
 
     # -- decoder index -----------------------------------------------------
@@ -526,14 +526,14 @@ class AedsTable:
         is written last.  The runs of one round cover disjoint windows, as
         every state's codewords were checked before."""
         n, m = self.nexts.shape
-        order, bounds = self._grouping()
         lengths, values = self.lengths.ravel(), self.values.ravel()
-        # fits[x, r]: the codewords of x of at most r bits, which lead
-        # its length-sorted group
-        fits = np.bincount(self.nexts.ravel() * (LOOKUP_BITS + 2)
-                           + np.minimum(lengths, LOOKUP_BITS + 1),
-                           minlength=n * (LOOKUP_BITS + 2))
+        # fits[x, r]: the codewords of x of at most r bits, first in its
+        # group in key order (longer words share a key but never fit)
+        key = (self.nexts.ravel() * (LOOKUP_BITS + 2)
+               + np.minimum(lengths, LOOKUP_BITS + 1))
+        fits = np.bincount(key, minlength=n * (LOOKUP_BITS + 2))
         fits = fits.reshape(n, LOOKUP_BITS + 2).cumsum(axis=1)
+        order, bounds = np.argsort(key, kind="stable"), self._grouping()[1]
         state, run = cells // m, singles[cells % m]
         for _ in range(RUN_CAP - 1):
             count = fits[state, rest]
@@ -581,7 +581,7 @@ class AedsTable:
         state-divided: every state must be entered, and only ever on one
         symbol.  The forward set of x lists the states entering it."""
         n, m = self.nexts.shape
-        order, bounds = incoming(self.nexts)
+        order, bounds = self._grouping()
         sizes = np.diff(bounds)
         if not sizes.all():
             return None

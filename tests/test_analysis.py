@@ -555,6 +555,18 @@ def test_bicgstab_breakdowns_raise_no_convergence(monkeypatch):
     assert caught.value.iterations <= 2 * 32 + 64
 
 
+@pytest.mark.parametrize("method,limit,error", [
+    ("power-iteration", 1, NoConvergence),  # one step leaves a residual
+    ("nope", None, ValueError),
+])
+def test_stationary_distribution_failures(monkeypatch, method, limit, error):
+    if limit is not None:
+        monkeypatch.setattr(aeds.analysis, "POWER_ITER_LIMIT", limit)
+    table, _ = build_large_n(SWEEP, [12, 12, 8])
+    with pytest.raises(error):
+        stationary_distribution(table, SWEEP, method=method)
+
+
 def test_length_identity_grid_type2():
     for i in range(50):
         w = 0.5 + 0.01 * i
@@ -670,7 +682,7 @@ def test_solve_and_monte_carlo_compute_ergodicity_once(monkeypatch):
     calls = []
     real = aeds.model.ergodicity
     monkeypatch.setattr(aeds.model, "ergodicity",
-                        lambda nexts: calls.append(1) or real(nexts))
+                        lambda *args: calls.append(1) or real(*args))
     table = build_saeds_case2(SIX, [3, 2, 2, 2, 2, 1])
     assert calls == []                 # building ranks without the cache
     rep = stationary_distribution(table, SIX)

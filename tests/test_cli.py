@@ -1,7 +1,10 @@
 import io
+import os
 import random
+import stat
 import subprocess
 import sys
+import threading
 import time
 import zlib
 
@@ -12,7 +15,7 @@ from aeds.codec import Bitstream
 from aeds.cli import (CODECS, build_table, main, read_container,
                       write_container_stream)
 from aeds.errors import HashMismatch, MalformedStream, TrailingGarbage
-from aeds.model import validate_distribution
+from aeds.model import AedsTable, validate_distribution
 
 SIX_WEIGHTS = [35, 15, 15, 15, 10, 10]
 
@@ -408,3 +411,131 @@ def test_build_table_prints_nothing(capsys):
     six = validate_distribution(zip(b"abcdef", SIX_WEIGHTS))
     assert build_table(six, "saeds-case1", 12).n_states == 8
     assert capsys.readouterr().out == ""
+
+
+def test_compress_in_place_round_trips(tmp_path):
+    src, data = make_input(tmp_path, size=30_000)
+    src.chmod(0o640)
+    assert main(["compress", "--input", str(src), "--output", str(src),
+                 "--codec", "large-n", "--states", "64"]) == 0
+    assert stat.S_IMODE(src.stat().st_mode) == 0o640  # kept on replacing
+    back = tmp_path / "back.dat"
+    assert main(["decompress", "--input", str(src),
+                 "--output", str(back)]) == 0
+    assert back.read_bytes() == data
+    # a new file gets the mode that open(path, "wb") gives
+    with open(tmp_path / "plain", "wb"):
+        pass
+    assert back.stat().st_mode == (tmp_path / "plain").stat().st_mode
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "back.dat", "input.dat", "plain"]
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+def test_output_to_a_pipe_is_written_directly(tmp_path):
+    src, data = make_input(tmp_path, size=5000)
+    out = tmp_path / "out.aedc"
+    assert main(["compress", "--input", str(src), "--output", str(out)]) == 0
+    pipe = tmp_path / "pipe"
+    os.mkfifo(pipe)
+    got = []
+    reader = threading.Thread(target=lambda: got.append(pipe.read_bytes()),
+                              daemon=True)
+    reader.start()
+    assert main(["decompress", "--input", str(out),
+                 "--output", str(pipe)]) == 0
+    reader.join(timeout=10)
+    assert not reader.is_alive() and got == [data]
+    assert stat.S_ISFIFO(pipe.stat().st_mode)
+
+
+@pytest.mark.parametrize("before", [None, b"earlier bytes"])
+def test_failed_checksum_leaves_the_output_as_it_was(tmp_path, before):
+    src, _ = make_input(tmp_path, size=20_000)
+    out = tmp_path / "out.aedc"
+    assert main(["compress", "--input", str(src), "--output", str(out)]) == 0
+    blob = bytearray(out.read_bytes())
+    blob[7] ^= 0x01  # the stored CRC: every block decodes, the check fails
+    out.write_bytes(bytes(blob))
+    back = tmp_path / "back.dat"
+    if before is not None:
+        back.write_bytes(before)
+    assert main(["decompress", "--input", str(out),
+                 "--output", str(back)]) == 3
+    assert (back.read_bytes() if back.exists() else None) == before
+    assert len(list(tmp_path.iterdir())) == 2 + (before is not None)
+
+
+def test_input_that_grows_between_the_passes_writes_nothing(
+        tmp_path, monkeypatch, capsys):
+    import aeds.cli as cli_mod
+    src, _ = make_input(tmp_path, size=20_000)
+    real = cli_mod.build_table
+
+    def build_then_grow(*args):
+        with open(src, "ab") as fh:
+            fh.write(b"abc")
+        return real(*args)
+    monkeypatch.setattr(cli_mod, "build_table", build_then_grow)
+    out, side = tmp_path / "out.aedc", tmp_path / "codes.tbl"
+    assert main(["compress", "--input", str(src), "--output", str(out),
+                 "--codec", "type2", "--table-out", str(side)]) == 3
+    assert "changed between the two passes" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["input.dat"]
+
+
+@pytest.mark.parametrize("size,crc", [(1, 0), (0, 1)])
+def test_container_writer_checks_what_it_reads(size, crc):
+    data = b"abracadabra"
+    table = build_table(validate_distribution(
+        (b, data.count(b)) for b in b"abcdr"), "type2", 2)
+    with pytest.raises(HashMismatch, match="changed between the two passes"):
+        write_container_stream(io.BytesIO(data).read, bytearray().extend,
+                               zlib.crc32(data) + crc, len(data) + size,
+                               table)
+
+
+def broken_builder(*_):
+    raise RuntimeError("an invariant failed")
+
+
+def period_two_table(p):
+    # the states swap on every symbol: irreducible, but of period 2
+    m = len(p.symbols)
+    return AedsTable(p.symbols, [[1] * m, [0] * m], [[8] * m] * 2,
+                     [list(range(m))] * 2)
+
+
+@pytest.mark.parametrize("build,rc,stream,text", [
+    (broken_builder, 4, "err", "internal error: RuntimeError"),
+    (lambda p, *_: period_two_table(p), 0, "out",
+     "analytic bits/symbol: n/a (chain not ergodic)\n"),
+])
+def test_compress_reports_what_the_builder_gives(tmp_path, monkeypatch,
+                                                 capsys, build, rc, stream,
+                                                 text):
+    import aeds.cli as cli_mod
+    monkeypatch.setattr(cli_mod, "build_table", build)
+    src, data = make_input(tmp_path, size=5000)
+    out = tmp_path / "out.aedc"
+    assert main(["compress", "--input", str(src), "--output", str(out)]) == rc
+    assert text in getattr(capsys.readouterr(), stream)
+    assert out.exists() == (rc == 0)
+    if rc == 0:
+        back = tmp_path / "back.dat"
+        assert main(["decompress", "--input", str(out),
+                     "--output", str(back)]) == 0
+        assert back.read_bytes() == data
+
+
+@pytest.mark.parametrize("codec_name", CODECS)
+def test_huffman_tree_is_built_only_for_the_codecs_that_read_it(
+        monkeypatch, codec_name):
+    import aeds.cli as cli_mod
+    calls = []
+    real = cli_mod.prefix_codes.build_huffman
+    monkeypatch.setattr(cli_mod.prefix_codes, "build_huffman",
+                        lambda p: calls.append(1) or real(p))
+    six = validate_distribution(zip(b"abcdef", SIX_WEIGHTS))
+    build_table(six, codec_name, 16)
+    assert len(calls) == (codec_name in ("huffman", "type1", "type2"))

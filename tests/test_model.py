@@ -4,23 +4,30 @@ import random
 import numpy as np
 import pytest
 
+import aeds.model
+from aeds.analysis import check_bound
+from aeds.codec import decode, encode
 from aeds.errors import (
     AlphabetMismatch,
     DegenerateAlphabet,
+    InconsistentTables,
     InvalidWeight,
     MissingSymbol,
     PrefixViolation,
     TableError,
 )
 from aeds.constructors import (
+    _assemble,
     build_large_n,
     build_saeds_case2,
     build_saeds_case3,
+    optimize_decoder_codes,
 )
 from aeds.model import (
     AedsTable,
     Codeword,
     ErgodicityReport,
+    SAedsPartition,
     SourceDistribution,
     _bfs_depths,
     demo_table,
@@ -253,11 +260,12 @@ def test_ergodicity_and_depths_equal_the_sorting_bfs(name):
                         (bounds, order // m)):
         assert (_bfs_depths(starts, adj, n)
                 == bfs_depths_oracle(starts, adj, n)).all()
-    assert ergodicity(nexts) == ergodicity_oracle(nexts)
+    assert ergodicity(nexts, incoming(nexts)) == ergodicity_oracle(nexts)
 
 
 def test_ergodicity_cases_cover_every_kind_of_report():
-    reports = {ergodicity(nexts) for nexts in ERGODICITY_CASES.values()}
+    reports = {ergodicity(nexts, incoming(nexts))
+               for nexts in ERGODICITY_CASES.values()}
     assert {(r.irreducible, r.aperiodic, r.period) for r in reports} >= {
         (False, False, None), (True, True, 1), (True, False, 2),
         (True, False, 3), (True, False, 4096)}
@@ -281,6 +289,50 @@ def test_forward_sets_equal_the_list_construction(table):
     got = table.saeds_partition().forward_sets
     assert got == want
     assert {type(y) for f in got.values() for y in f} == {int}
+
+
+@pytest.mark.parametrize("subsets,forward_sets,message", [
+    (((0,), (0,)), {0: (0,), 1: (1,)}, "do not partition the state set"),
+    (((0, 1), ()), {0: (0,), 1: (1,)}, "do not partition the state set"),
+    (((0,), (1,)), {0: (0,), 1: (1,)}, "forward sets of symbol 'a' do not"),
+    (((0,), (1,)), {0: (0, 1), 1: ()}, "forward sets of symbol 'b' do not"),
+])
+def test_partition_check_names_the_broken_law(subsets, forward_sets,
+                                              message):
+    part = SAedsPartition(("a", "b"), subsets, forward_sets)
+    with pytest.raises(InconsistentTables, match=message):
+        part.check(2)
+
+
+@pytest.mark.parametrize("forward", [
+    [[np.array([0, 1]), np.array([1])], [np.array([0, 1])]],  # 1 twice
+    [[np.array([0])], [np.array([0, 1])]],                    # 1 missing
+])
+def test_assemble_rejects_forward_sets_that_do_not_tile(forward):
+    p = validate_distribution([("a", 1), ("b", 1)])
+    positions = [list(range(len(sets))) for sets in forward]
+    with pytest.raises(TableError, match="do not tile the states"):
+        _assemble(p, 2, positions, forward)
+
+
+def test_every_reader_shares_one_grouping(monkeypatch):
+    # the decoder sets and runs, ergodicity, the forward sets of the
+    # bounds and the code optimizer all read the table's one grouping
+    calls = []
+    real = aeds.model.incoming
+    monkeypatch.setattr(aeds.model, "incoming",
+                        lambda *args: calls.append(1) or real(*args))
+    p = validate_distribution([("a", 3), ("b", 3), ("c", 2)])
+    table, _ = build_large_n(p, [3, 3, 2])
+    assert calls == []
+    assert table.ergodicity().ergodic
+    assert table.saeds_partition() is not None
+    assert check_bound(table, p, "large-n").holds
+    table.decoding_tries()
+    seq = list("abcabbac" * 40)
+    assert decode(table, encode(table, seq)) == seq
+    optimize_decoder_codes(table, p)
+    assert len(calls) == 1
 
 
 def test_byte_histogram_constructor():
