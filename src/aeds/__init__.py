@@ -67,8 +67,6 @@ from .tans import (
     TansTable,
     build_tans,
     quantize_counts,
-    tans_decode,
-    tans_encode,
     tans_to_aeds,
 )
 

@@ -431,14 +431,6 @@ class BoundReport:
     slack: float
     details: dict = field(default_factory=dict, compare=False)
 
-    def as_csv_row(self):
-        params = ";".join(f"{k}={v:.12g}" if isinstance(v, float)
-                          else f"{k}={v}"
-                          for k, v in sorted(self.details.items()))
-        return {"bound": self.name, "params": params, "left": self.left,
-                "right": self.right, "slack": self.slack,
-                "holds": int(self.holds)}
-
 
 def _bound(name, left, right, tol=1e-9, **details):
     slack = right - left

@@ -110,15 +110,14 @@ def build_table(p, codec_name, n_states):
     if codec_name == "saeds-case2":
         return constructors.build_saeds_case2(
             p, tans.quantize_counts(p, n_states))
-    if codec_name == "saeds-case3":
+    if codec_name in ("saeds-case3", "tans"):
+        # the tANS table of the sorted spread is the case-3 table
         return constructors.build_saeds_case3(
             p, tans.quantize_counts(p, n_states))
     if codec_name == "large-n":
         table, _ = constructors.build_large_n(
             p, tans.quantize_counts(p, n_states))
         return table
-    if codec_name == "tans":
-        return tans.tans_to_aeds(tans.build_tans(p, n_states))
     raise ValueError(f"unknown codec {codec_name!r}")
 
 
@@ -440,7 +439,8 @@ def _parser():
     c = sub.add_parser("compress", help="two-pass compression of a file")
     c.add_argument("--input", required=True)
     c.add_argument("--output", required=True)
-    c.add_argument("--codec", choices=CODECS, default="type1")
+    c.add_argument("--codec", choices=CODECS, default="type1",
+                   help="table family; tans builds the saeds-case3 table")
     c.add_argument("--states", type=positive_int, default=2,
                    help="state budget N for the table builders")
     c.add_argument("--table-out", default=None,

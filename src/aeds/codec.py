@@ -519,14 +519,6 @@ def decode(table, stream):
     return out
 
 
-def trace_lengths(table, sequence, initial_state=0):
-    """Per-symbol codeword lengths of an encode from a pinned start state,
-    independent of the bit writer (used by tests and rate accounting)."""
-    cells = _backward_pass(table.nexts, symbol_indices(table, sequence),
-                           initial_state)[1]
-    return table.lengths.ravel()[cells].tolist()
-
-
 # ---------------------------------------------------------------------------
 # table serialization
 

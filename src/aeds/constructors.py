@@ -23,7 +23,6 @@ from .errors import (
     DegenerateSingleSymbol,
     InvalidWeight,
     NonIntegerRatio,
-    NotPowerOfTwo,
     StateBudgetExceeded,
     TableError,
     TooFewStates,
@@ -38,6 +37,7 @@ from .model import (
     value_dtype,
 )
 from .prefix_codes import build_huffman, phased_in_cells, phased_in_words
+from .tans import TansTable, _spread_sorted, tans_to_aeds
 
 _ZERO = Codeword(0, 1)
 _ONE = Codeword(1, 1)
@@ -221,39 +221,18 @@ def build_saeds_case2(p, counts):
                      rank=True)
 
 
-def _case3_prefix_plan(ns, total_bits):
-    """Forward intervals and codeword widths for one symbol of a
-    power-of-two layout: carving a phased-in tree of ns leaves out of the
-    root of the depth-k complete tree leaves ns fixed-length subtrees.
-
-    Returns [(start, width_bits)] with the narrow forward sets first.
-    """
-    if ns == 1:
-        return [(0, total_bits)]
-    ks = (ns - 1).bit_length()
-    plan = []
-    for v in range(2 * ns - (1 << ks)):          # ks-bit carve: small sets
-        plan.append((v << (total_bits - ks), total_bits - ks))
-    for v in range(ns - (1 << (ks - 1)), 1 << (ks - 1)):  # (ks-1)-bit carve
-        plan.append((v << (total_bits - ks + 1), total_bits - ks + 1))
-    return plan
-
-
 def build_saeds_case3(p, counts):
     """Power-of-two layout: every forward set takes a fixed-length code.
 
-    Mirrors the sorted-interval tANS spread exactly, so converting the
-    matching tANS table yields an identical AedsTable.
+    This is the tANS table of the sorted spread (Duda, arXiv:1311.2540),
+    so it is built by that closed form: a block of N_s consecutive states
+    per symbol, whose forward sets are runs of 2^k states with k-bit
+    codes, the narrow runs on the block's first states.  ``TansTable``
+    raises NotPowerOfTwo unless the counts sum to a power of two.
     """
     counts = _check_counts(p, counts)
-    n = sum(counts)
-    if n & (n - 1):
-        raise NotPowerOfTwo(f"state count {n} is not a power of two")
-    k = n.bit_length() - 1
-    forward = [[np.arange(start, start + (1 << width))
-                for start, width in _case3_prefix_plan(c, k)]
-               for c in counts]
-    return _assemble(p, n, _consecutive_positions(counts), forward)
+    return tans_to_aeds(TansTable(p.symbols, counts,
+                                  _spread_sorted(counts, sum(counts))))
 
 
 # ---------------------------------------------------------------------------

@@ -80,9 +80,6 @@ class CodeTree:
         return CodeTree({s: Codeword(w.value ^ (1 << (w.length - 1)), w.length)
                          for s, w in self.codewords().items()})
 
-    def kraft_sum(self):
-        return math.fsum(2.0 ** -w.length for w in self.codewords().values())
-
 
 def tree_metrics(tree, p):
     """Split weights and average lengths of ``tree`` under distribution ``p``.

@@ -1,19 +1,16 @@
-"""Tabled ANS: integer states N..2N-1, correspondence tables C and D, the
-arithmetic encode/decode recursion, and the lossless embedding into an
-AedsTable.
+"""Tabled ANS: integer states N..2N-1, the correspondence table C, and the
+lossless embedding into an AedsTable.
 
-State counts must be powers of two here; the table constructors in
-``constructors`` cover general N.
+``build_tans`` lays out the sorted spread, whose embedding is the case-3
+state-divided table; ``constructors.build_saeds_case3`` builds that table
+through ``tans_to_aeds``.  State counts must be powers of two here; the
+table constructors in ``constructors`` cover general N.
 """
 
 import numpy as np
 
-from .codec import Bitstream, symbol_indices
 from .errors import NotPowerOfTwo, TableError, TooFewStates
-from .model import AedsTable, Codeword
-
-SPREAD_SORTED = "sorted-interval"
-SPREAD_STRIDE = "stride"
+from .model import AedsTable
 
 
 def _is_pow2(n):
@@ -45,19 +42,22 @@ def quantize_counts(p, n_states):
 
 
 class TansTable:
-    """A tANS instance: N, per-symbol counts, and the C/D correspondence.
+    """A tANS instance: N, per-symbol counts, and the C correspondence.
 
     ``C[s][y - counts[s]]`` is the state x reached by pushing symbol s at
-    slot y, and ``D[x - N]`` is the inverse pair (s, y), derived from C.
-    N is the sum of the counts.
+    slot y; every state of N..2N-1 appears exactly once.  N is the sum of
+    the counts.
     """
 
-    __slots__ = ("symbols", "n_states", "counts", "C", "D", "_index")
+    __slots__ = ("symbols", "n_states", "counts", "C")
 
     def __init__(self, symbols, counts, C):
         symbols = tuple(symbols)
         counts = tuple(counts)
         n = sum(counts)
+        if len(symbols) != len(counts):
+            raise TableError(f"{len(symbols)} symbols but "
+                             f"{len(counts)} counts")
         if not _is_pow2(n):
             raise NotPowerOfTwo(f"state count {n} is not a power of two")
         if any(c < 1 for c in counts):
@@ -66,32 +66,23 @@ class TansTable:
             raise TableError("C needs one block per count")
         # the blocks hold sum(counts) = N states, so placing each state of
         # N..2N-1 at most once places every one of them exactly once
-        D = [None] * n
+        placed = bytearray(n)
         for s, block in enumerate(C):
             if len(block) != counts[s]:
                 raise TableError("C block size mismatch")
-            for y, x in enumerate(block, counts[s]):
+            for x in block:
                 if not n <= x < 2 * n:
                     raise TableError(f"state {x} outside N..2N-1")
-                if D[x - n] is not None:
+                if placed[x - n]:
                     raise TableError(f"state {x} placed twice")
-                D[x - n] = (s, y)
+                placed[x - n] = 1
         object.__setattr__(self, "symbols", symbols)
         object.__setattr__(self, "n_states", n)
         object.__setattr__(self, "counts", counts)
         object.__setattr__(self, "C", tuple(tuple(b) for b in C))
-        object.__setattr__(self, "D", tuple(D))
-        object.__setattr__(self, "_index", {s: i for i, s in enumerate(symbols)})
 
     def __setattr__(self, *_):
         raise AttributeError("TansTable is immutable")
-
-    def push(self, s, x):
-        """One backward encoding step: (symbol, state) -> (codeword, state)."""
-        ns = self.counts[s]
-        k = (x // ns).bit_length() - 1
-        word = Codeword(x & ((1 << k) - 1), k)
-        return word, self.C[s][(x >> k) - ns]
 
 
 def _spread_sorted(counts, n):
@@ -109,77 +100,22 @@ def _spread_sorted(counts, n):
     return C
 
 
-def _spread_stride(counts, n):
-    """Classic odd-stride spread: slot sequence (i*step mod N)."""
-    step = (n >> 1) + (n >> 3) + 3
-    if step % 2 == 0:
-        step += 1
-    slots = [None] * n
-    pos = 0
-    for s, ns in enumerate(counts):
-        for _ in range(ns):
-            slots[pos] = s
-            pos = (pos + step) % n
-    C = [[] for _ in counts]
-    for i, s in enumerate(slots):
-        C[s].append(n + i)
-    return C
-
-
-def build_tans(p, n_states, spread_policy=SPREAD_SORTED):
-    """Quantize ``p`` onto ``n_states`` slots and lay out the C/D tables."""
+def build_tans(p, n_states):
+    """Quantize ``p`` onto ``n_states`` slots and lay out the sorted
+    spread."""
     if not _is_pow2(n_states):
         raise NotPowerOfTwo(f"{n_states} is not a power of two")
     counts = quantize_counts(p, n_states)
-    if spread_policy == SPREAD_SORTED:
-        C = _spread_sorted(counts, n_states)
-    elif spread_policy == SPREAD_STRIDE:
-        C = _spread_stride(counts, n_states)
-    else:
-        raise ValueError(f"unknown spread policy {spread_policy!r}")
-    return TansTable(p.symbols, counts, C)
-
-
-def tans_encode(table, sequence, initial_state=None):
-    """Backward arithmetic encoding; shares the AEDS stream framing, with
-    the initial decoder state stored as x - N."""
-    n = table.n_states
-    x = n if initial_state is None else initial_state
-    if not n <= x < 2 * n:
-        raise TableError(f"initial state {x} outside N..2N-1")
-    indices = symbol_indices(table, sequence)
-    values, lengths = [], []
-    for s in reversed(indices):
-        word, x = table.push(s, x)
-        values.append(word.value)
-        lengths.append(word.length)
-    return Bitstream.assemble(n, x - n, len(indices), values[::-1],
-                              lengths[::-1])
-
-
-def tans_decode(table, stream):
-    n = table.n_states
-    stream.check_states(n)
-    reader = stream.payload_reader()
-    x = n + stream.initial_state
-    out = []
-    for _ in range(stream.length):
-        s, y = table.D[x - n]
-        # bits needed to lift y back into N..2N-1; exact inverse of push()
-        k = 0
-        while (y << k) < n:
-            k += 1
-        x = (y << k) | reader.read(k)
-        out.append(table.symbols[s])
-    reader.check_padding()
-    return out
+    return TansTable(p.symbols, counts, _spread_sorted(counts, n_states))
 
 
 def tans_to_aeds(table):
     """Rewrite the arithmetic recursion as an explicit state table.
 
+    Pushing symbol s at state x emits the low k bits of x, where
+    k = floor(lg(x // counts[s])), and moves to C[s][(x >> k) - counts[s]].
     The resulting AedsTable indexes states densely (state i is x = N + i)
-    and produces bit-identical streams for identical initial states.
+    and produces the streams of that recursion bit for bit.
     """
     n = table.n_states
     x = np.arange(n, 2 * n)[:, None]

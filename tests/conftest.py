@@ -3,9 +3,13 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
+from aeds.codec import Bitstream, _backward_pass, symbol_indices
+from aeds.errors import TableError
 from aeds.model import AedsTable, Codeword, SourceDistribution
+from aeds.tans import TansTable, build_tans, quantize_counts
 
 
 def random_source(rng, n_symbols=None, symbols=None):
@@ -61,6 +65,14 @@ def random_sequence(rng, p, length):
     return rng.choices(p.symbols, weights=p.probs, k=length)
 
 
+def trace_lengths(table, sequence, initial_state=0):
+    """Per-symbol codeword lengths of an encode from a pinned start state,
+    independent of the bit writer."""
+    cells = _backward_pass(table.nexts, symbol_indices(table, sequence),
+                           initial_state)[1]
+    return table.lengths.ravel()[cells].tolist()
+
+
 # ---------------------------------------------------------------------------
 # independent oracles
 
@@ -99,3 +111,127 @@ def depth_multisets(leaves, max_len, _cache={}):
 @pytest.fixture
 def rng():
     return random.Random(0xAED5)
+
+
+# ---------------------------------------------------------------------------
+# native tANS (Duda, arXiv:1311.2540): the arithmetic recursion on states
+# N..2N-1 that ``tans_to_aeds`` rewrites as a table
+
+
+def tans_push(table, s, x):
+    """One backward step: (symbol index, state) -> (codeword, state)."""
+    ns = table.counts[s]
+    k = (x // ns).bit_length() - 1
+    return Codeword(x & ((1 << k) - 1), k), table.C[s][(x >> k) - ns]
+
+
+def tans_inverse(table):
+    """D[x - N] = (s, y): the symbol and slot that C maps to state x."""
+    n = table.n_states
+    D = [None] * n
+    for s, block in enumerate(table.C):
+        for y, x in enumerate(block, table.counts[s]):
+            D[x - n] = (s, y)
+    return D
+
+
+def tans_encode(table, sequence, initial_state=None):
+    """Backward arithmetic encoding in the AEDS stream framing, with the
+    initial decoder state stored as x - N."""
+    n = table.n_states
+    x = n if initial_state is None else initial_state
+    if not n <= x < 2 * n:
+        raise TableError(f"initial state {x} outside N..2N-1")
+    index = {s: i for i, s in enumerate(table.symbols)}
+    values, lengths = [], []
+    for symbol in reversed(sequence):
+        word, x = tans_push(table, index[symbol], x)
+        values.append(word.value)
+        lengths.append(word.length)
+    return Bitstream.assemble(n, x - n, len(sequence), values[::-1],
+                              lengths[::-1])
+
+
+def tans_decode(table, stream):
+    n = table.n_states
+    stream.check_states(n)
+    D = tans_inverse(table)
+    reader = stream.payload_reader()
+    x = n + stream.initial_state
+    out = []
+    for _ in range(stream.length):
+        s, y = D[x - n]
+        # bits needed to lift y back into N..2N-1; the inverse of tans_push
+        k = 0
+        while (y << k) < n:
+            k += 1
+        x = (y << k) | reader.read(k)
+        out.append(table.symbols[s])
+    reader.check_padding()
+    return out
+
+
+def spread_stride(counts, n):
+    """Classic odd-stride spread: slot sequence (i*step mod N)."""
+    step = (n >> 1) + (n >> 3) + 3
+    if step % 2 == 0:
+        step += 1
+    slots = [None] * n
+    pos = 0
+    for s, ns in enumerate(counts):
+        for _ in range(ns):
+            slots[pos] = s
+            pos = (pos + step) % n
+    C = [[] for _ in counts]
+    for i, s in enumerate(slots):
+        C[s].append(n + i)
+    return C
+
+
+def build_stride_tans(p, n):
+    counts = quantize_counts(p, n)
+    return TansTable(p.symbols, counts, spread_stride(counts, n))
+
+
+SPREADS = (build_tans, build_stride_tans)
+
+
+# ---------------------------------------------------------------------------
+# the case-3 table from the paper's definition
+
+
+def case3_prefix_plan(ns, total_bits):
+    """Forward intervals and codeword widths for one symbol of a
+    power-of-two layout: carving a phased-in tree of ns leaves out of the
+    root of the depth-k complete tree leaves ns fixed-length subtrees.
+
+    Returns [(start, width_bits)] with the narrow forward sets first.
+    """
+    if ns == 1:
+        return [(0, total_bits)]
+    ks = (ns - 1).bit_length()
+    plan = []
+    for v in range(2 * ns - (1 << ks)):          # ks-bit carve: small sets
+        plan.append((v << (total_bits - ks), total_bits - ks))
+    for v in range(ns - (1 << (ks - 1)), 1 << (ks - 1)):  # (ks-1)-bit carve
+        plan.append((v << (total_bits - ks + 1), total_bits - ks + 1))
+    return plan
+
+
+def case3_by_definition(symbols, counts):
+    """The case-3 table on N = sum(counts) = 2^k states: symbol s owns a
+    block of counts[s] consecutive states, the j-th of which is entered
+    from the j-th interval of ``case3_prefix_plan``, each member of that
+    interval emitting its offset in as many bits as the interval is wide."""
+    n = sum(counts)
+    k = n.bit_length() - 1
+    nexts, lengths, values = np.zeros((3, n, len(counts)), dtype=np.int64)
+    base = 0
+    for s, ns in enumerate(counts):
+        for j, (start, width) in enumerate(case3_prefix_plan(ns, k)):
+            run = slice(start, start + (1 << width))
+            nexts[run, s] = base + j
+            lengths[run, s] = width
+            values[run, s] = np.arange(1 << width)
+        base += ns
+    return AedsTable(symbols, nexts, lengths, values)

@@ -588,16 +588,6 @@ def test_smallest_gamma_reported():
     assert g in (3, 4, 8, 16)
 
 
-def test_bound_report_csv_row():
-    p = validate_distribution([("a", 0.7), ("b", 0.3)])
-    from aeds.constructors import build_saeds_case1
-    table = build_saeds_case1(p, [3, 3])
-    row = check_bound(table, p, "case1").as_csv_row()
-    assert set(row) == {"bound", "params", "left", "right", "slack", "holds"}
-    assert row["holds"] == 1
-    assert "H=" in row["params"] and "D=" in row["params"]
-
-
 def test_optimal_split_known_divisions():
     from aeds.analysis import optimal_uniform_split
     for n in (4, 6, 8):

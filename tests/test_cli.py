@@ -14,7 +14,8 @@ from aeds import codec
 from aeds.codec import Bitstream
 from aeds.cli import (CODECS, build_table, main, read_container,
                       write_container_stream)
-from aeds.errors import HashMismatch, MalformedStream, TrailingGarbage
+from aeds.errors import (HashMismatch, MalformedStream, NotPowerOfTwo,
+                         TooFewStates, TrailingGarbage)
 from aeds.model import AedsTable, validate_distribution
 
 SIX_WEIGHTS = [35, 15, 15, 15, 10, 10]
@@ -368,6 +369,37 @@ def test_tans_codec_rejects_bad_state_count(tmp_path):
                "--output", str(tmp_path / "x"), "--codec", "tans",
                "--states", "12"])
     assert rc == 3
+
+
+ZIPF256 = validate_distribution([(b, 1 / (b + 1) ** 1.2) for b in range(256)])
+SIX = validate_distribution(list(zip(b"abcdef", SIX_WEIGHTS)))
+
+
+@pytest.mark.parametrize("p,states", [
+    (SIX, 16), (ZIPF256, 512), (ZIPF256, 4096),
+], ids=["six-16", "zipf256-512", "zipf256-4096"])
+def test_tans_codec_builds_the_case3_table(p, states):
+    assert codec.table_digest(build_table(p, "tans", states)) == \
+        codec.table_digest(build_table(p, "saeds-case3", states))
+
+
+@pytest.mark.parametrize("states,error", [
+    (16, TooFewStates), (255, TooFewStates), (384, NotPowerOfTwo),
+])
+def test_tans_and_case3_reject_a_state_count_alike(states, error):
+    for name in ("tans", "saeds-case3"):
+        with pytest.raises(error):
+            build_table(ZIPF256, name, states)
+
+
+def test_tans_codec_reports_too_few_states_first(tmp_path, capsys):
+    # below the alphabet size the count is rejected before the power of two
+    src, _ = make_input(tmp_path, size=2000)
+    rc = main(["compress", "--input", str(src),
+               "--output", str(tmp_path / "x"), "--codec", "tans",
+               "--states", "3"])
+    assert rc == 3
+    assert "3 states cannot cover 6 symbols" in capsys.readouterr().err
 
 
 def test_case1_snaps_odd_state_budget(tmp_path, capsys):

@@ -12,7 +12,6 @@ from aeds.codec import (
     encode,
     serialize_table,
     table_digest,
-    trace_lengths,
     validate_aeds,
 )
 from aeds.constructors import build_type1, build_type2
@@ -31,7 +30,8 @@ from aeds.errors import (
 from aeds.model import AedsTable, Codeword, demo_table, validate_distribution
 from aeds.prefix_codes import build_huffman
 
-from conftest import random_sequence, random_source, random_table
+from conftest import (random_sequence, random_source, random_table,
+                      trace_lengths)
 
 SIX = validate_distribution(
     [("a", 0.35), ("b", 0.15), ("c", 0.15), ("d", 0.15),

@@ -46,7 +46,8 @@ from aeds.model import AedsTable, Codeword, demo_table, validate_distribution
 from aeds.prefix_codes import build_huffman, tree_metrics
 from aeds.tans import build_tans, quantize_counts, tans_to_aeds
 
-from conftest import huffman_oracle_mean, random_sequence, random_source
+from conftest import (case3_by_definition, huffman_oracle_mean,
+                      random_sequence, random_source)
 
 SIX = validate_distribution(
     [("a", 0.35), ("b", 0.15), ("c", 0.15), ("d", 0.15),
@@ -354,13 +355,13 @@ def test_case3_rejects_non_power_of_two():
 
 
 def test_case3_equals_converted_tans():
+    # the definition, since build_saeds_case3 is the converted table itself
     rng = random.Random(19)
     for _ in range(25):
         n = 1 << rng.randint(3, 7)
         p = random_source(rng, n_symbols=rng.randint(2, min(6, n)))
-        from aeds.tans import quantize_counts
         counts = quantize_counts(p, n)
-        direct = build_saeds_case3(p, counts)
+        direct = case3_by_definition(p.symbols, counts)
         converted = tans_to_aeds(build_tans(p, n))
         assert direct.encoder == converted.encoder
         # per-symbol codeword length multisets coincide as well
@@ -370,6 +371,22 @@ def test_case3_equals_converted_tans():
             b = sorted(w.length for row in converted.encoder
                        for i, (w, _) in enumerate(row) if i == s)
             assert a == b
+
+
+def test_case3_matches_its_fixed_length_definition():
+    rng = random.Random(0xCA5E3)
+    for trial in range(60):
+        n = 1 << rng.randint(1, 12)
+        m = rng.randint(2, min(300, n))
+        if trial % 3:  # a uniformly random composition of n into m parts
+            cuts = sorted(rng.sample(range(1, n), m - 1))
+            counts = [b - a for a, b in zip([0] + cuts, cuts + [n])]
+        else:  # all but one symbol on a single state
+            counts = [1] * (m - 1) + [n - m + 1]
+            rng.shuffle(counts)
+        p = validate_distribution([(s, 1) for s in range(m)])
+        assert table_digest(build_saeds_case3(p, counts)) == \
+            table_digest(case3_by_definition(p.symbols, counts)), counts
 
 
 def test_large_n_identities_random():

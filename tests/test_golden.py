@@ -16,7 +16,10 @@ from aeds import cli
 from aeds.cli import main
 
 # (codec, --states): container SHA-256 of the input below.  saeds-case3
-# and tans agree because tANS is the case3 layout.
+# and tans agree because --codec tans builds the case-3 table, which is the
+# tANS table of the sorted spread.  test_tans.py checks that embedding
+# against a native tANS coder, and test_constructors.py checks the case-3
+# table against its fixed-length definition.
 GOLDEN = {
     ("huffman", 2):
         "4762e6aa6d1bf8e25a55135ed0a29817a8a0809e78e1a5418cbb6da143350f33",

@@ -7,16 +7,10 @@ from aeds.codec import Bitstream, decode, encode, validate_aeds
 from aeds.errors import (MalformedStream, NotPowerOfTwo, TableError,
                          TooFewStates, TrailingGarbage)
 from aeds.model import validate_distribution
-from aeds.tans import (
-    TansTable,
-    build_tans,
-    quantize_counts,
-    tans_decode,
-    tans_encode,
-    tans_to_aeds,
-)
+from aeds.tans import TansTable, build_tans, quantize_counts, tans_to_aeds
 
-from conftest import random_sequence, random_source
+from conftest import (SPREADS, random_sequence, random_source, tans_decode,
+                      tans_encode, tans_inverse, tans_push)
 
 
 def test_quantize_exact_dyadic():
@@ -57,21 +51,22 @@ def test_build_two_state_table():
     t = build_tans(p, 2)
     assert t.counts == (1, 1)
     assert t.C == ((2,), (3,))
-    assert t.D == ((0, 1), (1, 1))
+    assert tans_inverse(t) == [(0, 1), (1, 1)]
 
 
-@pytest.mark.parametrize("counts,C,error,match", [
-    ((1, 1), ((2,), (4,)), TableError, "outside"),
-    ((1, 1), ((3,), (3,)), TableError, "placed twice"),
-    ((1, 1), ((2, 3), ()), TableError, "block size"),
-    ((1, 1), ((2,),), TableError, "one block per count"),
-    ((0, 2), ((), (2, 3)), TableError, "positive"),
-    ((2, 1), ((3, 4), (5,)), NotPowerOfTwo, "power of two"),
+@pytest.mark.parametrize("symbols,counts,C,error,match", [
+    ("ab", (1, 1), ((2,), (4,)), TableError, "outside"),
+    ("ab", (1, 1), ((3,), (3,)), TableError, "placed twice"),
+    ("ab", (1, 1), ((2, 3), ()), TableError, "block size"),
+    ("ab", (1, 1), ((2,),), TableError, "one block per count"),
+    ("ab", (0, 2), ((), (2, 3)), TableError, "positive"),
+    ("ab", (2, 1), ((3, 4), (5,)), NotPowerOfTwo, "power of two"),
+    ("abc", (2, 2), ((4, 5), (6, 7)), TableError, "3 symbols but 2 counts"),
 ], ids=["outside", "twice", "block-size", "block-count", "nonpositive",
-        "not-pow2"])
-def test_tans_table_rejects_bad_c(counts, C, error, match):
+        "not-pow2", "symbols-vs-counts"])
+def test_tans_table_rejects_bad_c(symbols, counts, C, error, match):
     with pytest.raises(error, match=match):
-        TansTable("ab", counts, C)
+        TansTable(symbols, counts, C)
 
 
 def test_build_rejects_non_power_of_two():
@@ -82,14 +77,15 @@ def test_build_rejects_non_power_of_two():
 
 def test_c_and_d_are_mutual_inverses():
     rng = random.Random(4)
-    for spread in ("sorted-interval", "stride"):
+    for spread in SPREADS:
         for _ in range(20):
             p = random_source(rng, n_symbols=rng.randint(2, 6))
             n = 1 << rng.randint(3, 7)
-            t = build_tans(p, n, spread)
+            t = spread(p, n)
+            D = tans_inverse(t)
             for s, block in enumerate(t.C):
                 for y_off, x in enumerate(block):
-                    assert t.D[x - n] == (s, t.counts[s] + y_off)
+                    assert D[x - n] == (s, t.counts[s] + y_off)
 
 
 def test_push_and_pull_are_inverse_everywhere():
@@ -98,10 +94,11 @@ def test_push_and_pull_are_inverse_everywhere():
     for n in (8, 32, 256):
         p = random_source(rng, n_symbols=4)
         t = build_tans(p, n)
+        D = tans_inverse(t)
         for s in range(4):
             for x in range(n, 2 * n):
-                word, nxt = t.push(s, x)
-                s2, y = t.D[nxt - n]
+                word, nxt = tans_push(t, s, x)
+                s2, y = D[nxt - n]
                 k = 0
                 while (y << k) < n:
                     k += 1
@@ -116,7 +113,7 @@ def test_per_symbol_bit_counts_take_two_values():
         n = 1 << rng.randint(3, 8)
         t = build_tans(p, n)
         for s, ns in enumerate(t.counts):
-            ks = {t.push(s, x)[0].length for x in range(n, 2 * n)}
+            ks = {tans_push(t, s, x)[0].length for x in range(n, 2 * n)}
             lo = (n // ns).bit_length() - 1
             assert ks <= {lo, lo + 1}
 
@@ -126,7 +123,7 @@ def test_roundtrip_random():
     for _ in range(60):
         p = random_source(rng, n_symbols=rng.randint(2, 6))
         n = 1 << rng.randint(3, 7)
-        t = build_tans(p, n, rng.choice(("sorted-interval", "stride")))
+        t = rng.choice(SPREADS)(p, n)
         seq = random_sequence(rng, p, rng.randint(0, 200))
         stream = tans_encode(t, seq)
         assert tans_decode(t, stream) == seq
@@ -137,7 +134,7 @@ def test_two_state_emits_one_bit_per_symbol():
     t = build_tans(p, 2)
     for s in range(2):
         for x in (2, 3):
-            word, _ = t.push(s, x)
+            word, _ = tans_push(t, s, x)
             assert word.length == 1
     conv = tans_to_aeds(t)
     # bit-identical streams on every binary input of length 12
@@ -155,7 +152,7 @@ def test_converted_table_is_valid_state_divided():
     for _ in range(20):
         n = 1 << rng.randint(3, 6)
         p = random_source(rng, n_symbols=rng.randint(2, 5))
-        t = build_tans(p, n, rng.choice(("sorted-interval", "stride")))
+        t = rng.choice(SPREADS)(p, n)
         conv = tans_to_aeds(t)
         validate_aeds(conv)
         part = conv.saeds_partition()
@@ -169,7 +166,7 @@ def test_conversion_streams_match():
     for _ in range(40):
         n = 1 << rng.randint(3, 7)
         p = random_source(rng, n_symbols=rng.randint(2, min(6, n)))
-        t = build_tans(p, n, rng.choice(("sorted-interval", "stride")))
+        t = rng.choice(SPREADS)(p, n)
         conv = tans_to_aeds(t)
         for _ in range(3):
             seq = random_sequence(rng, p, rng.randint(0, 100))
