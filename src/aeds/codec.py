@@ -12,8 +12,10 @@ the backward recursion, which records the table cell each symbol visits in
 a buffer of one or four bytes per symbol: chunks of the block run in step
 from a guessed state, and the few cells where a guess was wrong are
 re-run one at a time.  ``BitWriter.write_words`` packs those cells'
-codewords in forward order with array operations, ``PACK_SLICE`` words at
-a time, so memory is that buffer, one work copy of it, plus the payload.
+codewords in forward order into 64-bit words, ``PACK_SLICE`` words at a
+time; one-byte cells go two at a time, as words of the 65,536 cell pairs
+that a table of at most 256 cells builds once.  Memory is the cell
+buffer, one work copy of it, the pair words (0.6 MB) and the payload.
 """
 
 import hashlib
@@ -41,21 +43,23 @@ STREAM_VERSION = 1
 TABLE_MAGIC = b"AEDT"
 TABLE_VERSION = 1
 
-# Codewords ``BitWriter.write_words`` packs, and grid cells that
-# ``deserialize_table`` decodes, at a time.  At 64 KB per int64 array the
-# temporaries stay below the 128 KB from which glibc's malloc maps fresh
-# pages for each array and faults them in every time (a 2 MiB type2
+# Codewords (or cell pairs) ``BitWriter.write_words`` packs, and grid cells
+# that ``deserialize_table`` decodes, at a time.  At 64 KB per int64 array
+# the temporaries stay below the 128 KB from which glibc's malloc maps
+# fresh pages for each array and faults them in every time (a 2 MiB type2
 # compress took 29,000 minor faults with 2^16-word slices and 2,100 with
-# these), and freed ones do not stay resident under a table's arrays.
+# these; a 2^20-symbol block encoded in 19-21 ms as one slice, 15-16 ms
+# in these), and freed ones do not stay resident under a table's arrays.
 PACK_SLICE = 1 << 13
 
 # Symbols in a chunk of the speculative backward pass, and the chunks in a
 # row that may re-run whole before the rest of a block runs serially: on 16
 # states whose maps are rotations, which never meet, a 2^20-symbol pass
-# then takes 1.1 to 1.2 times the serial loop.  The lockstep costs about
-# 2.5 ms whatever the block length (two numpy calls per symbol position of
-# a chunk, on a shared 2-CPU host); it overtook the serial loop at 28 to 40
-# chunks there, so shorter blocks run serially.
+# then takes 1.1 to 1.2 times the serial loop.  The lockstep costs 1.35 to
+# 1.51 ms on the five-state type2 table whatever the block length (two
+# numpy calls per symbol position of a chunk, on a shared 2-CPU host); it
+# ties the serial loop at 24 chunks and wins at 32 (on large-n with 4096
+# states, from 16), so shorter blocks run serially.
 CHUNK = 1 << 10
 RERUN_LIMIT = 3
 LOCKSTEP_CHUNKS = 32
@@ -82,11 +86,15 @@ class BitWriter:
         self._buf += (acc >> keep).to_bytes(fill >> 3, "big")
         self._acc, self._fill = acc & ((1 << keep) - 1), keep
 
-    def write_words(self, values, lengths, cells=None):
+    def write_words(self, values, lengths, cells=None, pairs=None):
         """Write codewords in order, ``PACK_SLICE`` at a time: word i is
         ``values[i]`` in ``lengths[i]`` bits, or the word of table cell
         ``cells[i]`` when ``values`` and ``lengths`` are a table's flat
-        arrays."""
+        arrays; two at a time with ``pairs``, from ``_pair_words``."""
+        if pairs is not None:
+            even = len(cells) & -2
+            self.write_words(*pairs, cells[:even].view("<u2"))
+            cells = cells[even:]
         if not isinstance(values, np.ndarray):
             # numpy would read a list holding 2^63 as floats
             values = np.array(values, dtype=object)
@@ -95,33 +103,34 @@ class BitWriter:
                        PACK_SLICE):
             part = slice(i, i + PACK_SLICE)
             if cells is not None:
-                part = cells[part]
+                part = cells[part].astype(np.intp)  # gathers fastest
             self._pack(values[part], lengths[part].astype(np.int64))
 
     def _pack(self, values, lengths):
-        """Lay the words out from the current bit offset: each value is
-        shifted into a window of ceil((7 + longest) / 8) bytes that starts
-        at its first byte, the windows of the words that share a first
-        byte are ORed together, and each byte lane of those windows is ORed
-        into the output.  Windows wider than 64 bits use Python ints."""
+        """Lay the words out from the current bit offset in 64-bit words:
+        a word ending at bit e is shifted left by 64(w + 1) - e into word
+        w = (e - 1) >> 6, one add.reduceat merges the words of each w
+        (their bits are disjoint), and one that began in w - 1 ORs its
+        high bits in there.  Longer words are written one at a time."""
+        if lengths.max() > 64:
+            for value, nbits in zip(values.tolist(), lengths.tolist()):
+                self.write(value, nbits)
+            return
         ends = np.cumsum(lengths) + self._fill
-        starts = ends - lengths
-        width = (14 + int(lengths.max())) >> 3
-        dtype = np.uint64 if width <= 8 else object
-        words = values.astype(dtype) << (
-            8 * width - lengths - (starts & 7)).astype(dtype)
-        first = starts >> 3
-        group = np.flatnonzero(np.diff(first, prepend=-1))
-        words, first = np.bitwise_or.reduceat(words, group), first[group]
-        out = np.zeros(int(first[-1]) + width + 1, np.uint8)
-        out[0] = self._acc << (8 - self._fill)
-        for j in range(width):
-            out[first + j] |= ((words >> (8 * (width - 1 - j)))
-                               & 0xFF).astype(np.uint8)
         total = int(ends[-1])
-        self._buf += out[:total >> 3].tobytes()
+        values = values.astype(np.uint64, copy=False)
+        shift = (-ends & 63).astype(np.uint64)  # 64(w + 1) - e
+        starts = np.searchsorted(ends, np.arange(0, total, 64), "right")
+        out = np.add.reduceat(values << shift, starts)
+        out[starts == np.append(starts[1:], -1)] = 0  # no word ends there
+        cross = np.flatnonzero(lengths + shift.view(np.int64) > 64)
+        out[(ends[cross] - lengths[cross]) >> 6] |= (values[cross]
+                                                     >> 64 - shift[cross])
+        out[:1] |= np.uint64(self._acc << (64 - self._fill))  # empty: no bits
+        out = out.astype(">u8").tobytes()
+        self._buf += out[:total >> 3]
         self._fill = total & 7
-        self._acc = int(out[total >> 3]) >> (8 - self._fill)
+        self._acc = out[total >> 3] >> (8 - self._fill) if self._fill else 0
 
     def write_bytes(self, data):
         if self._fill:
@@ -285,7 +294,7 @@ class Bitstream:
 
     @classmethod
     def assemble(cls, n_states, initial_state, length, values, lengths,
-                 cells=None):
+                 cells=None, pairs=None):
         """Frame a payload given as codeword values and bit counts in
         decode order (see ``BitWriter.write_words``)."""
         w = BitWriter()
@@ -294,7 +303,7 @@ class Bitstream:
         w.write_leb128(n_states)
         w.write(initial_state, state_index_bits(n_states))
         w.write_leb128(length)
-        w.write_words(values, lengths, cells)
+        w.write_words(values, lengths, cells, pairs)
         total = w.bit_length
         stream = cls(w.getvalue())
         stream.exact_payload_bits = total - stream.payload_start
@@ -432,7 +441,44 @@ def encode(table, sequence, initial_state=0):
     x0, cells = _backward_pass(table.nexts, indices, initial_state)
     return Bitstream.assemble(table.n_states, x0, len(indices),
                               table.values.ravel(), table.lengths.ravel(),
-                              cells)
+                              cells, _pair_words(table))
+
+
+def _pair_words(table):
+    """Values and lengths of cell a's word then b's at a | b << 8, built
+    once; None above 256 cells or 32-bit codewords."""
+    lengths = table.lengths.ravel()
+    if lengths.size > 256 or lengths.max() > 32:
+        return None
+    if table._pairs is None:
+        v, n = np.zeros(256, np.uint64), np.zeros(256, np.uint8)
+        v[:lengths.size], n[:lengths.size] = table.values.ravel(), lengths
+        pairs = (v << n[:, None] | v[:, None], n + n[:, None])  # [b, a]
+        object.__setattr__(table, "_pairs", tuple(a.ravel() for a in pairs))
+    return table._pairs
+
+
+class _Room:
+    """Nothing, with a length hint of the most a block of ``total`` symbols
+    grows a list to.  ``list.extend`` sizes an empty list for it and shrinks
+    it back in place, so the list never moves between glibc's heap and a
+    mapping: it grows into the room it left, under the mmap threshold, or
+    as a mapping, by mremap, which never copies.  Grown from empty, a
+    block's list could cross the threshold that an earlier block's freed
+    list had set and be copied in its last growth: 7 MB more peak memory
+    on some inputs, depending on the heap's layout."""
+
+    def __init__(self, total):
+        # growth adds an eighth and a run may pass the end; at most 2^22
+        # items (32 MiB, 64-bit glibc's highest dynamic mmap threshold),
+        # whatever length a stream declares
+        self.n = min((total + RUN_CAP) * 9 // 8 + 6, 1 << 22)
+
+    def __iter__(self):
+        return iter(())
+
+    def __length_hint__(self):
+        return self.n
 
 
 def decode(table, stream):
@@ -463,9 +509,10 @@ def decode(table, stream):
     nbits = 8 - (stream.payload_start & 7)
     pos += 1
     x = stream.initial_state
-    out = []
-    extend = out.extend
     total = stream.length
+    out = []
+    out.extend(_Room(total))
+    extend = out.extend
     while left := total - len(out):
         before = x
         # no run holds more than RUN_CAP symbols, so left // RUN_CAP runs

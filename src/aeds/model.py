@@ -286,6 +286,11 @@ def zero_bit_cycle(nexts, lengths):
     return tuple(np.unique(step[step < n]).tolist())
 
 
+def _first_cell(mask):
+    """``np.argwhere(mask)[:1]``, skipped when ``any()`` finds nothing."""
+    return np.argwhere(mask)[:1] if mask.any() else ()
+
+
 class AedsTable:
     """A complete encoding/decoding scheme over N states, stored as three
     read-only (N, |A|) integer arrays.
@@ -303,7 +308,7 @@ class AedsTable:
 
     __slots__ = ("symbols", "n_states", "nexts", "lengths", "values",
                  "state_names", "_index", "_lookup", "_tries", "_ergodicity",
-                 "_encoder", "_entries", "_incoming")
+                 "_encoder", "_entries", "_incoming", "_pairs")
 
     def __init__(self, symbols, nexts, lengths, values, state_names=None):
         symbols = tuple(symbols)
@@ -324,11 +329,11 @@ class AedsTable:
                                 f"{len(symbols)} symbols")
         if not nexts.shape == lengths.shape == values.shape:
             raise TableError("the table arrays differ in shape")
-        for x, s in np.argwhere((nexts < 0) | (nexts >= n))[:1]:
+        for x, s in _first_cell((nexts < 0) | (nexts >= n)):
             raise TableError(f"state {x}: next state {nexts[x, s]} "
                              f"out of range")
-        for x, s in np.argwhere((lengths < 0) | (values < 0)
-                                | ((values >> np.maximum(lengths, 0)) != 0))[:1]:
+        for x, s in _first_cell((lengths < 0) | (values < 0) | (
+                (values >> np.maximum(lengths, 0)) != 0)):
             raise TableError(f"state {x}: value {values[x, s]} does not "
                              f"fit in {lengths[x, s]} bits")
         if state_names is not None:

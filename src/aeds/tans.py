@@ -114,13 +114,15 @@ def tans_to_aeds(table):
 
     Pushing symbol s at state x emits the low k bits of x, where
     k = floor(lg(x // counts[s])), and moves to C[s][(x >> k) - counts[s]].
+    For N = 2^R and a j-bit count, k = R - j + [x >= count << (R - j + 1)].
     The resulting AedsTable indexes states densely (state i is x = N + i)
     and produces the streams of that recursion bit for bit.
     """
     n = table.n_states
     x = np.arange(n, 2 * n)[:, None]
     counts = np.array(table.counts)
-    k = np.frexp(x // counts)[1] - 1  # floor(lg(x // count))
+    k = n.bit_length() - 1 - np.frexp(counts)[1]  # R - j
+    k = k + (x >= counts << (k + 1))
     first = np.cumsum(counts) - counts  # where each C block starts
     nexts = np.concatenate(table.C)[first + (x >> k) - counts] - n
     return AedsTable(table.symbols, nexts, k, x & ((1 << k) - 1))

@@ -6,7 +6,9 @@ import random
 import numpy as np
 import pytest
 
-from aeds.codec import Bitstream, _backward_pass, symbol_indices
+from aeds.codec import (STREAM_MAGIC, STREAM_VERSION, Bitstream,
+                        _backward_pass, _leb128, state_index_bits,
+                        symbol_indices)
 from aeds.errors import TableError
 from aeds.model import AedsTable, Codeword, SourceDistribution
 from aeds.tans import TansTable, build_tans, quantize_counts
@@ -75,6 +77,24 @@ def trace_lengths(table, sequence, initial_state=0):
 
 # ---------------------------------------------------------------------------
 # independent oracles
+
+
+def serial_encode(table, sequence, initial_state=0):
+    """The stream ``encode`` writes, built one symbol at a time: the
+    backward recursion over ``table.encoder``, then the header and the
+    codewords in forward order as a "0101" string, without BitWriter."""
+    x, words = initial_state, []
+    for symbol in reversed(sequence):
+        word, x = table.encoder[x][table.symbol_index(symbol)]
+        words.append(word.bits)
+    n = table.n_states
+    head = STREAM_MAGIC + bytes([STREAM_VERSION]) + _leb128(n)
+    bits = "".join(format(b, "08b") for b in head)
+    bits += format(x, f"0{state_index_bits(n)}b") if n > 1 else ""
+    bits += "".join(format(b, "08b") for b in _leb128(len(sequence)))
+    bits += "".join(reversed(words))
+    bits += "0" * (-len(bits) % 8)
+    return Bitstream(int(bits, 2).to_bytes(len(bits) // 8, "big"))
 
 
 def huffman_oracle_mean(probs, max_len=10):

@@ -9,6 +9,7 @@ import pytest
 import aeds.codec
 from aeds.codec import BitReader, BitWriter
 from aeds.errors import TruncatedStream
+from aeds.model import AedsTable
 
 
 def bits_of(data, start, count):
@@ -120,6 +121,58 @@ def test_write_words_matches_a_bit_string(lead, longest, monkeypatch):
             ref = bit_string([(head, lead), *words, (0b101, 3)])
             assert w.bit_length == len(ref)
             assert w.getvalue() == padded_bytes(ref)
+
+
+# around the pair limit (two words of 32 bits), the longest word the 64-bit
+# packer takes and the word-by-word path above it
+@pytest.mark.parametrize("longest", [0, 1, 8, 31, 32, 33, 64, 65])
+@pytest.mark.parametrize("lead", range(8))
+def test_one_byte_cells_match_a_bit_string(lead, longest, monkeypatch):
+    """Cells of a table of at most 256 cells, odd and even counts of them,
+    written two at a time through the pair words when every word fits in
+    32 bits; zero-length words fall inside pairs."""
+    monkeypatch.setattr(aeds.codec, "PACK_SLICE", 3)  # many pair slices
+    rng = random.Random(8 * longest + lead)
+    for m in (1, 2, 7, 256):
+        lengths = [rng.choice((0, longest, rng.randint(0, longest)))
+                   for _ in range(m)]
+        lengths[-1] = longest
+        values = [rng.getrandbits(n) for n in lengths]
+        table = AedsTable(range(m), np.zeros((1, m), np.int64), [lengths],
+                          [values])
+        pairs = aeds.codec._pair_words(table)
+        assert (pairs is not None) == (longest <= 32)
+        for size in (0, 1, 2, 5, 6, 7, 13, 40, 41):
+            cells = np.frombuffer(bytes(rng.randrange(m)
+                                        for _ in range(size)), np.uint8)
+            head = rng.getrandbits(lead)
+            w = BitWriter()
+            w.write(head, lead)
+            w.write_words(table.values.ravel(), table.lengths.ravel(), cells,
+                          pairs)
+            w.write(0b101, 3)
+            ref = bit_string([(head, lead),
+                              *((values[c], lengths[c]) for c in cells),
+                              (0b101, 3)])
+            assert w.bit_length == len(ref)
+            assert w.getvalue() == padded_bytes(ref)
+
+
+def test_pair_words_are_two_cells_in_order():
+    """Pair a | b << 8 is the word of cell a followed by that of cell b,
+    and the pair words are built once per table."""
+    rng = random.Random(3)
+    lengths = [rng.randint(0, 32) for _ in range(200)]
+    values = [rng.getrandbits(n) for n in lengths]
+    table = AedsTable(range(200), np.zeros((1, 200), np.int64), [lengths],
+                      [values])
+    pair_values, pair_lengths = aeds.codec._pair_words(table)
+    assert aeds.codec._pair_words(table)[0] is pair_values
+    assert pair_values.shape == pair_lengths.shape == (1 << 16,)
+    values, lengths = values + [0] * 56, lengths + [0] * 56  # empty words
+    for a, b in [(0, 0), (0, 199), (199, 0), (17, 42), (5, 255), (255, 9)]:
+        assert (pair_values[a | b << 8], pair_lengths[a | b << 8]) == (
+            values[a] << lengths[b] | values[b], lengths[a] + lengths[b])
 
 
 def test_leb128_roundtrip_at_any_alignment():

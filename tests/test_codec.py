@@ -1,12 +1,22 @@
+import ctypes
 import hashlib
 import math
+import operator
+import os
+import platform
 import random
 import tracemalloc
 
 import pytest
 
+from aeds.cli import CODECS, build_table
 from aeds.codec import (
+    CHUNK,
+    LOCKSTEP_CHUNKS,
+    PACK_SLICE,
     Bitstream,
+    _Room,
+    _pair_words,
     decode,
     deserialize_table,
     encode,
@@ -27,11 +37,12 @@ from aeds.errors import (
     UnmatchedCodeword,
     VersionMismatch,
 )
-from aeds.model import AedsTable, Codeword, demo_table, validate_distribution
+from aeds.model import (RUN_CAP, AedsTable, Codeword, demo_table,
+                        validate_distribution)
 from aeds.prefix_codes import build_huffman
 
 from conftest import (random_sequence, random_source, random_table,
-                      trace_lengths)
+                      serial_encode, trace_lengths)
 
 SIX = validate_distribution(
     [("a", 0.35), ("b", 0.15), ("c", 0.15), ("d", 0.15),
@@ -153,6 +164,54 @@ def test_encode_memory_stays_under_the_list_encoder():
         tracemalloc.stop()
     assert stream.length == 1 << 20
     assert peak <= LIST_ENCODER_PEAK
+
+
+@pytest.mark.skipif(platform.python_implementation() != "CPython"
+                    or platform.libc_ver()[0] != "glibc"
+                    or not os.path.exists("/proc/self/maps"),
+                    reason="reads glibc's heap bounds and a list's storage")
+def test_block_list_grows_in_place_or_mapped():
+    """After a freed 2^20-symbol list moved glibc's mmap threshold, a list
+    started as ``decode`` starts one (``codec._Room``) reaches 2^20 items
+    where it began or in a mapping of its own, never copied on the heap."""
+    def storage(items):  # CPython's list: ob_refcnt, ob_type, ob_size, ob_item
+        return ctypes.c_void_p.from_address(
+            id(items) + 3 * ctypes.sizeof(ctypes.c_void_p)).value
+
+    table = build_type1(build_huffman(SIX), SIX, 2)
+    seq = random_sequence(random.Random(5), SIX, 1 << 20)
+    assert decode(table, encode(table, seq)) == seq  # frees such a list
+    out = []
+    out.extend(_Room(1 << 20))
+    assert out == [] and operator.length_hint(_Room(1 << 40)) == 1 << 22
+    start, run = storage(out), tuple(range(RUN_CAP))
+    for _ in range((1 << 20) // RUN_CAP):
+        out.extend(run)
+    with open("/proc/self/maps") as fh:
+        heaps = [[int(a, 16) for a in line.split()[0].split("-")]
+                 for line in fh if line.rstrip().endswith("[heap]")]
+    end = storage(out)
+    assert end == start or not any(lo <= end < hi for lo, hi in heaps)
+
+
+def test_one_byte_encodes_equal_the_serial_oracle():
+    """Every CLI codec whose table has at most 256 cells, over an odd
+    number of symbols long enough for the lockstep pass and many pair
+    slices, writes the stream of the one-symbol-at-a-time oracle."""
+    p = validate_distribution(zip("abcdefgh", (90, 3, 2, 2, 1, 1, .5, .5)))
+    tables = [build_table(p, name, 16) for name in CODECS]
+    assert [t.n_states for t in tables[:3]] == [1, 16, 5]  # no fallback
+    tables.append(build_table(validate_distribution(
+        (b, 1 + b % 7) for b in range(256)), "huffman", 1))
+    n = LOCKSTEP_CHUNKS * CHUNK + 2 * PACK_SLICE + 1
+    rng = random.Random(22)
+    for table in tables:
+        assert table.nexts.size <= 256 and _pair_words(table) is not None
+        seq = random_sequence(rng, validate_distribution(
+            zip(table.symbols, rng.choices(range(1, 9), k=len(
+                table.symbols)))), n)
+        start = rng.randrange(table.n_states)
+        assert encode(table, seq, start) == serial_encode(table, seq, start)
 
 
 def test_length_accounting():

@@ -366,6 +366,18 @@ def test_array_path_rejects_what_the_row_path_rejects():
         AedsTable.from_rows("abc", [[(Codeword(0, 1), 0)] * 2])
 
 
+def test_table_errors_name_the_first_bad_cell():
+    """Both grid checks name the first bad cell in x-major order."""
+    ok = dict(nexts=[[0, 0, 0], [0, 0, 0]], lengths=[[1, 1, 1], [1, 1, 1]],
+              values=[[0, 1, 0], [1, 0, 1]])
+    with pytest.raises(TableError) as err:
+        AedsTable("abc", **{**ok, "nexts": [[0, 1, 5], [-1, 7, 0]]})
+    assert str(err.value) == "state 0: next state 5 out of range"
+    with pytest.raises(TableError) as err:
+        AedsTable("abc", **{**ok, "values": [[0, 1, 0], [1, 4, 9]]})
+    assert str(err.value) == "state 1: value 4 does not fit in 1 bits"
+
+
 def test_table_arrays_are_read_only_integers():
     t = demo_table()
     assert t.nexts.shape == t.lengths.shape == t.values.shape == (5, 3)

@@ -1,6 +1,7 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 
 from aeds.codec import Bitstream, decode, encode, validate_aeds
@@ -174,6 +175,37 @@ def test_conversion_streams_match():
             native = tans_encode(t, seq, initial_state=n + start)
             generic = encode(conv, seq, initial_state=start)
             assert native.data == generic.data
+
+
+def random_composition(rng, n):
+    """Positive counts summing to n, some of them 1, in random order."""
+    m = rng.randint(1, min(n, 300))
+    ones = rng.randint(0, m - 1)
+    cuts = sorted(rng.sample(range(1, n - ones), m - ones - 1))
+    counts = [b - a for a, b in zip([0, *cuts], [*cuts, n - ones])]
+    counts += [1] * ones
+    rng.shuffle(counts)
+    return counts
+
+
+@pytest.mark.parametrize("r", range(1, 13))
+def test_conversion_equals_the_division_form(r):
+    """The threshold form of k = floor(lg(x // count)) in tans_to_aeds
+    against the division it replaced, on random spreads of random counts
+    of N = 2^r, and on one symbol of count N (k = 0)."""
+    rng = random.Random(r)
+    n = 1 << r
+    for counts in [[n]] + [random_composition(rng, n) for _ in range(4)]:
+        slots = rng.sample(range(n, 2 * n), n)
+        first = np.cumsum(counts) - counts
+        C = [slots[a:a + c] for a, c in zip(first, counts)]
+        got = tans_to_aeds(TansTable(range(len(counts)), counts, C))
+        x = np.arange(n, 2 * n)[:, None]
+        k = np.frexp(x // counts)[1] - 1
+        assert np.array_equal(got.lengths, k)
+        assert np.array_equal(got.values, x & ((1 << k) - 1))
+        assert np.array_equal(got.nexts, np.array(slots)[
+            first + (x >> k) - counts] - n)
 
 
 @pytest.mark.parametrize("damage,message", [
