@@ -200,7 +200,8 @@ def read_container(blob, side_table=None, sink=None):
         if stream.length > BLOCK_SYMBOLS:
             raise MalformedStream(f"a block declares {stream.length} "
                                   f"symbols, more than {BLOCK_SYMBOLS}")
-        piece = bytes(codec.decode(table, stream))
+        piece = codec.decode_indices(table, stream).tobytes().translate(
+            _byte_values(table))
         running = zlib.crc32(piece, running)
         if sink is None:
             out += piece
@@ -210,6 +211,17 @@ def read_container(blob, side_table=None, sink=None):
     if running != crc:
         raise HashMismatch("decompressed data fails its checksum")
     return bytes(out)
+
+
+def _byte_values(table):
+    """The ``bytes.translate`` table from alphabet indices to the byte
+    values that are a CLI table's symbols, the mirror of
+    ``codec.symbol_indices``."""
+    try:
+        return bytes(table.symbols).ljust(256, b"\0")
+    except (TypeError, ValueError):
+        raise MalformedStream("the table's symbols are not byte values") \
+            from None
 
 
 def _check_end(r):

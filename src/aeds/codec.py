@@ -16,15 +16,24 @@ codewords in forward order into 64-bit words, ``PACK_SLICE`` words at a
 time; one-byte cells go two at a time, as words of the 65,536 cell pairs
 that a table of at most 256 cells builds once.  Memory is the cell
 buffer, one work copy of it, the pair words (0.6 MB) and the payload.
+
+Decoding reads the payload forward.  Long blocks decode in lockstep:
+lanes started across the payload each take one slot of a packed window
+array a row, and are stitched where their paths meet
+(``decode_indices``).  Short blocks, and what the lockstep cannot
+settle, run the serial loop over the run index (``_walk``).
 """
 
+import bisect
 import hashlib
+import math
 from array import array
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import (
+    AedsError,
     HashMismatch,
     MalformedStream,
     MalformedTable,
@@ -35,8 +44,8 @@ from .errors import (
     UnmatchedCodeword,
     VersionMismatch,
 )
-from .model import (INT_BITS, RUN_CAP, AedsTable, ErgodicityReport,
-                    value_dtype, zero_bit_cycle)
+from .model import (INT_BITS, LOOKUP_BITS, RUN_CAP, AedsTable,
+                    ErgodicityReport, value_dtype, zero_bit_cycle)
 
 STREAM_MAGIC = b"AEDS"
 STREAM_VERSION = 1
@@ -63,6 +72,25 @@ PACK_SLICE = 1 << 13
 CHUNK = 1 << 10
 RERUN_LIMIT = 3
 LOCKSTEP_CHUNKS = 32
+
+# The lockstep decode (``_lockstep_decode``) runs LANES lanes, on blocks of
+# at least LOCKSTEP_SYMBOLS symbols (below, the serial loop was faster on
+# the type2 table with both indexes built) and tables of at most
+# LOCKSTEP_STATES states (at N = 4096 most lanes did not meet).  Each lane
+# runs its share of the block's symbols, twice the square root of that
+# share (the spread of the symbols its bits hold) and SYNC_ROWS rows per
+# bit of the state count (paths meet later on larger tables) beyond it:
+# measured, no lane was left unmet on 16 type2 blocks of 2^20 skewed bytes
+# (seeds 1-8) nor on the 512-state large-n, tans and saeds-case2 tables of
+# 128 KiB of Zipf bytes (seeds 1-4).  After a lane that did not meet the
+# next one the serial loop decodes SERIAL_STEP symbols at a time; with
+# more than UNMET_SHARE of the lanes unmet, the whole block.
+LANES = 1 << 10
+LOCKSTEP_SYMBOLS = 1 << 17
+LOCKSTEP_STATES = 1 << 11
+SYNC_ROWS = 40
+SERIAL_STEP = 256
+UNMET_SHARE = 1 / 8
 
 
 # ---------------------------------------------------------------------------
@@ -230,9 +258,14 @@ def state_index_bits(n_states):
 class ValidationReport:
     """``zero_bit_cycle`` lists the decoder states, ascending, on a cycle
     of zero-length codewords: from them a stream decodes any number of
-    symbols without reading a bit.  ``decode`` stays bounded on such
-    tables because ``RUN_CAP`` ends each window's run and the declared
-    symbol count ends the decode."""
+    symbols without reading a bit.  Such tables have no lockstep index
+    and decode serially, which stays bounded because ``RUN_CAP`` ends
+    each window's run and the declared symbol count ends the decode; its
+    list holds only the symbols decoded.  On every other table a path
+    reads a bit at least every z + 1 symbols (z zero-length codewords),
+    and the lockstep starts only for blocks that declare at most that
+    many symbols per payload bit, so its arrays are bounded by the
+    payload whatever length the stream declares."""
 
     well_formed: bool
     ergodicity: ErgodicityReport
@@ -458,62 +491,89 @@ def _pair_words(table):
     return table._pairs
 
 
-class _Room:
-    """Nothing, with a length hint of the most a block of ``total`` symbols
-    grows a list to.  ``list.extend`` sizes an empty list for it and shrinks
-    it back in place, so the list never moves between glibc's heap and a
-    mapping: it grows into the room it left, under the mmap threshold, or
-    as a mapping, by mremap, which never copies.  Grown from empty, a
-    block's list could cross the threshold that an earlier block's freed
-    list had set and be copied in its last growth: 7 MB more peak memory
-    on some inputs, depending on the heap's layout."""
+def decode_indices(table, stream):
+    """The alphabet index of every symbol of ``stream``, as a numpy array
+    of one byte an index up to 256 symbols, else four; consumes exactly
+    the declared payload.
 
-    def __init__(self, total):
-        # growth adds an eighth and a run may pass the end; at most 2^22
-        # items (32 MiB, 64-bit glibc's highest dynamic mmap threshold),
-        # whatever length a stream declares
-        self.n = min((total + RUN_CAP) * 9 // 8 + 6, 1 << 22)
+    A block of at least ``LOCKSTEP_SYMBOLS`` symbols decodes in lockstep
+    from ``table.lockstep_index()`` (``_lockstep_decode``).  Shorter
+    blocks, tables without that index or of more than
+    ``LOCKSTEP_STATES`` states, blocks where most lanes do not meet, and
+    any block whose lockstep finds an anomaly (a dead slot or a read past
+    the end on its path, or bad padding) run the serial loop (``_walk``),
+    so every error is the serial decoder's.  Memory is bounded by the
+    payload, whatever length the stream declares: the lockstep never
+    starts for more symbols than its bits can hold."""
+    stream.check_states(table.n_states)
+    got = _lockstep_decode(table, stream)
+    if got is None:
+        got = _index_array(table, _walk_stream(table, stream))
+    return got
 
-    def __iter__(self):
-        return iter(())
 
-    def __length_hint__(self):
-        return self.n
+def _index_array(table, symbols):
+    """``symbol_indices`` of a list of symbols, as a numpy array; a list
+    of byte values maps through bytes, in one translate."""
+    if len(table.symbols) <= 256 and all(
+            isinstance(s, int) and 0 <= s < 256 for s in table.symbols):
+        symbols = bytes(symbols)
+    got = symbol_indices(table, symbols)
+    return np.frombuffer(got, np.uint8 if isinstance(got, bytes)
+                         else np.uint32)
 
 
 def decode(table, stream):
-    """Recover the symbol sequence; consumes exactly the declared payload.
+    """Recover the symbol sequence as a list: the symbols of
+    ``decode_indices``."""
+    stream.check_states(table.n_states)
+    got = _lockstep_decode(table, stream)
+    if got is None:
+        return _walk_stream(table, stream)
+    symbols = table.symbols
+    return [symbols[i] for i in got.tolist()]
 
-    Bits are peeked from a local accumulator that is refilled 8 bytes at a
-    time.  Each lookup in ``table.decoding_tries()`` reads the next k bits
-    w of the current state's window (k = ``LOOKUP_BITS`` = 12 for tables
-    of up to 8 states) and then two lists at w: the run of whole codewords
-    w holds, up to ``RUN_CAP`` = 16, and the pair of the state after it
-    and the bits it uses, so left // 16 lookups never pass the block's
-    end.
+
+def _walk_stream(table, stream):
+    """The serial loop over the whole block, padding check included."""
+    data = stream.data + bytes(16)
+    out, bit, _ = _walk(table, data, 8 * len(stream.data),
+                        stream.payload_start, stream.initial_state,
+                        stream.length)
+    BitReader(stream.data, bit).check_padding()
+    return out
+
+
+def _walk(table, data, end, bit, x, total, exact=True):
+    """The serial loop: decode from bit ``bit`` of ``data`` (the stream's
+    bytes, then 16 zero bytes; ``end`` bits are the stream's) in state x
+    until ``total`` symbols, or with ``exact`` false up to ``RUN_CAP`` - 1
+    more, the rest of its last run.  Returns the symbols, the bit after
+    them and the state there.
+
+    Bits are peeked from a local accumulator that is refilled 8 bytes at
+    a time.  Each lookup in ``table.decoding_tries()`` reads the next k
+    bits w of the current state's window (k = ``LOOKUP_BITS`` = 12 for
+    tables of up to 8 states) and then two lists at w: the run of whole
+    codewords w holds, up to ``RUN_CAP`` = 16, and the pair of the state
+    after it and the bits it uses, so left // 16 lookups never pass the
+    block's end.
     When a run is empty or, in a block's last 15 symbols, longer than the
     symbols left, one codeword is read bit by bit from
     ``table.codeword_trie``: codewords longer than the window, damaged
     ones and some block tails.  Zero bytes past the end of the stream keep
     every refill whole (a refill starts at most one byte past the end, or
     the end check before it raises); a codeword that consumes them makes
-    the stream truncated.
-    """
-    stream.check_states(table.n_states)
+    the stream truncated."""
     nodes = table.decoding_tries()
     symbols = table.symbols
-    data = stream.data + bytes(16)
-    end = 8 * len(stream.data)
-    pos = stream.payload_start >> 3
+    pos = bit >> 3
     acc = data[pos]
-    nbits = 8 - (stream.payload_start & 7)
+    nbits = 8 - (bit & 7)
     pos += 1
-    x = stream.initial_state
-    total = stream.length
     out = []
-    out.extend(_Room(total))
     extend = out.extend
-    while left := total - len(out):
+    while (left := total - len(out)) > 0:
         before = x
         # no run holds more than RUN_CAP symbols, so left // RUN_CAP runs
         # all fit; the last few symbols of a block try one run at a time
@@ -534,7 +594,7 @@ def decode(table, stream):
             extend(run)
             nbits -= used
         else:
-            if len(out) <= total:
+            if len(out) <= total or not exact:
                 continue
             del out[-len(run):]  # a run past the block's end: take it back
             x, nbits = before, nbits + used
@@ -562,8 +622,244 @@ def decode(table, stream):
         out.append(symbols[s])
     if 8 * pos - nbits > end:
         raise TruncatedStream("bit stream exhausted")
-    BitReader(stream.data, 8 * pos - nbits).check_padding()
+    return out, 8 * pos - nbits, x
+
+
+def _lockstep_decode(table, stream):
+    """The block's indices decoded in lockstep, or None for the serial
+    loop to decode (or to name the error).
+
+    ``LANES`` lanes start at equally spaced bits of the payload: lane 0
+    at its first bit in the stream's state, the others in the same state
+    as a guess, each a whole number of steps (the gcd of the codeword
+    lengths) after lane 0, where a codeword can start.  Each row moves
+    every lane by one slot of the packed index
+    (``AedsTable.lockstep_index``): a codeword, a step into a sub-window
+    or, off the true path, a dead slot.  A lane that guessed wrong falls
+    onto the true path within tens of symbols on small tables (Klein and
+    Wiseman, Comput. J. 46(5), 2003), and paths that met stay together.  So the true path is lane 0 up to its last
+    codeword, then the next lane from the row whose point (bit position,
+    window) equals the point after it, and so on.  After a lane that did
+    not meet the next one, the serial loop goes on from its last point
+    until the true path lands on a point of a later lane."""
+    total = stream.length
+    if (total < LOCKSTEP_SYMBOLS or table.n_states > LOCKSTEP_STATES
+            or (index := table.lockstep_index()) is None):
+        return None
+    data = stream.data
+    end = 8 * len(data)
+    if total > (index[3] + 1) * (end - stream.payload_start + 1):
+        return None  # more symbols than the bits can hold
+    m = len(table.symbols)
+    lanes = _Lanes(index, m, data, stream.payload_start, stream.initial_state,
+                   _lane_rows(total, table.n_states))
+    if lanes.meets.count(-1) > UNMET_SHARE * LANES:
+        return None
+    padded = data + bytes(16)
+    pieces, count, lane, row, bit = [], 0, 0, 0, 0
+    try:
+        while count < total and bit <= end:
+            chain = []  # (lane, first row, end row) along met lanes
+            while lane < LANES - 1 and lanes.meets[lane] >= 0:
+                chain.append((lane, row, lanes.last[lane]))
+                lane, row = lane + 1, lanes.meets[lane]
+            chain.append((lane, row, lanes.last[lane]))
+            got = np.concatenate([lanes.codes[i, a:b] for i, a, b in chain])
+            steps = np.flatnonzero(got == m)  # rows into a sub-window
+            cut = _rows_holding(steps, total - count)
+            done = cut < len(got)  # the block ends in this chain
+            if done:
+                bit = lanes.bit_after(chain, cut)
+                got, steps = got[:cut], steps[steps < cut]
+            if (got > m).any():
+                return None  # a dead slot: the serial loop names it
+            if not done:
+                bit, x = lanes.end(lane)
+            pieces.append(np.delete(got, steps) if steps.size else got)
+            count += len(pieces[-1])
+            lane = None
+            while lane is None and count < total and bit <= end:
+                # serially, until the true path is on a later lane's points
+                left = total - count
+                exact = left <= SERIAL_STEP + RUN_CAP
+                out, bit, x = _walk(table, padded, end, bit, x,
+                                    left if exact else SERIAL_STEP, exact)
+                count += len(out)
+                pieces.append(_index_array(table, out))
+                lane, row = lanes.find(bit, x)
+    except AedsError:
+        return None
+    got = np.concatenate(pieces) if len(pieces) > 1 else pieces[0]
+    if (bit > end or count != total or end - bit >= 8
+            or data[-1] & ((1 << (end - bit)) - 1)):
+        return None  # a read past the end, or bad padding
+    return got.astype(np.uint8 if m <= 256 else np.uint32, copy=False)
+
+
+def _peek(data):
+    """The 8 bytes from each byte of ``data`` (but the last 7) as one
+    big-endian uint64, read as 8 interleaved word arrays."""
+    n = len(data) - 7
+    out = np.empty(n, np.uint64)
+    for j in range(8):
+        out[j::8] = np.frombuffer(data, ">u8", (n - j + 7) // 8, j)
     return out
+
+
+def _lane_rows(total, n_states):
+    """The rows each lane runs: see ``SYNC_ROWS``."""
+    share = -(-total // LANES)
+    return share + 2 * math.isqrt(share) + SYNC_ROWS * n_states.bit_length()
+
+
+def _rows_holding(steps, left):
+    """The number of rows that hold ``left`` symbols when the rows
+    ``steps`` (ascending) hold none."""
+    cut = left
+    while (taken := int(np.searchsorted(steps, cut))) + left != cut:
+        cut = taken + left
+    return cut
+
+
+class _Lanes:
+    """``LANES`` decoders that run ``rows`` rows in lockstep over the
+    payload of ``data`` from bit ``start``, each from state x's window
+    (see ``_lockstep_decode``).  ``pos[r, i]`` is lane i's bit position
+    before row r, counted from the start of byte ``first[i]``, where it
+    starts; ``slots[r, i]`` is the slot it reads in row r, and
+    ``codes[i, r]`` that slot's symbol code.  ``last[i]`` is the last
+    row, up to ``rows``, before which lane i stands between two
+    codewords, and ``meets[i]`` the row of lane i + 1 that stands at the
+    same point, or -1."""
+
+    def __init__(self, index, none, data, start, x, rows):
+        self.entries, symbol, windows, self.zeros, step = index
+        self.rows = rows
+        self.windows = windows.tolist()
+        self.window0 = self.windows[x]
+        begin = start >> 3
+        bits = start + np.arange(LANES) * (8 * len(data) - start) // (
+            LANES * step) * step
+        first = bits >> 3
+        self.first = first.tolist()
+        far = 7 + rows * LOOKUP_BITS  # no lane reads past this bit
+        self.pos = np.zeros((rows + 1, LANES),
+                            np.uint16 if far < 1 << 16 else np.uint32)
+        self.pos[0] = bits & 7
+        self.slots = np.empty((rows, LANES), np.uint16
+                              if len(self.entries) <= 1 << 16 else np.uint32)
+        self._run(_peek(data[begin:] + bytes(far // 8 + 8)),
+                  (first - begin).astype(np.uint64))
+        self.codes = np.empty((LANES, rows), symbol.dtype)
+        for r in range(0, rows, 32):  # lane-major, in cache-sized bands
+            self.codes[:, r:r + 32] = symbol.take(self.slots[r:r + 32]).T
+        lanes = np.arange(LANES)
+        last = np.full(LANES, rows)
+        while (back := (last > 0) & (self.codes.ravel().take(
+                lanes * rows + last - 1) == none)).any():
+            last -= back
+        self.last = last.tolist()
+        self.meets = self._meets(last).tolist()
+
+    def _run(self, peek, byte):
+        """Every row: the 64 bits from each lane's byte, shifted so that
+        the window's w bits end them, plus the window's base give the
+        slot; its entry gives the bits used and the next window.  Lane
+        arrays share one dtype, constants are arrays and gathers take
+        int64 views: each numpy call then costs least."""
+        u, entries = np.uint64, self.entries
+        three, seven, four, eleven, used, wide = (
+            np.full(LANES, c, u) for c in (3, 7, 4, 11, 15, 127))
+        at = np.full(LANES, self.window0, u)
+        base, shift = at >> eleven, at >> four & wide
+        pos, t, w, e = (np.empty(LANES, u) for _ in range(4))
+        pos[:] = self.pos[0]
+        t_i, w_i = t.view(np.int64), w.view(np.int64)
+        for r in range(self.rows):
+            np.right_shift(pos, three, out=t)
+            np.add(t, byte, out=t)
+            peek.take(t_i, out=w)
+            np.bitwise_and(pos, seven, out=t)
+            np.left_shift(w, t, out=w)
+            np.right_shift(w, shift, out=w)
+            np.add(w, base, out=w)
+            np.copyto(self.slots[r], w, casting="unsafe")
+            entries.take(w_i, out=e)
+            np.bitwise_and(e, used, out=t)
+            np.add(pos, t, out=pos)
+            np.copyto(self.pos[r + 1], pos, casting="unsafe")
+            np.right_shift(e, four, out=shift)
+            np.bitwise_and(shift, wide, out=shift)
+            np.right_shift(e, eleven, out=base)
+
+    def _windows(self, rows, lanes):
+        """The windows ``lanes`` read at ``rows`` (``rows`` is after the
+        last row), as ``base << 11 | shift << 4``."""
+        before = self.slots.ravel().take(np.maximum(rows - 1, 0) * LANES
+                                         + lanes)
+        return np.where(rows > 0, self.entries.take(before) >> 4 << 4,
+                        self.window0)
+
+    def _meets(self, last):
+        """Each lane's last point looked up in the next lane's points: a
+        binary search of the bit, for all lanes at once, then the window
+        at that bit."""
+        rows, flat = self.rows, self.pos.ravel()
+        lanes = np.arange(1, LANES)
+        first = np.array(self.first, np.int64)
+        want = (flat.take(last[:-1] * LANES + lanes - 1)
+                + 8 * (first[:-1] - first[1:]))
+        window = self._windows(last[:-1], lanes - 1)
+        lo, hi = np.zeros(LANES - 1, np.int64), np.full(LANES - 1, rows + 1)
+        while (lo < hi).any():  # the first row at or past the wanted bit
+            mid = (lo + hi) >> 1
+            ahead = flat.take(np.minimum(mid, rows) * LANES + lanes) < want
+            lo, hi = np.where(ahead, mid + 1, lo), np.where(ahead, hi, mid)
+        meets = np.full(LANES - 1, -1)
+        for row in range(self.zeros + 1):
+            # zero-bit codewords put up to zeros + 1 points at one bit
+            row = lo + row
+            at = np.minimum(row, rows)
+            there = (row <= rows) & (flat.take(at * LANES + lanes) == want)
+            if not there.any():
+                break
+            hit = there & (meets < 0) & (self._windows(at, lanes) == window)
+            meets[hit] = row[hit]
+        return meets
+
+    def bit(self, lane, row):
+        return 8 * self.first[lane] + int(self.pos[row, lane])
+
+    def window(self, lane, row):
+        return int(self._windows(np.array(row), np.array(lane)))
+
+    def bit_after(self, chain, cut):
+        """The bit after the first ``cut`` rows of ``chain``."""
+        for lane, a, b in chain:
+            if cut <= b - a:
+                return self.bit(lane, a + cut)
+            cut -= b - a
+
+    def end(self, lane):
+        """The bit and the state at which ``lane`` stands before its row
+        ``last[lane]``."""
+        row = self.last[lane]
+        return self.bit(lane, row), self.windows.index(self.window(lane, row))
+
+    def find(self, bit, x):
+        """A (lane, row) that stands at bit ``bit`` in state x's window:
+        of the last lane that starts at or before ``bit``, or of the one
+        before it; else (None, None)."""
+        window = self.windows[x]
+        last = bisect.bisect_right(self.first, bit >> 3) - 1
+        for lane in range(last, max(last - 2, -1), -1):
+            column = self.pos[:, lane]
+            rel = bit - 8 * self.first[lane]
+            row = int(np.searchsorted(column, rel))
+            for row in range(row, min(row + self.zeros + 1, self.rows + 1)):
+                if column[row] == rel and self.window(lane, row) == window:
+                    return lane, row
+        return None, None
 
 
 # ---------------------------------------------------------------------------

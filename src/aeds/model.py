@@ -235,6 +235,13 @@ def check_prefixes(x, k, cells):
         seen.add((value, length))
 
 
+def ranges(start, size):
+    """The integers of the ranges [start, start + size), one after the
+    other, as one array."""
+    return np.repeat(start - np.cumsum(size) + size, size) + np.arange(
+        size.sum())
+
+
 def _bfs_depths(starts, adj, n):
     """Breadth-first depth of every state from state 0 in the graph whose
     successors of u are ``adj[starts[u]:starts[u+1]]`` (-1: not reached)."""
@@ -245,8 +252,7 @@ def _bfs_depths(starts, adj, n):
         d += 1
         first = starts[frontier]
         sizes = starts[frontier + 1] - first
-        edges = (np.repeat(first - np.cumsum(sizes) + sizes, sizes)
-                 + np.arange(sizes.sum()))
+        edges = ranges(first, sizes)
         hit = np.zeros(n, dtype=bool)  # marks drop repeats without a sort
         hit[adj[edges]] = True
         frontier = np.flatnonzero(hit & (depth < 0))
@@ -283,7 +289,9 @@ def zero_bit_cycle(nexts, lengths):
     step[nexts[zero]] = np.nonzero(zero)[0]
     for _ in range((n - 1).bit_length()):
         step = step[step]
-    return tuple(np.unique(step[step < n]).tolist())
+    on = np.zeros(n + 1, dtype=bool)  # not np.unique, which imports numpy.ma
+    on[step] = True
+    return tuple(np.flatnonzero(on[:n]).tolist())
 
 
 def _first_cell(mask):
@@ -308,7 +316,7 @@ class AedsTable:
 
     __slots__ = ("symbols", "n_states", "nexts", "lengths", "values",
                  "state_names", "_index", "_lookup", "_tries", "_ergodicity",
-                 "_encoder", "_entries", "_incoming", "_pairs")
+                 "_encoder", "_entries", "_incoming", "_pairs", "_packed")
 
     def __init__(self, symbols, nexts, lengths, values, state_names=None):
         symbols = tuple(symbols)
@@ -442,19 +450,16 @@ class AedsTable:
         (x, 0) of state x) means that no codeword of at most k bits starts
         w; the decoder then reads one codeword bit by bit with
         ``codeword_trie``.  One-symbol runs and moves are shared tuples.
-
-        k is ``LOOKUP_BITS`` for tables of at most ``RUN_SLOTS >>
-        LOOKUP_BITS`` states.  Larger tables take the smallest of the
-        longest codeword, ``LOOKUP_BITS`` and the widest table with at most
-        two slots per codeword, so the index is linear in the number of
-        cells.  Raises PrefixViolation if some state's codewords are not
-        prefix-free.
+        The widths k are those of ``_window_fill``, so the index is linear
+        in the number of cells.  Raises PrefixViolation if some state's
+        codewords are not prefix-free.
 
         numpy places every codeword of at most k bits in the windows it
         starts and flags the states whose codewords may clash, which are
-        checked word by word; then runs grow one codeword a round for all
-        windows at once.  On a shared 2-CPU host the large-n index of 512
-        states over 256 bytes builds in 0.02 s, that of 4096 in 0.2-0.3 s.
+        checked word by word (``_window_fill``); then runs grow one
+        codeword a round for all windows at once.  On a shared 2-CPU host
+        the large-n index of 512 states over 256 bytes builds in 0.02 s,
+        that of 4096 in 0.2-0.3 s.
         """
         if self._lookup is None:
             enabled = gc.isenabled()
@@ -468,14 +473,53 @@ class AedsTable:
 
     def _build_index(self):
         n, m = self.nexts.shape
-        nexts, lengths = self.nexts.ravel(), self.lengths.ravel()
-        longest = np.zeros(n, dtype=lengths.dtype)  # one dtype: fast .at
-        np.maximum.at(longest, nexts, lengths)
+        lengths = self.lengths.ravel()
+        k, ends, cells, span, start, slot = self._window_fill()
         shortest = np.full(n, LOOKUP_BITS + 1, dtype=lengths.dtype)
-        np.minimum.at(shortest, nexts, lengths)
+        np.minimum.at(shortest, self.nexts.ravel(), lengths)
+        into = self.nexts.ravel()[cells]
+        room = k[into] - lengths[cells]
+        # every window: its first codeword, else the empty run (symbol m)
+        # and the move (x, 0) that keeps state x; a move (y, used) is
+        # numbered y * width + used
+        symbol = np.full(ends[-1], m)
+        symbol[slot] = np.repeat(cells % m, span)
+        width = int(k.max()) + 1
+        move = np.repeat(np.arange(n) * width, 1 << k)
+        move[slot] = np.repeat(cells // m * width + lengths[cells], span)
+        singles = np.fromiter([(s,) for s in self.symbols] + [()], object,
+                              m + 1)
+        runs = singles[symbol]
+        go = shortest[cells // m] <= room
+        if go.any():
+            self._extend_runs(runs, move, width, singles, k[into[go]],
+                              start[go], room[go], cells[go], shortest)
+        moves = np.fromiter([(x, u) for x in range(n) for u in range(width)],
+                            object, n * width)[move]
+        bounds = [0] + ends.tolist()
+        return tuple((kx, (1 << kx) - 1, runs[a:b].tolist(),
+                      moves[a:b].tolist())
+                     for kx, a, b in zip(k.tolist(), bounds, bounds[1:]))
+
+    def _window_fill(self):
+        """The window layout both decoder indexes share, after the prefix
+        check: the window width k of every state, the end of each state's
+        2^k slots in one array, and the codewords of at most k bits (cells
+        x|A| + s) with the slots they span, ``span`` of them from
+        ``start``, listed whole in ``slot``.  Raises PrefixViolation.
+
+        k is ``LOOKUP_BITS`` for tables of at most ``RUN_SLOTS >>
+        LOOKUP_BITS`` states.  Larger tables take the smallest of the
+        longest codeword, ``LOOKUP_BITS`` and the widest table with at most
+        two slots per codeword, so the layout is linear in the number of
+        cells."""
+        n, m = self.nexts.shape
+        nexts, lengths = self.nexts.ravel(), self.lengths.ravel()
         if n << LOOKUP_BITS <= RUN_SLOTS:
             k = np.full(n, LOOKUP_BITS)
         else:  # frexp gives the bit length of the count of cells
+            longest = np.zeros(n, dtype=lengths.dtype)  # one dtype: fast .at
+            np.maximum.at(longest, nexts, lengths)
             k = np.minimum(np.minimum(longest, LOOKUP_BITS),
                            np.frexp(np.bincount(nexts, minlength=n))[1])
         size = 1 << k
@@ -491,35 +535,115 @@ class AedsTable:
         cells, span, into = cells[fill], span[fill], into[fill]
         value = self.values.ravel()[cells].astype(np.int64)
         start = ends[into] - size[into] + (value << room[cells])
-        slot = (np.repeat(start - np.cumsum(span) + span, span)
-                + np.arange(span.sum()))
+        slot = ranges(start, span)
         twice = np.bincount(slot, minlength=ends[-1]) > 1
         flagged = over | (np.bincount(nexts[room < 0], minlength=n) > 0)
         flagged[np.searchsorted(ends, np.flatnonzero(twice), "right")] = True
-        for x in np.flatnonzero(flagged).tolist():
-            check_prefixes(x, int(k[x]), self._cells(x))
-        # every window: its first codeword, else the empty run (symbol m)
-        # and the move (x, 0) that keeps state x; a move (y, used) is
-        # numbered y * width + used
-        symbol = np.full(ends[-1], m)
-        symbol[slot] = np.repeat(cells % m, span)
-        width = int(k.max()) + 1
-        move = np.repeat(np.arange(n) * width, size)
-        move[slot] = np.repeat(cells // m * width + lengths[cells], span)
-        singles = np.fromiter([(s,) for s in self.symbols] + [()], object,
-                              m + 1)
-        runs = singles[symbol]
-        go = shortest[cells // m] <= room[cells]
-        if go.any():
-            self._extend_runs(runs, move, width, singles, k[into[go]],
-                              start[go], room[cells[go]], cells[go],
-                              shortest)
-        moves = np.fromiter([(x, u) for x in range(n) for u in range(width)],
-                            object, n * width)[move]
-        bounds = [0] + ends.tolist()
-        return tuple((kx, (1 << kx) - 1, runs[a:b].tolist(),
-                      moves[a:b].tolist())
-                     for kx, a, b in zip(k.tolist(), bounds, bounds[1:]))
+        self._check_states(np.flatnonzero(flagged), k)
+        return k, ends, cells, span, start, slot
+
+    def _check_states(self, states, k):
+        """``check_prefixes`` on each of ``states`` (ascending) in turn,
+        from one word list of the cells entering them, sorted by state,
+        then length, then x-major, and cut per state."""
+        if not states.size:
+            return
+        m = len(self.symbols)
+        nexts, lengths = self.nexts.ravel(), self.lengths.ravel()
+        mark = np.zeros(self.n_states, bool)
+        mark[states] = True
+        cells = np.flatnonzero(mark[nexts])
+        key = (nexts[cells].astype(np.int64) * (int(lengths.max()) + 1)
+               + lengths[cells])
+        cells = cells[np.argsort(key, kind="stable")]
+        words = list(zip(self.values.ravel()[cells].tolist(),
+                         lengths[cells].tolist(), (cells % m).tolist(),
+                         (cells // m).tolist()))
+        cut = np.cumsum(np.bincount(nexts[cells], minlength=self.n_states)
+                        [states]).tolist()
+        for x, kx, a, b in zip(states.tolist(), k[states].tolist(),
+                               [0] + cut, cut):
+            check_prefixes(x, kx, words[a:b])
+
+    def lockstep_index(self):
+        """The packed window array of the lockstep decode, built once, or
+        None for a table with a zero-bit cycle or a codeword of more than
+        ``INT_BITS`` bits, which decode serially.
+
+        Returns ``(entries, symbol, windows, zeros, step)``.  A window is
+        a table of 2^w slots read with the next w bits (w <=
+        ``LOOKUP_BITS``), named by ``base << 11 | (64 - w) << 4``;
+        ``windows[x]`` names state x's window of ``_window_fill``, and the
+        sub-windows of the codewords longer than it follow all of those.
+        Slot i holds the entry ``next window | used`` and the symbol index
+        ``symbol[i]``: a codeword that ends in the window uses its
+        remaining bits and names the window of the state it leads to; a
+        slot that starts longer codewords uses the whole window and names
+        their sub-window, with symbol m ("none"); a slot that starts no
+        codeword uses one bit, keeps its window and has symbol m + 1
+        ("dead").
+        ``zeros`` counts the zero-bit codewords, so no path stays at one
+        bit position for more than ``zeros`` + 1 points, and every
+        codeword length is a multiple of ``step``."""
+        if self._packed is None:
+            lengths = self.lengths
+            ok = (lengths.max() <= INT_BITS
+                  and not zero_bit_cycle(self.nexts, lengths))
+            object.__setattr__(self, "_packed",
+                               self._build_packed() if ok else False)
+        return self._packed or None
+
+    def _build_packed(self):
+        n, m = self.nexts.shape
+        nexts, lengths = self.nexts.ravel(), self.lengths.ravel()
+        values = self.values.ravel().astype(np.int64)
+        k, ends, cells, span, _, slot = self._window_fill()
+        base, total = ends - (1 << k), int(ends[-1])
+        named = [(base, k)]  # every window, in slot order
+        ends_at = [(cells, lengths[cells], slot, span)]  # codewords placed
+        starts_at = []  # slots that start sub-windows, and their entries
+        at = np.flatnonzero(lengths > k[nexts])
+        into = nexts[at]
+        under, width = base[into], k[into]
+        rest, value = lengths[at].astype(np.int64), values[at]
+        while at.size:  # one level of sub-windows a round
+            head = under + (value >> (rest - width))
+            rest -= width
+            value &= (1 << rest) - 1
+            # the groups of np.unique, which would import numpy.ma
+            order = np.argsort(head, kind="stable")
+            new = np.diff(head[order], prepend=-1) != 0
+            heads, first = head[order][new], order[new]
+            group = np.empty_like(order)
+            group[order] = np.cumsum(new) - 1
+            sub = np.zeros(len(heads), np.int64)
+            np.maximum.at(sub, group, np.minimum(rest, LOOKUP_BITS))
+            sub_base = total + np.cumsum(1 << sub) - (1 << sub)
+            total += int((1 << sub).sum())
+            named.append((sub_base, sub))
+            starts_at.append((heads, sub_base << 11 | (64 - sub) << 4
+                              | width[first]))
+            under, width = sub_base[group], sub[group]
+            fits = rest <= width
+            room = width[fits] - rest[fits]
+            ends_at.append((at[fits], rest[fits], ranges(
+                under[fits] + (value[fits] << room), 1 << room), 1 << room))
+            at, under, width, rest, value = (
+                a[~fits] for a in (at, under, width, rest, value))
+        windows = [(b << 11 | (64 - w) << 4).astype(np.uint64)
+                   for b, w in named]
+        entries = np.repeat(np.concatenate(windows), np.concatenate(
+            [1 << w for _, w in named])) | np.uint64(1)
+        symbol = np.full(total, m + 1, np.min_scalar_type(m + 1))
+        for cell, used, slots, count in ends_at:
+            entries[slots] = np.repeat(windows[0][cell // m]
+                                       | used.astype(np.uint64), count)
+            symbol[slots] = np.repeat(cell % m, count)
+        for heads, entry in starts_at:
+            entries[heads] = entry
+            symbol[heads] = m
+        return (entries, symbol, windows[0], int((lengths == 0).sum()),
+                int(np.gcd.reduce(lengths)))
 
     def _extend_runs(self, runs, move, width, singles, k, start, rest,
                      cells, shortest):
@@ -543,8 +667,7 @@ class AedsTable:
         for _ in range(RUN_CAP - 1):
             count = fits[state, rest]
             parent = np.repeat(np.arange(len(count)), count)
-            cell = order[np.repeat(bounds[state] - np.cumsum(count) + count,
-                                   count) + np.arange(count.sum())]
+            cell = order[ranges(bounds[state], count)]
             rest = rest[parent] - lengths[cell]
             start = start[parent] + (values[cell].astype(np.int64) << rest)
             state, k = cell // m, k[parent]
@@ -552,8 +675,7 @@ class AedsTable:
                                   singles[cell % m].tolist()), object,
                               len(cell))
             span = 1 << rest
-            at = (np.repeat(start - np.cumsum(span) + span, span)
-                  + np.arange(span.sum()))
+            at = ranges(start, span)
             runs[at] = np.repeat(run, span)
             move[at] = np.repeat(state * width + k - rest, span)
             go = shortest[state] <= rest

@@ -1,9 +1,5 @@
-import ctypes
 import hashlib
 import math
-import operator
-import os
-import platform
 import random
 import tracemalloc
 
@@ -15,7 +11,6 @@ from aeds.codec import (
     LOCKSTEP_CHUNKS,
     PACK_SLICE,
     Bitstream,
-    _Room,
     _pair_words,
     decode,
     deserialize_table,
@@ -37,7 +32,7 @@ from aeds.errors import (
     UnmatchedCodeword,
     VersionMismatch,
 )
-from aeds.model import (RUN_CAP, AedsTable, Codeword, demo_table,
+from aeds.model import (AedsTable, Codeword, demo_table,
                         validate_distribution)
 from aeds.prefix_codes import build_huffman
 
@@ -164,34 +159,6 @@ def test_encode_memory_stays_under_the_list_encoder():
         tracemalloc.stop()
     assert stream.length == 1 << 20
     assert peak <= LIST_ENCODER_PEAK
-
-
-@pytest.mark.skipif(platform.python_implementation() != "CPython"
-                    or platform.libc_ver()[0] != "glibc"
-                    or not os.path.exists("/proc/self/maps"),
-                    reason="reads glibc's heap bounds and a list's storage")
-def test_block_list_grows_in_place_or_mapped():
-    """After a freed 2^20-symbol list moved glibc's mmap threshold, a list
-    started as ``decode`` starts one (``codec._Room``) reaches 2^20 items
-    where it began or in a mapping of its own, never copied on the heap."""
-    def storage(items):  # CPython's list: ob_refcnt, ob_type, ob_size, ob_item
-        return ctypes.c_void_p.from_address(
-            id(items) + 3 * ctypes.sizeof(ctypes.c_void_p)).value
-
-    table = build_type1(build_huffman(SIX), SIX, 2)
-    seq = random_sequence(random.Random(5), SIX, 1 << 20)
-    assert decode(table, encode(table, seq)) == seq  # frees such a list
-    out = []
-    out.extend(_Room(1 << 20))
-    assert out == [] and operator.length_hint(_Room(1 << 40)) == 1 << 22
-    start, run = storage(out), tuple(range(RUN_CAP))
-    for _ in range((1 << 20) // RUN_CAP):
-        out.extend(run)
-    with open("/proc/self/maps") as fh:
-        heaps = [[int(a, 16) for a in line.split()[0].split("-")]
-                 for line in fh if line.rstrip().endswith("[heap]")]
-    end = storage(out)
-    assert end == start or not any(lo <= end < hi for lo, hi in heaps)
 
 
 def test_one_byte_encodes_equal_the_serial_oracle():
