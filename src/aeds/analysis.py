@@ -13,7 +13,8 @@ import numpy as np
 
 from .codec import walk_lanes
 from .errors import AlphabetMismatch, KindMismatch, NoConvergence, NotErgodic
-from .model import SourceDistribution, entropy, relative_entropy
+from .model import (PACK_SLICE, SourceDistribution, entropy,
+                    relative_entropy)
 from .prefix_codes import SIGMA, phased_in_mean_length, phased_in_redundancy
 
 LG_E = math.log2(math.e)
@@ -27,6 +28,12 @@ MC_WARMUP = 1000       # steps each lane runs before its bits count
 MC_ROWS = 1 << 10      # counted steps of all lanes drawn at a time
 DRAW_BUCKETS = 1 << 12  # equal slices of [0, 1) in the draw table
 GAMMA_SWEEP = (3, 4, 8, 16)
+
+# Symbols up to which ``_step`` writes Q(x) p(s) a column at a time: an
+# outer product (einsum, the fastest measured) pays a loop per state, and
+# took 1.1-3.9 times as long as the strided column writes at 2-4 symbols,
+# 0.3-0.9 times from 6 symbols on (N = 512 to 8192).
+COLUMN_STEP_SYMBOLS = 4
 
 
 # ---------------------------------------------------------------------------
@@ -48,11 +55,26 @@ class StationaryReport:
         return self.mean_bits_encoder_view
 
 
-def _step(nexts, w, q):
+def _step(flat, p, q, out):
     """State weights after one more symbol: Q(x) p(s) moves to F(x, s).
-    ``w`` holds p once per state, in the x-major order of ``nexts``."""
-    return np.bincount(nexts.ravel(), weights=np.repeat(q, nexts.shape[1]) * w,
-                       minlength=len(q))
+
+    ``flat`` lists F in x-major order, ``p`` the symbol probabilities, and
+    ``out``, an (N, |A|) float array, receives the products Q(x) p(s).
+    One bincount adds them cell after cell in that x-major order.  The
+    order is fixed on purpose: it decides the last bits of every
+    iterative solve, and above DIRECT_SOLVE_LIMIT states the case1/case2
+    builders rank near-equal members by the power iteration's bits, so
+    another order (a sum per state, or slices) would change their
+    tables.  The products are the same floats as ``np.repeat(q, |A|) *
+    np.tile(p, N)``, written into ``out`` instead of two new arrays: as
+    one outer product, or a column at a time for at most
+    ``COLUMN_STEP_SYMBOLS`` symbols."""
+    if len(p) <= COLUMN_STEP_SYMBOLS:
+        for s in range(len(p)):
+            np.multiply(q, p[s], out=out[:, s])
+    else:
+        np.einsum("i,j->ij", q, p, out=out)
+    return np.bincount(flat, weights=out.ravel(), minlength=len(q))
 
 
 def _normalized(q):
@@ -61,12 +83,15 @@ def _normalized(q):
     return q
 
 
-def _solve_direct(nexts, w):
-    n, m = nexts.shape
+def _solve_direct(flat, w, n):
+    """The dense solve; ``w`` holds p once per state, in the x-major order
+    of ``flat``."""
     # entry (to, from) of P^T sits at flat index to * n + from
-    a = np.bincount(nexts.ravel() * n + np.repeat(np.arange(n), m),
+    a = np.bincount(flat * n + np.repeat(np.arange(n), len(flat) // n),
                     weights=w, minlength=n * n).reshape(n, n)
-    np.subtract(np.eye(n), a, out=a)  # I - P without a second matrix
+    diagonal = 1.0 - a.diagonal()
+    np.subtract(0.0, a, out=a)  # I - P^T in place: 0 - a off the diagonal
+    np.fill_diagonal(a, diagonal)
     a[-1, :] = 1.0
     b = np.zeros(n)
     b[-1] = 1.0
@@ -79,11 +104,10 @@ def _solve_direct(nexts, w):
     return _normalized(q)
 
 
-def _solve_power(nexts, w):
-    n = len(nexts)
+def _solve_power(step, n):
     q = np.full(n, 1.0 / n)
     for _ in range(POWER_ITER_LIMIT):
-        nxt = _step(nexts, w, q)
+        nxt = step(q)
         nxt /= nxt.sum()
         residual = float(np.max(np.abs(nxt - q)))
         q = nxt
@@ -129,16 +153,14 @@ def _bicgstab_cycle(apply, q, r, limit):
     return limit
 
 
-def _solve_bicgstab(nexts, w):
+def _solve_bicgstab(step, n):
     """Solve the bordered balance system that ``_solve_direct`` factors,
     I - P^T with its last row replaced by the normalization, by Krylov
     iterations that apply it one ``_step`` at a time, from uniform Q.  A
     breakdown restarts the iteration from where it stands; a restart that
     makes no progress, or 2N + 64 iterations in all, raise NoConvergence."""
-    n = len(nexts)
-
     def apply(v):
-        out = v - _step(nexts, w, v)
+        out = v - step(v)
         out[-1] = v.sum()
         return out
 
@@ -160,15 +182,21 @@ def _solve_chain(nexts, p, method):
     if method == "auto":
         method = ("direct-solve" if len(nexts) <= DIRECT_SOLVE_LIMIT
                   else "bicgstab")
-    solve = {"direct-solve": _solve_direct, "power-iteration": _solve_power,
-             "bicgstab": _solve_bicgstab}.get(method)
-    if solve is None:
+    iterate = {"power-iteration": _solve_power, "bicgstab": _solve_bicgstab}
+    if method != "direct-solve" and method not in iterate:
         raise ValueError(f"unknown method {method!r}")
     # bincount takes intp indices: convert the int32 table once, not per step
-    nexts = np.asarray(nexts, dtype=np.intp)
-    w = np.tile(np.array(p.probs), len(nexts))
-    q = solve(nexts, w)
-    return q, method, float(np.max(np.abs(_step(nexts, w, q) - q)))
+    n, probs = len(nexts), np.array(p.probs)
+    flat, out = np.asarray(nexts, dtype=np.intp).ravel(), np.empty(nexts.shape)
+
+    def step(q):
+        return _step(flat, probs, q, out)
+    if method == "direct-solve":
+        out[:] = probs
+        q = _solve_direct(flat, out.ravel(), n)
+    else:
+        q = iterate[method](step, n)
+    return q, method, float(np.max(np.abs(step(q) - q)))
 
 
 def _require_alphabet(table, p):
@@ -185,13 +213,20 @@ def _require_ergodic(table, what):
 def _decoder_view(table, probs, q):
     """Average length grouped by decoder state: the mean length of the
     codewords each state parses, weighted by Q of that state.  States with
-    Q below 1e-300 are skipped and returned."""
+    Q below 1e-300 are skipped and returned.  Each cell's share
+    Q(x) p(s) len / Q(F(x, s)) is computed in place, ``PACK_SLICE`` cells
+    at a time; a skipped state's cells divide by infinity to zero."""
     n, m = table.nexts.shape
     into = table.nexts.ravel()
-    kept = q[into] >= 1e-300
-    flow = np.repeat(q, m) * np.tile(probs, n) * table.lengths.ravel()
-    per_state = np.bincount(into[kept], weights=flow[kept] / q[into[kept]],
-                            minlength=n)
+    flow = np.einsum("i,j->ij", q, probs)
+    flow *= table.lengths
+    flow = flow.ravel()
+    for i in range(0, len(flow), PACK_SLICE):
+        part = slice(i, i + PACK_SLICE)
+        below = q.take(into[part])
+        below[below < 1e-300] = np.inf
+        flow[part] /= below
+    per_state = np.bincount(into, weights=flow, minlength=n)
     skipped = (q < 1e-300) & (np.bincount(into, minlength=n) > 0)
     return float(q @ per_state), tuple(np.flatnonzero(skipped).tolist())
 
@@ -452,12 +487,12 @@ def check_bound(table, p, which, report=None, layout=None,
                      "target-gap", "large-n"):
         raise KindMismatch(f"unknown bound {which!r}")
     _require_alphabet(table, p)
-    part = table.saeds_partition()
-    if part is None:
+    owner = table.state_symbols()
+    if owner is None:
         raise KindMismatch("table is not state-divided")
     n = table.n_states
     H = entropy(p)
-    ratio = [len(b) / n for b in part.subsets]
+    ratio = [c / n for c in np.bincount(owner, minlength=len(p)).tolist()]
     D = relative_entropy(p, SourceDistribution(p.symbols, ratio))
 
     if which == "target-identity":
@@ -478,6 +513,8 @@ def check_bound(table, p, which, report=None, layout=None,
         report = stationary_distribution(table, p)
     q = report.probs
     L = report.mean_bits_encoder_view
+    # the forward sets, which only the case bounds read
+    part = table.saeds_partition() if which.startswith("case") else None
 
     if which == "case1":
         for s, block in enumerate(part.subsets):

@@ -44,22 +44,13 @@ from .errors import (
     UnmatchedCodeword,
     VersionMismatch,
 )
-from .model import (INT_BITS, LOOKUP_BITS, RUN_CAP, AedsTable,
+from .model import (INT_BITS, LOOKUP_BITS, PACK_SLICE, RUN_CAP, AedsTable,
                     ErgodicityReport, value_dtype, zero_bit_cycle)
 
 STREAM_MAGIC = b"AEDS"
 STREAM_VERSION = 1
 TABLE_MAGIC = b"AEDT"
 TABLE_VERSION = 1
-
-# Codewords (or cell pairs) ``BitWriter.write_words`` packs, and grid cells
-# that ``deserialize_table`` decodes, at a time.  At 64 KB per int64 array
-# the temporaries stay below the 128 KB from which glibc's malloc maps
-# fresh pages for each array and faults them in every time (a 2 MiB type2
-# compress took 29,000 minor faults with 2^16-word slices and 2,100 with
-# these; a 2^20-symbol block encoded in 19-21 ms as one slice, 15-16 ms
-# in these), and freed ones do not stay resident under a table's arrays.
-PACK_SLICE = 1 << 13
 
 # Symbols in a chunk of the speculative backward pass, and the chunks in a
 # row that may re-run whole before the rest of a block runs serially: on 16
@@ -497,14 +488,16 @@ def decode_indices(table, stream):
     the declared payload.
 
     A block of at least ``LOCKSTEP_SYMBOLS`` symbols decodes in lockstep
-    from ``table.lockstep_index()`` (``_lockstep_decode``).  Shorter
-    blocks, tables without that index or of more than
-    ``LOCKSTEP_STATES`` states, blocks where most lanes do not meet, and
-    any block whose lockstep finds an anomaly (a dead slot or a read past
-    the end on its path, or bad padding) run the serial loop (``_walk``),
-    so every error is the serial decoder's.  Memory is bounded by the
-    payload, whatever length the stream declares: the lockstep never
-    starts for more symbols than its bits can hold."""
+    from ``table.lockstep_index()`` (``_lockstep_decode``), and so does a
+    shorter one once that index is built and the run index is not (the
+    short last block of a file).  Other short blocks, tables without that
+    index or of more than ``LOCKSTEP_STATES`` states, blocks where most
+    lanes do not meet, and any block whose lockstep finds an anomaly (a
+    dead slot or a read past the end on its path, or bad padding) run
+    the serial loop (``_walk``), so every error is the serial decoder's.
+    Memory is bounded by the payload, whatever length the stream
+    declares: the lockstep never starts for more symbols than its bits
+    can hold."""
     stream.check_states(table.n_states)
     got = _lockstep_decode(table, stream)
     if got is None:
@@ -629,11 +622,11 @@ def _lockstep_decode(table, stream):
     """The block's indices decoded in lockstep, or None for the serial
     loop to decode (or to name the error).
 
-    ``LANES`` lanes start at equally spaced bits of the payload: lane 0
-    at its first bit in the stream's state, the others in the same state
-    as a guess, each a whole number of steps (the gcd of the codeword
-    lengths) after lane 0, where a codeword can start.  Each row moves
-    every lane by one slot of the packed index
+    ``_lane_count`` lanes start at equally spaced bits of the payload:
+    lane 0 at its first bit in the stream's state, the others in the same
+    state as a guess, each a whole number of steps (the gcd of the
+    codeword lengths) after lane 0, where a codeword can start.  Each
+    row moves every lane by one slot of the packed index
     (``AedsTable.lockstep_index``): a codeword, a step into a sub-window
     or, off the true path, a dead slot.  A lane that guessed wrong falls
     onto the true path within tens of symbols on small tables (Klein and
@@ -643,7 +636,11 @@ def _lockstep_decode(table, stream):
     not meet the next one, the serial loop goes on from its last point
     until the true path lands on a point of a later lane."""
     total = stream.length
-    if (total < LOCKSTEP_SYMBOLS or table.n_states > LOCKSTEP_STATES
+    # a short block takes the lockstep only where the packed index is
+    # built and the run index that the serial loop needs is not
+    short = total < LOCKSTEP_SYMBOLS and not (
+        total and table._packed and table._lookup is None)
+    if (short or table.n_states > LOCKSTEP_STATES
             or (index := table.lockstep_index()) is None):
         return None
     data = stream.data
@@ -652,15 +649,15 @@ def _lockstep_decode(table, stream):
         return None  # more symbols than the bits can hold
     m = len(table.symbols)
     lanes = _Lanes(index, m, data, stream.payload_start, stream.initial_state,
-                   _lane_rows(total, table.n_states))
-    if lanes.meets.count(-1) > UNMET_SHARE * LANES:
+                   _lane_rows(total, table.n_states), _lane_count(total))
+    if lanes.meets.count(-1) > UNMET_SHARE * lanes.count:
         return None
     padded = data + bytes(16)
     pieces, count, lane, row, bit = [], 0, 0, 0, 0
     try:
         while count < total and bit <= end:
             chain = []  # (lane, first row, end row) along met lanes
-            while lane < LANES - 1 and lanes.meets[lane] >= 0:
+            while lane < lanes.count - 1 and lanes.meets[lane] >= 0:
                 chain.append((lane, row, lanes.last[lane]))
                 lane, row = lane + 1, lanes.meets[lane]
             chain.append((lane, row, lanes.last[lane]))
@@ -706,9 +703,17 @@ def _peek(data):
     return out
 
 
+def _lane_count(total):
+    """``LANES``, or for a block below ``LOCKSTEP_SYMBOLS`` as many lanes
+    as keep the share of a lane there: lanes a few symbols apart would
+    end before the previous lane's end on the true path, so they would
+    not meet it."""
+    return min(LANES, -(-total * LANES // LOCKSTEP_SYMBOLS))
+
+
 def _lane_rows(total, n_states):
     """The rows each lane runs: see ``SYNC_ROWS``."""
-    share = -(-total // LANES)
+    share = -(-total // _lane_count(total))
     return share + 2 * math.isqrt(share) + SYNC_ROWS * n_states.bit_length()
 
 
@@ -722,7 +727,7 @@ def _rows_holding(steps, left):
 
 
 class _Lanes:
-    """``LANES`` decoders that run ``rows`` rows in lockstep over the
+    """``count`` decoders that run ``rows`` rows in lockstep over the
     payload of ``data`` from bit ``start``, each from state x's window
     (see ``_lockstep_decode``).  ``pos[r, i]`` is lane i's bit position
     before row r, counted from the start of byte ``first[i]``, where it
@@ -732,29 +737,29 @@ class _Lanes:
     codewords, and ``meets[i]`` the row of lane i + 1 that stands at the
     same point, or -1."""
 
-    def __init__(self, index, none, data, start, x, rows):
+    def __init__(self, index, none, data, start, x, rows, count):
         self.entries, symbol, windows, self.zeros, step = index
-        self.rows = rows
+        self.rows, self.count = rows, count
         self.windows = windows.tolist()
         self.window0 = self.windows[x]
         begin = start >> 3
-        bits = start + np.arange(LANES) * (8 * len(data) - start) // (
-            LANES * step) * step
+        bits = start + np.arange(count) * (8 * len(data) - start) // (
+            count * step) * step
         first = bits >> 3
         self.first = first.tolist()
         far = 7 + rows * LOOKUP_BITS  # no lane reads past this bit
-        self.pos = np.zeros((rows + 1, LANES),
+        self.pos = np.zeros((rows + 1, count),
                             np.uint16 if far < 1 << 16 else np.uint32)
         self.pos[0] = bits & 7
-        self.slots = np.empty((rows, LANES), np.uint16
+        self.slots = np.empty((rows, count), np.uint16
                               if len(self.entries) <= 1 << 16 else np.uint32)
         self._run(_peek(data[begin:] + bytes(far // 8 + 8)),
                   (first - begin).astype(np.uint64))
-        self.codes = np.empty((LANES, rows), symbol.dtype)
+        self.codes = np.empty((count, rows), symbol.dtype)
         for r in range(0, rows, 32):  # lane-major, in cache-sized bands
             self.codes[:, r:r + 32] = symbol.take(self.slots[r:r + 32]).T
-        lanes = np.arange(LANES)
-        last = np.full(LANES, rows)
+        lanes = np.arange(count)
+        last = np.full(count, rows)
         while (back := (last > 0) & (self.codes.ravel().take(
                 lanes * rows + last - 1) == none)).any():
             last -= back
@@ -767,12 +772,12 @@ class _Lanes:
         slot; its entry gives the bits used and the next window.  Lane
         arrays share one dtype, constants are arrays and gathers take
         int64 views: each numpy call then costs least."""
-        u, entries = np.uint64, self.entries
+        u, entries, count = np.uint64, self.entries, self.count
         three, seven, four, eleven, used, wide = (
-            np.full(LANES, c, u) for c in (3, 7, 4, 11, 15, 127))
-        at = np.full(LANES, self.window0, u)
+            np.full(count, c, u) for c in (3, 7, 4, 11, 15, 127))
+        at = np.full(count, self.window0, u)
         base, shift = at >> eleven, at >> four & wide
-        pos, t, w, e = (np.empty(LANES, u) for _ in range(4))
+        pos, t, w, e = (np.empty(count, u) for _ in range(4))
         pos[:] = self.pos[0]
         t_i, w_i = t.view(np.int64), w.view(np.int64)
         for r in range(self.rows):
@@ -795,7 +800,7 @@ class _Lanes:
     def _windows(self, rows, lanes):
         """The windows ``lanes`` read at ``rows`` (``rows`` is after the
         last row), as ``base << 11 | shift << 4``."""
-        before = self.slots.ravel().take(np.maximum(rows - 1, 0) * LANES
+        before = self.slots.ravel().take(np.maximum(rows - 1, 0) * self.count
                                          + lanes)
         return np.where(rows > 0, self.entries.take(before) >> 4 << 4,
                         self.window0)
@@ -804,23 +809,23 @@ class _Lanes:
         """Each lane's last point looked up in the next lane's points: a
         binary search of the bit, for all lanes at once, then the window
         at that bit."""
-        rows, flat = self.rows, self.pos.ravel()
-        lanes = np.arange(1, LANES)
+        rows, flat, count = self.rows, self.pos.ravel(), self.count
+        lanes = np.arange(1, count)
         first = np.array(self.first, np.int64)
-        want = (flat.take(last[:-1] * LANES + lanes - 1)
+        want = (flat.take(last[:-1] * count + lanes - 1)
                 + 8 * (first[:-1] - first[1:]))
         window = self._windows(last[:-1], lanes - 1)
-        lo, hi = np.zeros(LANES - 1, np.int64), np.full(LANES - 1, rows + 1)
+        lo, hi = np.zeros(count - 1, np.int64), np.full(count - 1, rows + 1)
         while (lo < hi).any():  # the first row at or past the wanted bit
             mid = (lo + hi) >> 1
-            ahead = flat.take(np.minimum(mid, rows) * LANES + lanes) < want
+            ahead = flat.take(np.minimum(mid, rows) * count + lanes) < want
             lo, hi = np.where(ahead, mid + 1, lo), np.where(ahead, hi, mid)
-        meets = np.full(LANES - 1, -1)
+        meets = np.full(count - 1, -1)
         for row in range(self.zeros + 1):
             # zero-bit codewords put up to zeros + 1 points at one bit
             row = lo + row
             at = np.minimum(row, rows)
-            there = (row <= rows) & (flat.take(at * LANES + lanes) == want)
+            there = (row <= rows) & (flat.take(at * count + lanes) == want)
             if not there.any():
                 break
             hit = there & (meets < 0) & (self._windows(at, lanes) == window)
@@ -912,18 +917,24 @@ def _table_body(table):
     w.write_leb128(len(table.symbols))
     for s in table.symbols:
         _write_symbol(w, s)
-    return w.getvalue() + _grid_bytes(table)
+    body = bytearray(w.getvalue())
+    nexts, lengths, values = (a.ravel() for a in (
+        table.nexts, table.lengths, table.values))
+    for i in range(0, len(lengths), PACK_SLICE):
+        part = slice(i, i + PACK_SLICE)
+        body += _grid_bytes(nexts[part], lengths[part], values[part])
+    return body
 
 
-def _grid_bytes(table):
-    """The encoder grid, cell by cell in x-major order: the next state and
-    the codeword length as LEB128, then the value in ceil(length / 8)
-    big-endian bytes, one byte lane at a time as arrays (``int.to_bytes``
-    for values of more than ``INT_BITS`` bits)."""
-    lengths, values = table.lengths.ravel(), table.values.ravel()
+def _grid_bytes(nexts, lengths, values):
+    """Cells of the encoder grid in x-major order, ``PACK_SLICE`` of them
+    at a time: the next state and the codeword length as LEB128, then the
+    value in ceil(length / 8) big-endian bytes, one byte lane at a time
+    as arrays (``int.to_bytes`` for values of more than ``INT_BITS``
+    bits)."""
     vsize, long = (lengths + 7) >> 3, lengths > INT_BITS
     leb = [(a, sum(a >> k > 0 for k in (7, 14, 21, 28)) + 1)
-           for a in (table.nexts.ravel(), lengths)]
+           for a in (nexts, lengths)]
     at = np.cumsum(leb[0][1] + leb[1][1] + vsize)
     out = np.zeros(int(at[-1]) if at.size else 0, np.uint8)
     at -= leb[0][1] + leb[1][1] + vsize
@@ -953,8 +964,8 @@ def _leb128(value):
 
 
 def _seal(body):
-    """``body`` followed by its sha-256 digest."""
-    return body + hashlib.sha256(body).digest()
+    """``body`` followed by its sha-256 digest, as bytes."""
+    return b"".join((body, hashlib.sha256(body).digest()))  # one copy
 
 
 def serialize_table(table):

@@ -29,6 +29,7 @@ from .errors import (
 )
 from .model import (
     EMPTY_WORD,
+    PACK_SLICE,
     AedsTable,
     Codeword,
     ergodicity,
@@ -139,19 +140,33 @@ def _assemble(p, n_states, positions, forward, rank=False):
     the set's size, shortest first, in member order.  With ``rank`` the
     chain is solved first and, if it is ergodic, the short words go to the
     heaviest members (ties by state id); the stationary weights depend on
-    the forward sets alone, so ranking never moves them.
+    the forward sets alone, so ranking never moves them.  The table's
+    three arrays are written a group of symbols at a time, about
+    ``PACK_SLICE`` cells a group, so nothing else of the size of the
+    table is held.
     """
     m = len(p.symbols)
-    sets = [(x, s, members) for s in range(m)
-            for x, members in zip(positions[s], forward[s])]
-    sizes = np.array([len(members) for _, _, members in sets])
-    members = np.concatenate([members for _, _, members in sets])
-    cells = members * m + np.repeat([s for _, s, _ in sets], sizes)
-    if not np.array_equal(np.sort(cells), np.arange(n_states * m)):
-        raise TableError("the forward sets of a symbol do not tile the states")
-    nexts = np.empty(n_states * m, dtype=np.int64)
-    nexts[cells] = np.repeat([x for x, _, _ in sets], sizes)
-    nexts = nexts.reshape(n_states, m)
+    nexts = np.empty((n_states, m), dtype=np.int32)
+    lengths, values = np.empty_like(nexts), np.empty(nexts.shape, np.int64)
+    step = max(PACK_SLICE // n_states, 1)
+    groups = [range(a, min(a + step, m)) for a in range(0, m, step)]
+
+    def sets_of(group):
+        sets = [(x, s, f) for s in group for x, f in zip(positions[s],
+                                                         forward[s])]
+        sizes = np.array([len(f) for _, _, f in sets])
+        return (sets, sizes, np.concatenate([f for _, _, f in sets]),
+                np.repeat([s for _, s, _ in sets], sizes))
+
+    for group in groups:
+        sets, sizes, members, symbol = sets_of(group)
+        cells = members * len(group) + symbol - group.start
+        if not np.array_equal(np.sort(cells),
+                              np.arange(n_states * len(group))):
+            raise TableError("the forward sets of a symbol do not tile "
+                             "the states")
+        nexts[members, symbol] = np.repeat([x for x, _, _ in sets], sizes)
+    q = None
     if rank and ergodicity(nexts, incoming(nexts)).ergodic:
         # Solver rounding breaks ties between near-equal members, so the
         # ranking solver is part of the table's bits: the dense solve up
@@ -160,12 +175,17 @@ def _assemble(p, n_states, positions, forward, rank=False):
         method = ("direct-solve" if n_states <= DIRECT_SOLVE_LIMIT
                   else "power-iteration")
         q = _solve_chain(nexts, p, method)[0]
-        set_ids = np.repeat(np.arange(len(sets)), sizes)
-        cells = cells[np.lexsort((members, -q[members], set_ids))]
-    values, lengths = np.empty((2, n_states * m), dtype=np.int64)
-    values[cells], lengths[cells] = phased_in_cells(sizes)
-    return AedsTable(p.symbols, nexts, lengths.reshape(n_states, m),
-                     values.reshape(n_states, m))
+    for group in groups:
+        sets, sizes, members, symbol = sets_of(group)
+        if q is not None:
+            set_ids = np.repeat(np.arange(len(sets)), sizes)
+            order = np.lexsort((members, -q[members], set_ids))
+            members, symbol = members[order], symbol[order]
+        values[members, symbol], lengths[members, symbol] = \
+            phased_in_cells(sizes)
+    for a in (nexts, lengths, values):
+        a.flags.writeable = False  # the table keeps them as they are
+    return AedsTable(p.symbols, nexts, lengths, values)
 
 
 # ---------------------------------------------------------------------------

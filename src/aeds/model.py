@@ -36,6 +36,16 @@ RUN_CAP = 16
 # Longest codeword whose value an int64 table cell holds.
 INT_BITS = 63
 
+# Cells (or codewords) that a pass over a whole table or block handles at a
+# time: ``BitWriter.write_words``, the grid writer and reader in ``codec``,
+# and the checks and walks over a table's cells here.  At 64 KB per int64
+# array the temporaries stay below the 128 KB from which glibc's malloc
+# maps fresh pages for each array and faults them in every time (a 2 MiB
+# type2 compress took 29,000 minor faults with 2^16-word slices and 2,100
+# with these; a 2^20-symbol block encoded in 19-21 ms as one slice, 15-16
+# ms in these), and freed ones do not stay resident under a table's arrays.
+PACK_SLICE = 1 << 13
+
 
 @dataclass(frozen=True, slots=True)
 class Codeword:
@@ -195,14 +205,24 @@ def value_dtype(lengths):
     return object if np.max(lengths, initial=0) > INT_BITS else np.int64
 
 
+def row_slices(n, m):
+    """Slices of the rows of an (n, m) array, each of about ``PACK_SLICE``
+    cells and at least one row."""
+    step = max(PACK_SLICE // max(m, 1), 1)
+    return [slice(a, a + step) for a in range(0, n, step)]
+
+
 def incoming(nexts):
     """The cells x|A| + s of a next-state array grouped by the state they
     lead to, in x-major order within a group, and the group bounds: the
-    cells entering state x are ``order[bounds[x]:bounds[x + 1]]``."""
+    cells entering state x are ``order[bounds[x]:bounds[x + 1]]``.  The
+    cells are int32 when they fit, as a table's next states are."""
     flat = nexts.ravel()
     counts = np.bincount(flat, minlength=len(nexts))
-    return (np.argsort(flat, kind="stable"),
-            np.concatenate(([0], np.cumsum(counts))))
+    order = np.argsort(flat, kind="stable")
+    if flat.size <= np.iinfo(np.int32).max:
+        order = order.astype(np.int32)
+    return order, np.concatenate(([0], np.cumsum(counts)))
 
 
 def prefix_clash(words):
@@ -242,19 +262,22 @@ def ranges(start, size):
         size.sum())
 
 
-def _bfs_depths(starts, adj, n):
+def _bfs_depths(starts, adj, n, div=1):
     """Breadth-first depth of every state from state 0 in the graph whose
-    successors of u are ``adj[starts[u]:starts[u+1]]`` (-1: not reached)."""
+    successors of u are ``adj[starts[u]:starts[u+1]] // div`` (-1: not
+    reached).  A level reads the edges of as many states at a time as
+    hold about ``PACK_SLICE`` edges on average."""
+    step = max(PACK_SLICE * n // max(len(adj), 1), 1)
     depth = np.full(n, -1, dtype=np.int64)
     depth[0] = 0
     frontier, d = np.zeros(1, dtype=np.int64), 0
     while frontier.size:
         d += 1
-        first = starts[frontier]
-        sizes = starts[frontier + 1] - first
-        edges = ranges(first, sizes)
         hit = np.zeros(n, dtype=bool)  # marks drop repeats without a sort
-        hit[adj[edges]] = True
+        for a in range(0, len(frontier), step):
+            first = starts[frontier[a:a + step]]
+            sizes = starts[frontier[a:a + step] + 1] - first
+            hit[adj[ranges(first, sizes)] // div] = True
         frontier = np.flatnonzero(hit & (depth < 0))
         depth[frontier] = d
     return depth
@@ -263,14 +286,19 @@ def _bfs_depths(starts, adj, n):
 def ergodicity(nexts, grouping):
     """Irreducibility and period of the chain x -> F(x, s) over all
     symbols of a next-state array, given its ``incoming`` grouping.  The
-    period is the gcd, over edges u -> v, of BFS depth(u) + 1 - depth(v)."""
+    period is the gcd, over edges u -> v, of BFS depth(u) + 1 - depth(v),
+    taken over the rows a slice at a time until it reaches one."""
     n, m = nexts.shape
-    flat = nexts.ravel()
-    depth = _bfs_depths(np.arange(n + 1) * m, flat, n)
+    depth = _bfs_depths(np.arange(n + 1) * m, nexts.ravel(), n)
     order, bounds = grouping
-    if (depth < 0).any() or (_bfs_depths(bounds, order // m, n) < 0).any():
+    if (depth < 0).any() or (_bfs_depths(bounds, order, n, m) < 0).any():
         return ErgodicityReport(False, False, None)
-    period = int(np.gcd.reduce(np.abs(np.repeat(depth, m) + 1 - depth[flat])))
+    period = 0
+    for rows in row_slices(n, m):
+        if period == 1:
+            break
+        gap = depth[rows, None] + 1 - depth[nexts[rows]]
+        period = math.gcd(period, int(np.gcd.reduce(np.abs(gap).ravel())))
     return ErgodicityReport(True, period == 1, period)
 
 
@@ -294,6 +322,13 @@ def zero_bit_cycle(nexts, lengths):
     return tuple(np.flatnonzero(on[:n]).tolist())
 
 
+def _kept(a, dtype):
+    """Whether ``AedsTable`` keeps ``a`` as it is: a read-only C array of
+    ``dtype``, which no one writes to any more."""
+    return (isinstance(a, np.ndarray) and a.dtype == dtype
+            and a.flags.c_contiguous and not a.flags.writeable)
+
+
 def _first_cell(mask):
     """``np.argwhere(mask)[:1]``, skipped when ``any()`` finds nothing."""
     return np.argwhere(mask)[:1] if mask.any() else ()
@@ -309,7 +344,9 @@ class AedsTable:
     when a codeword exceeds ``INT_BITS`` bits).  The decoder is derived:
     each cell (x, s) -> x' makes state x' parse that codeword as (s, x).
     Construction checks shapes, next-state range and that values fit
-    their lengths; ``codec.validate_aeds`` adds the prefix check.
+    their lengths; ``codec.validate_aeds`` adds the prefix check.  It
+    keeps read-only C arrays of the table's dtypes (int32 next states and
+    lengths) as they are, as builders pass them, and copies the rest.
     Hand-built tables come in through ``from_rows``; ``encoder`` and
     ``decoder_entries`` are ``Codeword`` views built on first use.
     """
@@ -323,10 +360,14 @@ class AedsTable:
         if len(set(symbols)) != len(symbols):
             raise TableError("duplicate symbols in alphabet")
         try:
-            # int64 inputs are checked in place and narrowed by one copy
-            nexts, lengths = (np.asarray(a, dtype=np.int64)
+            # read-only C arrays of the table's dtypes are kept as they
+            # are; other int64 inputs are checked in place and copied once
+            nexts, lengths = (a if _kept(a, np.int32)
+                              else np.asarray(a, dtype=np.int64)
                               for a in (nexts, lengths))
-            values = np.array(values, dtype=value_dtype(lengths))
+            dtype = value_dtype(lengths)
+            if not _kept(values, dtype):
+                values = np.array(values, dtype=dtype)
         except (OverflowError, TypeError, ValueError) as exc:
             raise TableError(f"table arrays: {exc}") from None
         if nexts.ndim != 2 or len(nexts) < 1:
@@ -337,18 +378,23 @@ class AedsTable:
                                 f"{len(symbols)} symbols")
         if not nexts.shape == lengths.shape == values.shape:
             raise TableError("the table arrays differ in shape")
-        for x, s in _first_cell((nexts < 0) | (nexts >= n)):
-            raise TableError(f"state {x}: next state {nexts[x, s]} "
-                             f"out of range")
-        for x, s in _first_cell((lengths < 0) | (values < 0) | (
-                (values >> np.maximum(lengths, 0)) != 0)):
-            raise TableError(f"state {x}: value {values[x, s]} does not "
-                             f"fit in {lengths[x, s]} bits")
+        if np.min(nexts, initial=0) < 0 or np.max(nexts, initial=0) >= n:
+            for x, s in _first_cell((nexts < 0) | (nexts >= n)):
+                raise TableError(f"state {x}: next state {nexts[x, s]} "
+                                 f"out of range")
+        for rows in row_slices(n, m):
+            v, k = values[rows], lengths[rows]
+            for x, s in _first_cell((k < 0) | (v < 0) | (
+                    (v >> np.maximum(k, 0)) != 0)):
+                x += rows.start
+                raise TableError(f"state {x}: value {values[x, s]} does "
+                                 f"not fit in {lengths[x, s]} bits")
         if state_names is not None:
             state_names = tuple(state_names)
             if len(state_names) != n:
                 raise TableError("state_names length mismatch")
-        nexts, lengths = nexts.astype(np.int32), lengths.astype(np.int32)
+        nexts, lengths = (a.astype(np.int32, copy=False)
+                          for a in (nexts, lengths))
         for a in (nexts, lengths, values):
             a.flags.writeable = False
         fields = dict(symbols=symbols, n_states=n, nexts=nexts,
@@ -703,18 +749,29 @@ class AedsTable:
 
     # -- structure queries -------------------------------------------------
 
-    def saeds_partition(self):
-        """Derive the per-symbol state partition, or None if not
-        state-divided: every state must be entered, and only ever on one
-        symbol.  The forward set of x lists the states entering it."""
+    def state_symbols(self):
+        """The symbol index of the cells entering each state, as an array,
+        or None if the table is not state-divided: every state must be
+        entered, and only ever on one symbol."""
         n, m = self.nexts.shape
         order, bounds = self._grouping()
-        sizes = np.diff(bounds)
-        if not sizes.all():
+        if not np.diff(bounds).all():
             return None
         owner = order[bounds[:-1]] % m
-        if ((order % m) != np.repeat(owner, sizes)).any():
+        for rows in row_slices(n, m):
+            if (owner[self.nexts[rows]] != np.arange(m)).any():
+                return None
+        return owner
+
+    def saeds_partition(self):
+        """Derive the per-symbol state partition, or None if not
+        state-divided (``state_symbols``).  The forward set of x lists the
+        states entering it."""
+        owner = self.state_symbols()
+        if owner is None:
             return None
+        n, m = self.nexts.shape
+        order, bounds = self._grouping()
         by_symbol = np.argsort(owner, kind="stable").tolist()
         cut = np.cumsum(np.bincount(owner, minlength=m)).tolist()
         subsets = tuple(tuple(by_symbol[a:b]) for a, b in zip([0] + cut, cut))

@@ -1,7 +1,10 @@
-"""Shared helpers: random sources, random well-formed tables, oracles."""
+"""Shared helpers: random sources, random well-formed tables, oracles,
+and a traced memory peak."""
 
+import gc
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -73,6 +76,19 @@ def trace_lengths(table, sequence, initial_state=0):
     cells = _backward_pass(table.nexts, symbol_indices(table, sequence),
                            initial_state)[1]
     return table.lengths.ravel()[cells].tolist()
+
+
+def traced_peak(fn):
+    """``fn()`` and the peak, in bytes, of the memory traced while it ran
+    above what was traced at its start, from a collected heap."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        result = fn()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return result, peak
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@ from aeds.analysis import (
     RateEstimate,
     _sampler,
     _solve_chain,
+    _step,
     check_bound,
     closed_form_stationary,
     delta_type1,
@@ -48,7 +49,7 @@ from aeds.model import AedsTable, Codeword, validate_distribution
 from aeds.prefix_codes import build_huffman, phased_in_redundancy, tree_metrics
 from aeds.tans import build_tans, quantize_counts, tans_to_aeds
 
-from conftest import random_source, random_table
+from conftest import random_source, random_table, traced_peak
 
 
 def binary_source(r):
@@ -680,3 +681,54 @@ def test_solve_and_monte_carlo_compute_ergodicity_once(monkeypatch):
     assert validate_aeds(table).ergodicity == table.ergodicity()
     assert abs(est.bits_per_symbol - rep.mean_bits) < 5 * est.stderr
     assert len(calls) == 1
+
+
+# ---------------------------------------------------------------------------
+# certifying a large table in bounded memory
+
+ZIPF_256 = validate_distribution(
+    [(b, 1 / (b + 1) ** 1.2) for b in range(256)])
+
+
+def test_step_adds_what_the_repeat_tile_formula_adds_bit_for_bit():
+    # the oracle is the formula the step replaced; Krylov vectors have
+    # negative and zero entries, so the draws do too
+    gen = np.random.default_rng(24)
+    # column writes up to COLUMN_STEP_SYMBOLS symbols, an outer product above
+    for m in [1, 2, 3, 4, 5, 8, *gen.integers(6, 300, 30).tolist()]:
+        n = int(gen.integers(1, 400))
+        nexts = gen.integers(0, n, (n, m))
+        p, q = gen.random(m), gen.random(n) - 0.25
+        q[gen.random(n) < 0.1] = 0.0
+        want = np.bincount(nexts.ravel(),
+                           weights=np.repeat(q, m) * np.tile(p, n),
+                           minlength=n)
+        got = _step(nexts.ravel(), p, q, np.empty((n, m)))
+        assert got.tobytes() == want.tobytes()
+
+
+def held(table):
+    """Bytes of the table's arrays and, once built, of its grouping."""
+    grouping = table._incoming or ()
+    return sum(a.nbytes for a in (table.nexts, table.lengths, table.values,
+                                  *grouping))
+
+
+def test_certifying_a_large_table_peaks_near_what_it_keeps():
+    # each step's peak above a process that held only p and the counts:
+    # what the table keeps (8.4 MB, and 2.1 MB of grouping) plus what the
+    # step allocates.  Before, ergodicity peaked at 25 MB, the solve at
+    # 30 MB (an intp copy, a tiled p and two fresh products a step) and
+    # the bound at 21.5 MB, with a tuple of origins per state.
+    table, layout = build_large_n(ZIPF_256, quantize_counts(ZIPF_256, 2048))
+    assert table.nexts.shape == (2048, 256)
+    kept = held(table)
+    report, peak = traced_peak(table.ergodicity)
+    assert report.ergodic and kept + peak < 22e6
+    kept = held(table)
+    report, peak = traced_peak(
+        lambda: stationary_distribution(table, ZIPF_256))
+    assert report.residual < 1e-12 and kept + peak < 22e6
+    bound, peak = traced_peak(
+        lambda: check_bound(table, ZIPF_256, "large-n", report=report))
+    assert bound.holds and peak < 1e6  # the subset sizes, no forward sets

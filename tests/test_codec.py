@@ -1,7 +1,6 @@
 import hashlib
 import math
 import random
-import tracemalloc
 
 import pytest
 
@@ -37,7 +36,7 @@ from aeds.model import (AedsTable, Codeword, demo_table,
 from aeds.prefix_codes import build_huffman
 
 from conftest import (random_sequence, random_source, random_table,
-                      serial_encode, trace_lengths)
+                      serial_encode, trace_lengths, traced_peak)
 
 SIX = validate_distribution(
     [("a", 0.35), ("b", 0.15), ("c", 0.15), ("d", 0.15),
@@ -151,12 +150,7 @@ def test_encode_memory_stays_under_the_list_encoder():
     table = build_type2(build_huffman(p), p)
     data = bytes(random.Random(1).choices(range(32), weights, k=1 << 20))
     encode(table, data[:64])  # numpy's first-call set-up is not encode's
-    tracemalloc.start()
-    try:
-        stream = encode(table, data)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    stream, peak = traced_peak(lambda: encode(table, data))
     assert stream.length == 1 << 20
     assert peak <= LIST_ENCODER_PEAK
 

@@ -47,7 +47,7 @@ from aeds.prefix_codes import build_huffman, tree_metrics
 from aeds.tans import build_tans, quantize_counts, tans_to_aeds
 
 from conftest import (case3_by_definition, huffman_oracle_mean,
-                      random_sequence, random_source)
+                      random_sequence, random_source, traced_peak)
 
 SIX = validate_distribution(
     [("a", 0.35), ("b", 0.15), ("c", 0.15), ("d", 0.15),
@@ -310,19 +310,36 @@ def test_ranked_builders_pinned_above_the_dense_limit():
         ZIPF_CORPUS_2048
 
 
-def test_large_n_table_at_4096_states_is_small():
-    counts = quantize_counts(ZIPF, 4096)
-    gc.collect()
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
+def build_kept(n):
+    """The large-n table of ``ZIPF`` at n states, with the memory its build
+    keeps and the peak above its start (tracemalloc, from the counts)."""
+    counts = quantize_counts(ZIPF, n)
+
+    def build():
         table, _ = build_large_n(ZIPF, counts)
         gc.collect()
-        retained = tracemalloc.get_traced_memory()[0] - before
-    finally:
-        tracemalloc.stop()
+        return table, tracemalloc.get_traced_memory()[0]
+    (table, retained), peak = traced_peak(build)
+    return table, retained, peak
+
+
+def test_large_n_table_at_4096_states_is_small():
+    table, retained, peak = build_kept(4096)
     assert table.nexts.size == 4096 * 256
     assert retained < 30e6     # 17 MB: three arrays, no per-cell objects
+    # the build writes the arrays in their own dtypes, a group of symbols
+    # at a time: 27 MB with the forward sets, 78 MB when it held a dozen
+    # int64 arrays of all the cells
+    assert peak < 40e6
+
+
+def test_large_n_build_at_2048_states_peaks_near_its_table():
+    # 14 MB: the 8.4 MB table and the 4.2 MB of forward sets; 39 MB
+    # when it sorted every cell to check the tiling and converted the
+    # arrays twice
+    table, retained, peak = build_kept(2048)
+    assert retained < 10e6
+    assert peak < 22e6
 
 
 def test_case3_plan_example():

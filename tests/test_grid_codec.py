@@ -9,7 +9,6 @@ import gc
 import hashlib
 import random
 import time
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -38,7 +37,7 @@ from aeds.errors import (
 )
 from aeds.model import AedsTable, Codeword, demo_table
 
-from conftest import random_table
+from conftest import random_table, traced_peak
 
 LENGTHS = (0, 1, 7, 8, 9, 57, 63, 64, 127, 128, 4096)
 
@@ -225,15 +224,14 @@ def test_reader_rejects_a_grid_larger_than_its_bytes_before_allocating():
     body = serialize_table(demo_table())[:-32]
     assert body[5] == 5  # demo_table's state count, one LEB128 byte
     data = reseal(body[:5] + bytes(_leb128(1 << 40)) + body[6:])
-    tracemalloc.start()
-    start = time.perf_counter()
-    try:
+
+    def read():
+        start = time.perf_counter()
         with pytest.raises(MalformedTable, match="no room"):
             deserialize_table(data)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert time.perf_counter() - start < 1.0
+        return time.perf_counter() - start
+    elapsed, peak = traced_peak(read)
+    assert elapsed < 1.0
     assert peak < 1 << 20
 
 

@@ -26,6 +26,8 @@ from aeds.model import (
     prefix_clash,
 )
 
+from conftest import traced_peak
+
 # ---------------------------------------------------------------------------
 # oracle: one (symbols, state, bits used) tuple per window
 
@@ -223,15 +225,12 @@ def test_index_of_the_large_n_table_is_two_lists_of_shared_objects():
         [data.count(b) for b in range(256)])
     table = cli.build_table(p, "large-n", 512)
     assert table.nexts.size == 131_072
-    gc.collect()
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
+
+    def build():
         nodes = table.decoding_tries()
         gc.collect()
-        retained = tracemalloc.get_traced_memory()[0] - before
-    finally:
-        tracemalloc.stop()
+        return nodes, tracemalloc.get_traced_memory()[0]
+    (nodes, retained), _ = traced_peak(build)
     slots = sum(1 << k for k, *_ in nodes)
     assert retained <= 32 * slots      # about 19: two list references
     # no state needed a run or a word-by-word check, so the build grouped
@@ -275,13 +274,12 @@ def test_overfull_state_fails_before_its_windows_are_filled():
     m = 1000
     zeros = np.zeros((1, m), dtype=np.int64)
     table = AedsTable(range(m), zeros, zeros, zeros)
-    tracemalloc.start()
-    try:
+
+    def build():
         with pytest.raises(PrefixViolation) as err:
             table.decoding_tries()
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+        return err
+    err, peak = traced_peak(build)
     assert (err.value.state, err.value.first, err.value.second) == (0, "", "")
     assert peak < 4 << 20
 

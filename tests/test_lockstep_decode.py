@@ -9,7 +9,6 @@ only decode serially.
 
 import random
 import time
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,7 +21,7 @@ from aeds.errors import (AedsError, MalformedStream, PrefixViolation,
 from aeds.model import (LOOKUP_BITS, AedsTable, Codeword, demo_table,
                         validate_distribution)
 
-from conftest import random_sequence, random_table
+from conftest import random_sequence, random_table, traced_peak
 
 # ---------------------------------------------------------------------------
 # oracle: the serial run loop
@@ -146,6 +145,42 @@ def test_blocks_where_most_lanes_do_not_meet_decode_serially(small_lanes,
     check(table, stream, lockstep=False)
 
 
+def short_damaged(rng, stream):
+    """The last three truncations of ``stream`` that keep its header, one
+    with a byte appended and four with a payload bit flipped."""
+    data, start = stream.data, stream.payload_start
+    for cut in range(-(-start // 8), len(data))[-3:]:
+        yield data[:cut]
+    yield data + bytes([rng.randrange(1, 256)])
+    for _ in range(4):
+        flipped = bytearray(data)
+        pos = rng.randrange(start, 8 * len(data))
+        flipped[pos >> 3] ^= 0x80 >> (pos & 7)
+        yield bytes(flipped)
+
+
+def test_short_blocks_after_a_long_one_decode_in_lockstep():
+    # the short last block of a file: the long block built the packed
+    # index, so the lockstep decodes the short one too, without the run
+    # index; a damaged one fails with the serial loop's error
+    table = cli.build_table(ZIPF, "type2", 2)
+    rng = random.Random(24)
+    long = encode(table, random_sequence(rng, ZIPF, codec.LOCKSTEP_SYMBOLS))
+    seen = set()
+    for n in (1, 15, 16, 4096):
+        stream = encode(table, random_sequence(rng, ZIPF, n))
+        for data in (stream.data, *short_damaged(rng, stream)):
+            fresh = AedsTable(table.symbols, table.nexts, table.lengths,
+                              table.values)
+            decode_indices(fresh, long)
+            got = outcome(decode_indices, fresh, Bitstream(data))
+            assert got == outcome(serial_indices, table, Bitstream(data))
+            if data is stream.data:
+                assert fresh._lookup is None  # no serial step ran
+            seen.add(got[0] if isinstance(got, tuple) else list)
+    assert {list, TruncatedStream, TrailingGarbage} <= seen
+
+
 def skewed_type2_block(seed):
     """The first 2^20-byte block of the skewed benchmark corpus (byte 0
     with 0.7, bytes 1..31 sharing 0.3 with weights 2^-i) and its type2
@@ -169,7 +204,8 @@ def test_seed_3_skewed_corpus_where_lanes_do_not_meet(monkeypatch):
     lanes = codec._Lanes(table.lockstep_index(), len(table.symbols),
                          stream.data, stream.payload_start,
                          stream.initial_state,
-                         codec._lane_rows(stream.length, table.n_states))
+                         codec._lane_rows(stream.length, table.n_states),
+                         codec.LANES)
     assert 0 < lanes.meets.count(-1) <= codec.UNMET_SHARE * codec.LANES
     got = decode_indices(table, stream)
     assert got.tobytes().translate(bytes(table.symbols).ljust(256, b"\0")) \
@@ -253,7 +289,8 @@ def test_lanes_too_long_for_two_byte_positions(small_lanes):
     lanes = codec._Lanes(table.lockstep_index(), len(table.symbols),
                          stream.data, stream.payload_start,
                          stream.initial_state,
-                         codec._lane_rows(stream.length, table.n_states))
+                         codec._lane_rows(stream.length, table.n_states),
+                         codec.LANES)
     assert lanes.pos.dtype == np.uint32
     check(table, stream)
 
@@ -314,15 +351,13 @@ def test_memory_is_bounded_by_the_payload(decoder):
     table, stream = demo_table(), truncation_bomb()
     assert stream.length == 1 << 40
     decoder(table, Bitstream(encode(table, "ab").data))  # set-up outside
-    tracemalloc.start()
-    started = time.perf_counter()
-    try:
+
+    def run():
+        started = time.perf_counter()
         with pytest.raises(TruncatedStream):
             decoder(table, stream)
-        elapsed = time.perf_counter() - started
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+        return time.perf_counter() - started
+    elapsed, peak = traced_peak(run)
     assert elapsed < 0.5
     assert peak < 10 << 20
 
