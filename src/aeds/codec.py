@@ -17,11 +17,12 @@ time; one-byte cells go two at a time, as words of the 65,536 cell pairs
 that a table of at most 256 cells builds once.  Memory is the cell
 buffer, one work copy of it, the pair words (0.6 MB) and the payload.
 
-Decoding reads the payload forward.  Long blocks decode in lockstep:
-lanes started across the payload each take one slot of a packed window
-array a row, and are stitched where their paths meet
-(``decode_indices``).  Short blocks, and what the lockstep cannot
-settle, run the serial loop over the run index (``_walk``).
+Decoding reads the payload forward, one slot of a packed window array
+(the decoder index) a lookup.  Long blocks decode in lockstep: lanes
+started across the payload each take one slot a row, and are stitched
+where their paths meet (``decode_indices``).  Short blocks, and what
+the lockstep cannot settle, run the serial loop over the same slots
+(``_walk``).
 """
 
 import bisect
@@ -44,7 +45,7 @@ from .errors import (
     UnmatchedCodeword,
     VersionMismatch,
 )
-from .model import (INT_BITS, LOOKUP_BITS, PACK_SLICE, RUN_CAP, AedsTable,
+from .model import (INT_BITS, LOOKUP_BITS, PACK_SLICE, AedsTable,
                     ErgodicityReport, value_dtype, zero_bit_cycle)
 
 STREAM_MAGIC = b"AEDS"
@@ -65,19 +66,24 @@ RERUN_LIMIT = 3
 LOCKSTEP_CHUNKS = 32
 
 # The lockstep decode (``_lockstep_decode``) runs LANES lanes, on blocks of
-# at least LOCKSTEP_SYMBOLS symbols (below, the serial loop was faster on
-# the type2 table with both indexes built) and tables of at most
-# LOCKSTEP_STATES states (at N = 4096 most lanes did not meet).  Each lane
-# runs its share of the block's symbols, twice the square root of that
-# share (the spread of the symbols its bits hold) and SYNC_ROWS rows per
-# bit of the state count (paths meet later on larger tables) beyond it:
-# measured, no lane was left unmet on 16 type2 blocks of 2^20 skewed bytes
-# (seeds 1-8) nor on the 512-state large-n, tans and saeds-case2 tables of
-# 128 KiB of Zipf bytes (seeds 1-4).  After a lane that did not meet the
-# next one the serial loop decodes SERIAL_STEP symbols at a time; with
-# more than UNMET_SHARE of the lanes unmet, the whole block.
+# at least LOCKSTEP_SYMBOLS symbols and tables of at most LOCKSTEP_STATES
+# states (at N = 4096 most lanes did not meet).  The serial loop reads the
+# same index: on a shared 2-CPU host, with the index built, 2^14 symbols
+# took it 4.6 ms on the type2 table and 4.8 ms on huffman, against 3.3
+# and 1.8 ms in lockstep, and 5.1-5.2 ms on the 512-state large-n, tans
+# and saeds-case2 tables, against 7.7-9.5 ms (from 2^15 the lockstep wins
+# there too: 8.3-8.6 ms against 10.2-11.4).  Each lane runs its share of
+# the block's symbols, twice the square root of that share (the spread of
+# the symbols its bits hold) and SYNC_ROWS rows per bit of the state count
+# (paths meet later on larger tables) beyond it: measured, no lane was
+# left unmet on 16 type2 blocks of 2^20 skewed bytes (seeds 1-8) nor on
+# the 512-state large-n, tans and saeds-case2 tables of 128 KiB of Zipf
+# bytes (seeds 1-4), and at most 2% of them on blocks of 2^14 symbols.
+# After a lane that did not meet the next one the serial loop decodes
+# SERIAL_STEP symbols at a time; with more than UNMET_SHARE of the lanes
+# unmet, the whole block.
 LANES = 1 << 10
-LOCKSTEP_SYMBOLS = 1 << 17
+LOCKSTEP_SYMBOLS = 1 << 14
 LOCKSTEP_STATES = 1 << 11
 SYNC_ROWS = 40
 SERIAL_STEP = 256
@@ -249,10 +255,9 @@ def state_index_bits(n_states):
 class ValidationReport:
     """``zero_bit_cycle`` lists the decoder states, ascending, on a cycle
     of zero-length codewords: from them a stream decodes any number of
-    symbols without reading a bit.  Such tables have no lockstep index
-    and decode serially, which stays bounded because ``RUN_CAP`` ends
-    each window's run and the declared symbol count ends the decode; its
-    list holds only the symbols decoded.  On every other table a path
+    symbols without reading a bit.  Such tables decode serially, one
+    lookup a symbol, until the declared symbol count ends the decode; the
+    output holds only the symbols decoded.  On every other table a path
     reads a bit at least every z + 1 symbols (z zero-length codewords),
     and the lockstep starts only for blocks that declare at most that
     many symbols per payload bit, so its arrays are bounded by the
@@ -270,8 +275,8 @@ def validate_aeds(table):
     derives the decoder from the encoder grid; this adds the prefix check
     (building the decoder index), the ergodicity report and the states on
     zero-bit decode cycles.  A non-ergodic chain or a zero-bit cycle is
-    reported, not raised: encoding still works, only the stationary
-    analysis needs ergodicity.
+    reported, not raised: such tables still encode and decode (a zero-bit
+    cycle serially), only the stationary analysis needs ergodicity.
     """
     if not isinstance(table, AedsTable):
         raise TableError("validate_aeds expects an AedsTable")
@@ -487,161 +492,163 @@ def decode_indices(table, stream):
     of one byte an index up to 256 symbols, else four; consumes exactly
     the declared payload.
 
-    A block of at least ``LOCKSTEP_SYMBOLS`` symbols decodes in lockstep
-    from ``table.lockstep_index()`` (``_lockstep_decode``), and so does a
-    shorter one once that index is built and the run index is not (the
-    short last block of a file).  Other short blocks, tables without that
-    index or of more than ``LOCKSTEP_STATES`` states, blocks where most
-    lanes do not meet, and any block whose lockstep finds an anomaly (a
-    dead slot or a read past the end on its path, or bad padding) run
-    the serial loop (``_walk``), so every error is the serial decoder's.
-    Memory is bounded by the payload, whatever length the stream
-    declares: the lockstep never starts for more symbols than its bits
-    can hold."""
+    Both decoders read ``table.decoding_tries()``, one slot a lookup.  A
+    block of at least ``LOCKSTEP_SYMBOLS`` symbols on a table of at most
+    ``LOCKSTEP_STATES`` states decodes in lockstep (``_lockstep_decode``).
+    Shorter blocks, tables without the index or with a zero-bit cycle,
+    blocks where most lanes do not meet, and any block whose lockstep
+    finds an anomaly (a dead slot or a read past the end on its path, or
+    bad padding) run the serial loop (``_walk``), so every error is the
+    serial decoder's.  Memory is bounded by the payload, whatever length
+    the stream declares: the lockstep never starts for more symbols than
+    its bits can hold, and the serial loop holds only what it decoded."""
     stream.check_states(table.n_states)
     got = _lockstep_decode(table, stream)
     if got is None:
-        got = _index_array(table, _walk_stream(table, stream))
+        got, bit, _ = _walk(table, stream.data + bytes(16),
+                            8 * len(stream.data), stream.payload_start,
+                            stream.initial_state, stream.length)
+        BitReader(stream.data, bit).check_padding()
     return got
-
-
-def _index_array(table, symbols):
-    """``symbol_indices`` of a list of symbols, as a numpy array; a list
-    of byte values maps through bytes, in one translate."""
-    if len(table.symbols) <= 256 and all(
-            isinstance(s, int) and 0 <= s < 256 for s in table.symbols):
-        symbols = bytes(symbols)
-    got = symbol_indices(table, symbols)
-    return np.frombuffer(got, np.uint8 if isinstance(got, bytes)
-                         else np.uint32)
 
 
 def decode(table, stream):
     """Recover the symbol sequence as a list: the symbols of
     ``decode_indices``."""
-    stream.check_states(table.n_states)
-    got = _lockstep_decode(table, stream)
-    if got is None:
-        return _walk_stream(table, stream)
     symbols = table.symbols
-    return [symbols[i] for i in got.tolist()]
+    return [symbols[i] for i in decode_indices(table, stream).tolist()]
 
 
-def _walk_stream(table, stream):
-    """The serial loop over the whole block, padding check included."""
-    data = stream.data + bytes(16)
-    out, bit, _ = _walk(table, data, 8 * len(stream.data),
-                        stream.payload_start, stream.initial_state,
-                        stream.length)
-    BitReader(stream.data, bit).check_padding()
-    return out
+def _index_dtype(m):
+    """The dtype of the indices of an alphabet of m symbols."""
+    return np.uint8 if m <= 256 else np.uint32
 
 
-def _walk(table, data, end, bit, x, total, exact=True):
-    """The serial loop: decode from bit ``bit`` of ``data`` (the stream's
-    bytes, then 16 zero bytes; ``end`` bits are the stream's) in state x
-    until ``total`` symbols, or with ``exact`` false up to ``RUN_CAP`` - 1
-    more, the rest of its last run.  Returns the symbols, the bit after
-    them and the state there.
+def _walk(table, data, end, bit, x, total):
+    """The serial loop: decode ``total`` symbols from bit ``bit`` of
+    ``data`` (the stream's bytes, then 16 zero bytes; ``end`` bits are the
+    stream's) in state x.  Returns their indices as a numpy array, the bit
+    after them and the state there.
 
-    Bits are peeked from a local accumulator that is refilled 8 bytes at
-    a time.  Each lookup in ``table.decoding_tries()`` reads the next k
-    bits w of the current state's window (k = ``LOOKUP_BITS`` = 12 for
-    tables of up to 8 states) and then two lists at w: the run of whole
-    codewords w holds, up to ``RUN_CAP`` = 16, and the pair of the state
-    after it and the bits it uses, so left // 16 lookups never pass the
-    block's end.
-    When a run is empty or, in a block's last 15 symbols, longer than the
-    symbols left, one codeword is read bit by bit from
-    ``table.codeword_trie``: codewords longer than the window, damaged
-    ones and some block tails.  Zero bytes past the end of the stream keep
-    every refill whole (a refill starts at most one byte past the end, or
-    the end check before it raises); a codeword that consumes them makes
-    the stream truncated."""
-    nodes = table.decoding_tries()
-    symbols = table.symbols
+    Lookups run in ``_lookups``.  From a dead slot, and for every
+    codeword of a table without the index, one codeword is read bit by
+    bit (``_read_codeword``), which names the damage or the truncation."""
+    index = table.decoding_tries()
+    m = len(table.symbols)
+    out = bytearray() if m <= 256 else array("I")
+    while True:
+        if index is not None:
+            bit, x = _lookups(index, m, data, end, bit, x, total, out)
+        if len(out) == total:
+            break
+        s, x, bit = _read_codeword(table, data, end, bit, x)
+        out.append(s)
+    if bit > end:
+        raise TruncatedStream("bit stream exhausted")
+    return np.frombuffer(out, _index_dtype(m)), bit, x
+
+
+def _lookups(index, m, data, end, bit, x, total, out):
+    """Append the indices of the symbols from bit ``bit`` in state x to
+    ``out`` until it holds ``total`` or a lookup meets a dead slot; return
+    the bit and the state where the last codeword ends, or where the dead
+    slot's codeword starts.
+
+    A lookup reads one slot of the index (``AedsTable.decoding_tries``),
+    as a lane of the lockstep does: the next w bits pick a slot of the
+    current window, whose entry gives the bits used and the next window,
+    and whose code the symbol index or a step into a sub-window.  Bits
+    are peeked from a local accumulator ``acc`` that holds ``lag`` + 64
+    unread bits, so that a window's w = 64 - ``shift`` bits are ``acc >>
+    (lag + shift)``, masked; it is refilled 8 bytes at a time.  Zero
+    bytes past the end of the stream keep every refill whole (a refill
+    starts at most one byte past the end, or the end check before it
+    raises); a codeword that consumes them makes the stream truncated."""
+    entries, codes, windows = (memoryview(index[0]), memoryview(index[1]),
+                               index[2])
+    # first-level windows have bases up to top, sub-windows above it
+    top = int(windows[-1]) >> 11
+    masks = [(1 << (64 - shift)) - 1 for shift in range(65)]
+    low = LOOKUP_BITS - 64  # refill below this lag
+    window = int(windows[x])
+    base, shift = window >> 11, window >> 4 & 127
+    append = out.append
     pos = bit >> 3
     acc = data[pos]
-    nbits = 8 - (bit & 7)
+    lag = 8 - (bit & 7) - 64
     pos += 1
-    out = []
-    extend = out.extend
     while (left := total - len(out)) > 0:
-        before = x
-        # no run holds more than RUN_CAP symbols, so left // RUN_CAP runs
-        # all fit; the last few symbols of a block try one run at a time
-        for _ in range(left // RUN_CAP or 1):
-            k, mask, runs, moves = nodes[x]
-            if nbits < k:
-                if 8 * pos - nbits > end:
+        for _ in range(left):
+            if lag < low:
+                if 8 * pos - lag - 64 > end:
                     raise TruncatedStream("bit stream exhausted")
-                acc = (((acc & ((1 << nbits) - 1)) << 64)
+                acc = (((acc & ((1 << (lag + 64)) - 1)) << 64)
                        | int.from_bytes(data[pos:pos + 8], "big"))
                 pos += 8
-                nbits += 64
-            window = (acc >> (nbits - k)) & mask
-            run = runs[window]
-            if not run:  # an empty run keeps the state
-                break
-            x, used = moves[window]
-            extend(run)
-            nbits -= used
-        else:
-            if len(out) <= total or not exact:
-                continue
-            del out[-len(run):]  # a run past the block's end: take it back
-            x, nbits = before, nbits + used
-        # one codeword bit by bit, after runs that may have read past the end
-        if 8 * pos - nbits > end:
-            raise TruncatedStream("bit stream exhausted")
-        trie, leaves = table.codeword_trie(x)
-        node = 0 if leaves else None  # None: no codeword starts here
-        value = depth = 0
-        while node not in leaves:
-            if node is None:
-                raise UnmatchedCodeword(
-                    x, format(value, f"0{depth}b") if depth else "")
-            if 8 * pos - nbits == end:
-                raise TruncatedStream("bit stream exhausted")
-            if not nbits:
-                acc = int.from_bytes(data[pos:pos + 8], "big")
-                pos += 8
-                nbits = 64
-            nbits -= 1
-            bit = (acc >> nbits) & 1
-            value, depth = (value << 1) | bit, depth + 1
-            node = trie.get((node, bit))
-        s, x = leaves[node]
-        out.append(symbols[s])
-    if 8 * pos - nbits > end:
+                lag += 64
+            slot = base + (acc >> (lag + shift) & masks[shift])
+            s, e = codes[slot], entries[slot]
+            if s < m:
+                append(s)
+            elif s > m:  # its codeword started here or at the step down
+                if base <= top:
+                    start = 8 * pos - lag - 64, base
+                bit, base = start
+                return bit, int(np.searchsorted(windows, base << 11))
+            elif base <= top:  # a step into the sub-windows
+                start = 8 * pos - lag - 64, base
+            lag -= e & 15
+            base, shift = e >> 11, e >> 4 & 127
+    return 8 * pos - lag - 64, int(np.searchsorted(windows, base << 11))
+
+
+def _read_codeword(table, data, end, bit, x):
+    """One codeword read bit by bit from bit ``bit`` in state x through
+    ``table.codeword_trie``: its symbol index, the state after it and the
+    bit after it.  Raises UnmatchedCodeword at the first bit that no
+    codeword of x continues with, and TruncatedStream for a read past
+    ``end``."""
+    if bit > end:
         raise TruncatedStream("bit stream exhausted")
-    return out, 8 * pos - nbits, x
+    trie, leaves = table.codeword_trie(x)
+    node = 0 if leaves else None  # None: no codeword starts here
+    value = depth = 0
+    while node not in leaves:
+        if node is None:
+            raise UnmatchedCodeword(
+                x, format(value, f"0{depth}b") if depth else "")
+        if bit == end:
+            raise TruncatedStream("bit stream exhausted")
+        b = data[bit >> 3] >> (7 - (bit & 7)) & 1
+        bit += 1
+        value, depth = (value << 1) | b, depth + 1
+        node = trie.get((node, b))
+    s, x = leaves[node]
+    return s, x, bit
 
 
 def _lockstep_decode(table, stream):
     """The block's indices decoded in lockstep, or None for the serial
     loop to decode (or to name the error).
 
-    ``_lane_count`` lanes start at equally spaced bits of the payload:
+    ``LANES`` lanes start at equally spaced bits of the payload:
     lane 0 at its first bit in the stream's state, the others in the same
     state as a guess, each a whole number of steps (the gcd of the
     codeword lengths) after lane 0, where a codeword can start.  Each
-    row moves every lane by one slot of the packed index
-    (``AedsTable.lockstep_index``): a codeword, a step into a sub-window
+    row moves every lane by one slot of the decoder index
+    (``AedsTable.decoding_tries``): a codeword, a step into a sub-window
     or, off the true path, a dead slot.  A lane that guessed wrong falls
     onto the true path within tens of symbols on small tables (Klein and
-    Wiseman, Comput. J. 46(5), 2003), and paths that met stay together.  So the true path is lane 0 up to its last
-    codeword, then the next lane from the row whose point (bit position,
-    window) equals the point after it, and so on.  After a lane that did
-    not meet the next one, the serial loop goes on from its last point
-    until the true path lands on a point of a later lane."""
+    Wiseman, Comput. J. 46(5), 2003), and paths that met stay together.
+    So the true path is lane 0 up to its last codeword, then the next
+    lane from the row whose point (bit position, window) equals the
+    point after it, and so on.  After a lane that did not meet the next
+    one, the serial loop goes on from its last point until the true path
+    lands on a point of a later lane."""
     total = stream.length
-    # a short block takes the lockstep only where the packed index is
-    # built and the run index that the serial loop needs is not
-    short = total < LOCKSTEP_SYMBOLS and not (
-        total and table._packed and table._lookup is None)
-    if (short or table.n_states > LOCKSTEP_STATES
-            or (index := table.lockstep_index()) is None):
+    if (total < LOCKSTEP_SYMBOLS or table.n_states > LOCKSTEP_STATES
+            or (index := table.decoding_tries()) is None
+            or index[3] and zero_bit_cycle(table.nexts, table.lengths)):
         return None
     data = stream.data
     end = 8 * len(data)
@@ -649,7 +656,7 @@ def _lockstep_decode(table, stream):
         return None  # more symbols than the bits can hold
     m = len(table.symbols)
     lanes = _Lanes(index, m, data, stream.payload_start, stream.initial_state,
-                   _lane_rows(total, table.n_states), _lane_count(total))
+                   _lane_rows(total, table.n_states), LANES)
     if lanes.meets.count(-1) > UNMET_SHARE * lanes.count:
         return None
     padded = data + bytes(16)
@@ -677,12 +684,10 @@ def _lockstep_decode(table, stream):
             lane = None
             while lane is None and count < total and bit <= end:
                 # serially, until the true path is on a later lane's points
-                left = total - count
-                exact = left <= SERIAL_STEP + RUN_CAP
-                out, bit, x = _walk(table, padded, end, bit, x,
-                                    left if exact else SERIAL_STEP, exact)
-                count += len(out)
-                pieces.append(_index_array(table, out))
+                piece, bit, x = _walk(table, padded, end, bit, x,
+                                      min(total - count, SERIAL_STEP))
+                count += len(piece)
+                pieces.append(piece)
                 lane, row = lanes.find(bit, x)
     except AedsError:
         return None
@@ -690,7 +695,7 @@ def _lockstep_decode(table, stream):
     if (bit > end or count != total or end - bit >= 8
             or data[-1] & ((1 << (end - bit)) - 1)):
         return None  # a read past the end, or bad padding
-    return got.astype(np.uint8 if m <= 256 else np.uint32, copy=False)
+    return got.astype(_index_dtype(m), copy=False)
 
 
 def _peek(data):
@@ -703,17 +708,9 @@ def _peek(data):
     return out
 
 
-def _lane_count(total):
-    """``LANES``, or for a block below ``LOCKSTEP_SYMBOLS`` as many lanes
-    as keep the share of a lane there: lanes a few symbols apart would
-    end before the previous lane's end on the true path, so they would
-    not meet it."""
-    return min(LANES, -(-total * LANES // LOCKSTEP_SYMBOLS))
-
-
 def _lane_rows(total, n_states):
     """The rows each lane runs: see ``SYNC_ROWS``."""
-    share = -(-total // _lane_count(total))
+    share = -(-total // LANES)
     return share + 2 * math.isqrt(share) + SYNC_ROWS * n_states.bit_length()
 
 

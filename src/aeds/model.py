@@ -6,7 +6,6 @@ threads.  Symbols are opaque hashable tokens; states are dense indices
 ``AedsTable``); ``Codeword`` objects appear only in its views.
 """
 
-import gc
 import math
 from dataclasses import dataclass
 
@@ -24,14 +23,12 @@ from .errors import (
 
 PROB_SUM_TOL = 1e-12
 
-# Decoder index (AedsTable.decoding_tries): the widest window a state's
-# table reads; the most slots that full-width windows of every state may
-# hold, which gives them to tables of up to RUN_SLOTS >> LOOKUP_BITS = 8
-# states; and the most codewords one slot decodes, which bounds runs
-# through zero-bit cycles.
+# Decoder index (AedsTable.decoding_tries): the widest window a lookup
+# reads, and the most slots that full-width windows of every state may
+# hold, which gives them to tables of up to WINDOW_SLOTS >> LOOKUP_BITS = 8
+# states.
 LOOKUP_BITS = 12
-RUN_SLOTS = 1 << 15
-RUN_CAP = 16
+WINDOW_SLOTS = 1 << 15
 
 # Longest codeword whose value an int64 table cell holds.
 INT_BITS = 63
@@ -352,7 +349,7 @@ class AedsTable:
     """
 
     __slots__ = ("symbols", "n_states", "nexts", "lengths", "values",
-                 "state_names", "_index", "_lookup", "_tries", "_ergodicity",
+                 "state_names", "_index", "_tries", "_ergodicity",
                  "_encoder", "_entries", "_incoming", "_pairs", "_packed")
 
     def __init__(self, symbols, nexts, lengths, values, state_names=None):
@@ -486,82 +483,52 @@ class AedsTable:
     # -- decoder index -----------------------------------------------------
 
     def decoding_tries(self):
-        """Per-state window tables over the decoder codeword sets.
+        """The decoder index, built once: one packed array of window slots
+        that the serial loop and the lockstep decode both read, a slot a
+        lookup.  None for a table with a codeword of more than
+        ``INT_BITS`` bits, which decodes through ``codeword_trie``.
+        Raises PrefixViolation if some state's codewords are not
+        prefix-free.
 
-        Returns one ``(k, mask, runs, moves)`` per state: ``mask = 2^k - 1``
-        and two lists of 2^k entries.  The run of whole codewords that a
-        k-bit window w starts with, at most ``RUN_CAP``, decodes to the
-        tuple ``runs[w]``, and ``moves[w] = (state, used)``: the decoder
-        goes to ``state`` after ``used`` bits.  An empty run (the move
-        (x, 0) of state x) means that no codeword of at most k bits starts
-        w; the decoder then reads one codeword bit by bit with
-        ``codeword_trie``.  One-symbol runs and moves are shared tuples.
-        The widths k are those of ``_window_fill``, so the index is linear
-        in the number of cells.  Raises PrefixViolation if some state's
-        codewords are not prefix-free.
-
-        numpy places every codeword of at most k bits in the windows it
-        starts and flags the states whose codewords may clash, which are
-        checked word by word (``_window_fill``); then runs grow one
-        codeword a round for all windows at once.  On a shared 2-CPU host
-        the large-n index of 512 states over 256 bytes builds in 0.02 s,
-        that of 4096 in 0.2-0.3 s.
-        """
-        if self._lookup is None:
-            enabled = gc.isenabled()
-            gc.disable()  # it would only rescan the tuples the index keeps
-            try:
-                object.__setattr__(self, "_lookup", self._build_index())
-            finally:
-                if enabled:
-                    gc.enable()
-        return self._lookup
-
-    def _build_index(self):
-        n, m = self.nexts.shape
-        lengths = self.lengths.ravel()
-        k, ends, cells, span, start, slot = self._window_fill()
-        shortest = np.full(n, LOOKUP_BITS + 1, dtype=lengths.dtype)
-        np.minimum.at(shortest, self.nexts.ravel(), lengths)
-        into = self.nexts.ravel()[cells]
-        room = k[into] - lengths[cells]
-        # every window: its first codeword, else the empty run (symbol m)
-        # and the move (x, 0) that keeps state x; a move (y, used) is
-        # numbered y * width + used
-        symbol = np.full(ends[-1], m)
-        symbol[slot] = np.repeat(cells % m, span)
-        width = int(k.max()) + 1
-        move = np.repeat(np.arange(n) * width, 1 << k)
-        move[slot] = np.repeat(cells // m * width + lengths[cells], span)
-        singles = np.fromiter([(s,) for s in self.symbols] + [()], object,
-                              m + 1)
-        runs = singles[symbol]
-        go = shortest[cells // m] <= room
-        if go.any():
-            self._extend_runs(runs, move, width, singles, k[into[go]],
-                              start[go], room[go], cells[go], shortest)
-        moves = np.fromiter([(x, u) for x in range(n) for u in range(width)],
-                            object, n * width)[move]
-        bounds = [0] + ends.tolist()
-        return tuple((kx, (1 << kx) - 1, runs[a:b].tolist(),
-                      moves[a:b].tolist())
-                     for kx, a, b in zip(k.tolist(), bounds, bounds[1:]))
+        Returns ``(entries, symbol, windows, zeros, step)``.  A window is
+        a table of 2^w slots read with the next w bits (w <=
+        ``LOOKUP_BITS``), named by ``base << 11 | (64 - w) << 4``;
+        ``windows[x]`` names state x's window of ``_window_fill``, and the
+        sub-windows of the codewords longer than it follow all of those.
+        Slot i holds the entry ``next window | used`` and the symbol code
+        ``symbol[i]``: a codeword that ends in the window uses its
+        remaining bits, names the window of the state it leads to and has
+        its symbol index; a slot that starts longer codewords uses the
+        whole window and names their sub-window, with symbol m ("none"); a
+        slot that starts no codeword uses one bit, keeps its window and has
+        symbol m + 1 ("dead").
+        ``zeros`` counts the zero-bit codewords, so that a path off a
+        zero-bit cycle stays at one bit position for at most ``zeros`` + 1
+        points, and every codeword length is a multiple of ``step``.  On a
+        shared 2-CPU host the large-n index of 512 states over 256 bytes
+        builds in 0.011 s, that of 4096 states in 0.10 s."""
+        if self._packed is None:
+            fill = self._window_fill()  # the prefix check, for every table
+            packed = (self._build_packed(*fill)
+                      if self.lengths.max() <= INT_BITS else False)
+            object.__setattr__(self, "_packed", packed)
+        return self._packed or None
 
     def _window_fill(self):
-        """The window layout both decoder indexes share, after the prefix
-        check: the window width k of every state, the end of each state's
-        2^k slots in one array, and the codewords of at most k bits (cells
-        x|A| + s) with the slots they span, ``span`` of them from
-        ``start``, listed whole in ``slot``.  Raises PrefixViolation.
+        """The first level of the decoder index, after the prefix check:
+        the window width k of every state, the end of each state's 2^k
+        slots in one array, and the codewords of at most k bits (cells
+        x|A| + s) with the slots they span, ``span`` of them each, listed
+        whole in ``slot``.  Raises PrefixViolation.
 
-        k is ``LOOKUP_BITS`` for tables of at most ``RUN_SLOTS >>
+        k is ``LOOKUP_BITS`` for tables of at most ``WINDOW_SLOTS >>
         LOOKUP_BITS`` states.  Larger tables take the smallest of the
         longest codeword, ``LOOKUP_BITS`` and the widest table with at most
-        two slots per codeword, so the layout is linear in the number of
+        two slots per codeword, so the index is linear in the number of
         cells."""
         n, m = self.nexts.shape
         nexts, lengths = self.nexts.ravel(), self.lengths.ravel()
-        if n << LOOKUP_BITS <= RUN_SLOTS:
+        if n << LOOKUP_BITS <= WINDOW_SLOTS:
             k = np.full(n, LOOKUP_BITS)
         else:  # frexp gives the bit length of the count of cells
             longest = np.zeros(n, dtype=lengths.dtype)  # one dtype: fast .at
@@ -580,13 +547,12 @@ class AedsTable:
         fill = ~over[into]
         cells, span, into = cells[fill], span[fill], into[fill]
         value = self.values.ravel()[cells].astype(np.int64)
-        start = ends[into] - size[into] + (value << room[cells])
-        slot = ranges(start, span)
+        slot = ranges(ends[into] - size[into] + (value << room[cells]), span)
         twice = np.bincount(slot, minlength=ends[-1]) > 1
         flagged = over | (np.bincount(nexts[room < 0], minlength=n) > 0)
         flagged[np.searchsorted(ends, np.flatnonzero(twice), "right")] = True
         self._check_states(np.flatnonzero(flagged), k)
-        return k, ends, cells, span, start, slot
+        return k, ends, cells, span, slot
 
     def _check_states(self, states, k):
         """``check_prefixes`` on each of ``states`` (ascending) in turn,
@@ -611,39 +577,10 @@ class AedsTable:
                                [0] + cut, cut):
             check_prefixes(x, kx, words[a:b])
 
-    def lockstep_index(self):
-        """The packed window array of the lockstep decode, built once, or
-        None for a table with a zero-bit cycle or a codeword of more than
-        ``INT_BITS`` bits, which decode serially.
-
-        Returns ``(entries, symbol, windows, zeros, step)``.  A window is
-        a table of 2^w slots read with the next w bits (w <=
-        ``LOOKUP_BITS``), named by ``base << 11 | (64 - w) << 4``;
-        ``windows[x]`` names state x's window of ``_window_fill``, and the
-        sub-windows of the codewords longer than it follow all of those.
-        Slot i holds the entry ``next window | used`` and the symbol index
-        ``symbol[i]``: a codeword that ends in the window uses its
-        remaining bits and names the window of the state it leads to; a
-        slot that starts longer codewords uses the whole window and names
-        their sub-window, with symbol m ("none"); a slot that starts no
-        codeword uses one bit, keeps its window and has symbol m + 1
-        ("dead").
-        ``zeros`` counts the zero-bit codewords, so no path stays at one
-        bit position for more than ``zeros`` + 1 points, and every
-        codeword length is a multiple of ``step``."""
-        if self._packed is None:
-            lengths = self.lengths
-            ok = (lengths.max() <= INT_BITS
-                  and not zero_bit_cycle(self.nexts, lengths))
-            object.__setattr__(self, "_packed",
-                               self._build_packed() if ok else False)
-        return self._packed or None
-
-    def _build_packed(self):
-        n, m = self.nexts.shape
+    def _build_packed(self, k, ends, cells, span, slot):
+        m = len(self.symbols)
         nexts, lengths = self.nexts.ravel(), self.lengths.ravel()
         values = self.values.ravel().astype(np.int64)
-        k, ends, cells, span, _, slot = self._window_fill()
         base, total = ends - (1 << k), int(ends[-1])
         named = [(base, k)]  # every window, in slot order
         ends_at = [(cells, lengths[cells], slot, span)]  # codewords placed
@@ -690,45 +627,6 @@ class AedsTable:
             symbol[heads] = m
         return (entries, symbol, windows[0], int((lengths == 0).sum()),
                 int(np.gcd.reduce(lengths)))
-
-    def _extend_runs(self, runs, move, width, singles, k, start, rest,
-                     cells, shortest):
-        """Parse on, one codeword a round for all runs at once, after the
-        first codewords ``cells`` that start at ``start`` in the windows
-        ``runs`` and ``move`` of k-bit states and leave ``rest`` bits: each
-        run goes on with every codeword of its last state that fits, over
-        the windows that codeword starts, so the longest run of a window
-        is written last.  The runs of one round cover disjoint windows, as
-        every state's codewords were checked before."""
-        n, m = self.nexts.shape
-        lengths, values = self.lengths.ravel(), self.values.ravel()
-        # fits[x, r]: the codewords of x of at most r bits, first in its
-        # group in key order (longer words share a key but never fit)
-        key = (self.nexts.ravel() * (LOOKUP_BITS + 2)
-               + np.minimum(lengths, LOOKUP_BITS + 1))
-        fits = np.bincount(key, minlength=n * (LOOKUP_BITS + 2))
-        fits = fits.reshape(n, LOOKUP_BITS + 2).cumsum(axis=1)
-        order, bounds = np.argsort(key, kind="stable"), self._grouping()[1]
-        state, run = cells // m, singles[cells % m]
-        for _ in range(RUN_CAP - 1):
-            count = fits[state, rest]
-            parent = np.repeat(np.arange(len(count)), count)
-            cell = order[ranges(bounds[state], count)]
-            rest = rest[parent] - lengths[cell]
-            start = start[parent] + (values[cell].astype(np.int64) << rest)
-            state, k = cell // m, k[parent]
-            run = np.fromiter(map(tuple.__add__, run[parent].tolist(),
-                                  singles[cell % m].tolist()), object,
-                              len(cell))
-            span = 1 << rest
-            at = ranges(start, span)
-            runs[at] = np.repeat(run, span)
-            move[at] = np.repeat(state * width + k - rest, span)
-            go = shortest[state] <= rest
-            if not go.any():
-                break
-            state, run, k, start, rest = (
-                a[go] for a in (state, run, k, start, rest))
 
     def codeword_trie(self, state):
         """The bit-serial parse of ``state``: a binary trie over its

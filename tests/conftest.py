@@ -1,5 +1,6 @@
-"""Shared helpers: random sources, random well-formed tables, oracles,
-and a traced memory peak."""
+"""Shared helpers: random sources, random well-formed tables, oracles
+(among them the bit-by-bit decoder and the slot oracle of the decoder
+index), and a traced memory peak."""
 
 import gc
 import math
@@ -12,8 +13,10 @@ import pytest
 from aeds.codec import (STREAM_MAGIC, STREAM_VERSION, Bitstream,
                         _backward_pass, _leb128, state_index_bits,
                         symbol_indices)
-from aeds.errors import TableError
-from aeds.model import AedsTable, Codeword, SourceDistribution
+from aeds.errors import (TableError, TrailingGarbage, TruncatedStream,
+                         UnmatchedCodeword)
+from aeds.model import (LOOKUP_BITS, WINDOW_SLOTS, AedsTable, Codeword,
+                        SourceDistribution)
 from aeds.tans import TansTable, build_tans, quantize_counts
 
 
@@ -111,6 +114,103 @@ def serial_encode(table, sequence, initial_state=0):
     bits += "".join(reversed(words))
     bits += "0" * (-len(bits) % 8)
     return Bitstream(int(bits, 2).to_bytes(len(bits) // 8, "big"))
+
+
+def codeword_maps(table):
+    """Per state, the map (value, length) -> (symbol index, origin)."""
+    return [{(w.value, w.length): (s, origin) for w, s, origin in entries}
+            for entries in table.decoder_entries]
+
+
+def reference_decode(table, stream):
+    """The symbols of ``stream``, decoded one payload bit at a time: a
+    prefix grows until it is a codeword of the current state, straight
+    from ``decoder_entries``, so no decoder index is involved; raises the
+    decoders' errors with their messages."""
+    # per state: each codeword (value, length) -> (symbol index, origin),
+    # and each proper prefix of one -> None
+    parse = [{(w.value >> (w.length - d), d): None
+              for w, _, _ in entries for d in range(w.length)} | words
+             for entries, words in zip(table.decoder_entries,
+                                       codeword_maps(table))]
+    bits = np.unpackbits(np.frombuffer(stream.data, np.uint8))
+    bits = bits[stream.payload_start:].tolist()
+    x, out, at = stream.initial_state, [], 0
+    for _ in range(stream.length):
+        value = depth = 0
+        while (leaf := parse[x].get((value, depth), False)) is None:
+            if at == len(bits):
+                raise TruncatedStream("bit stream exhausted")
+            value = (value << 1) | bits[at]
+            at, depth = at + 1, depth + 1
+        if leaf is False:
+            raise UnmatchedCodeword(
+                x, format(value, f"0{depth}b") if depth else "")
+        s, x = leaf
+        out.append(table.symbols[s])
+    if len(bits) - at >= 8:
+        raise TrailingGarbage(f"{len(bits) - at} bits after the payload")
+    if any(bits[at:]):
+        raise TrailingGarbage("nonzero padding bits")
+    return out
+
+
+def window_widths(windows):
+    """The width w of each window named ``base << 11 | (64 - w) << 4``."""
+    return (64 - (windows >> 4 & 127)).tolist()
+
+
+def window_width(table, x):
+    """k: ``LOOKUP_BITS`` within the slot budget, else the smallest of the
+    longest codeword, ``LOOKUP_BITS`` and the bit length of the count."""
+    if table.n_states << LOOKUP_BITS <= WINDOW_SLOTS:
+        return LOOKUP_BITS
+    entries = table.decoder_entries[x]
+    return min(max((w.length for w, _, _ in entries), default=0),
+               LOOKUP_BITS, len(entries).bit_length())
+
+
+def check_index(table):
+    """The slot oracle of the decoder index: the first-level window of
+    every state is ``window_width`` wide, and ``check_window`` holds for
+    it."""
+    windows = table.decoding_tries()[2]
+    assert window_widths(windows) == [window_width(table, x)
+                                      for x in range(table.n_states)]
+    words = codeword_maps(table)
+    for x, name in enumerate(windows.tolist()):
+        check_window(table, words, x, name)
+
+
+def check_window(table, words, x, name, prefix=0, depth=0):
+    """Every slot of the window ``name`` that state x reads after the
+    ``depth`` bits ``prefix`` of a codeword, against x's codeword set
+    ``words[x]``: the slot of w bits that a codeword of x continues and
+    ends holds its symbol, its remaining bits and its state's window; one
+    that longer codewords continue steps into a sub-window as wide as
+    their longest remainder, up to ``LOOKUP_BITS``, which is checked in
+    turn; any other slot is dead."""
+    entries, codes, windows, _, _ = table.decoding_tries()
+    m = len(table.symbols)
+    base, w = name >> 11, 64 - (name >> 4 & 127)
+    for i in range(1 << w):
+        bits, end = (prefix << w) | i, depth + w
+        entry, code = int(entries[base + i]), int(codes[base + i])
+        ends = [(n, s, origin) for (v, n), (s, origin) in words[x].items()
+                if depth <= n <= end and v == bits >> (end - n)]
+        longer = [n for v, n in words[x]
+                  if n > end and v >> (n - end) == bits]
+        if ends:
+            (n, s, origin), = ends
+            assert (code, entry) == (s, int(windows[origin]) | n - depth)
+        elif longer:
+            sub = entry >> 4 << 4
+            assert code == m and entry & 15 == w and sub >> 11 >= len(
+                windows) and 64 - (sub >> 4 & 127) == min(
+                    max(longer) - end, LOOKUP_BITS)
+            check_window(table, words, x, sub, bits, end)
+        else:
+            assert (code, entry) == (m + 1, name | 1)
 
 
 def huffman_oracle_mean(probs, max_len=10):

@@ -11,13 +11,17 @@ without importing them, so nothing is written next to them.
 
 import ast
 import inspect
+import io
 import pathlib
+import random
+import zlib
 
 import aeds
 import aeds.cli
 from aeds.analysis import stationary_distribution
 from aeds.codec import decode, encode, serialize_table
-from aeds.model import demo_table, validate_distribution
+from aeds.model import (AedsTable, SourceDistribution, demo_table,
+                        validate_distribution)
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SPANS = ROOT / "perfbench" / "spans.py"
@@ -57,6 +61,26 @@ def test_patched_names_resolve():
     assert list(inspect.signature(aeds.cli.read_container).parameters) == \
         ["blob", "side_table", "sink"]
     assert callable(aeds.analysis.monte_carlo_rate)
+
+
+def test_reading_a_container_builds_the_decoder_index(monkeypatch):
+    # ``model.decoding_tries_s`` is the time spent in this call: a block
+    # as long as the table-large-n one decodes in lockstep, from the index
+    # that the serial loop reads too
+    rng = random.Random(17)
+    data = bytes(rng.choices(range(8), [8, 4, 2, 1, 1, 1, 1, 1], k=1 << 17))
+    p = SourceDistribution.from_byte_histogram(
+        [data.count(b) for b in range(256)])
+    table = aeds.cli.build_table(p, "type2", 2)
+    blob = bytearray()
+    aeds.cli.write_container_stream(io.BytesIO(data).read, blob.extend,
+                                    zlib.crc32(data), len(data), table)
+    calls = []
+    real = AedsTable.decoding_tries
+    monkeypatch.setattr(AedsTable, "decoding_tries",
+                        lambda self: calls.append(1) or real(self))
+    assert aeds.cli.read_container(bytes(blob)) == data
+    assert calls
 
 
 def test_span_attributes_read_real_results():

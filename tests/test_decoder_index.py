@@ -1,16 +1,17 @@
 """The lookup-table decoder against a bit-by-bit reference decoder.
 
-The reference below is the oracle: it grows a prefix one ``read_bit`` at a
-time until the prefix is a codeword of the current state, straight from
-``decoder_entries``.  ``codec.decode`` must give the same symbols, or raise
-the same exception with the same message, on intact, truncated, extended
-and bit-flipped streams, through window runs and bit-serial reads alike.
+``conftest.reference_decode`` is the oracle: it grows a prefix one
+``read_bit`` at a time until the prefix is a codeword of the current
+state, straight from ``decoder_entries``.  ``codec.decode`` must give the
+same symbols, or raise the same exception with the same message, on
+intact, truncated, extended and bit-flipped streams, through first-level
+windows, sub-windows and bit-serial reads alike.  Every slot of the
+decoder index is checked against the same codeword sets.
 """
 
 import functools
 import random
 import time
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -33,41 +34,16 @@ from aeds.errors import (
 )
 from aeds.model import (
     LOOKUP_BITS,
-    RUN_CAP,
-    RUN_SLOTS,
+    WINDOW_SLOTS,
     AedsTable,
     Codeword,
     demo_table,
     validate_distribution,
 )
 
-from conftest import random_sequence, random_source, random_table
-
-
-def reference_decode(table, stream):
-    """Per-bit oracle over ``decoder_entries``."""
-    words = [{(w.value, w.length): (s, origin) for w, s, origin in entries}
-             for entries in table.decoder_entries]
-    prefixes = [{(w.value >> (w.length - d), d)
-                 for w, _, _ in entries for d in range(w.length + 1)}
-                for entries in table.decoder_entries]
-    reader = stream.payload_reader()
-    x, out = stream.initial_state, []
-    for _ in range(stream.length):
-        value = depth = 0
-        while (value, depth) not in words[x]:
-            if (value, depth) not in prefixes[x]:
-                raise UnmatchedCodeword(
-                    x, format(value, f"0{depth}b") if depth else "")
-            value = (value << 1) | reader.read_bit()
-            depth += 1
-        s, x = words[x][value, depth]
-        out.append(table.symbols[s])
-    if reader.bits_left >= 8:
-        raise TrailingGarbage(f"{reader.bits_left} bits after the payload")
-    if reader.bits_left and reader.read(reader.bits_left):
-        raise TrailingGarbage("nonzero padding bits")
-    return out
+from conftest import (check_index, codeword_maps, random_sequence,
+                      random_source, random_table, reference_decode,
+                      traced_peak, window_width, window_widths)
 
 
 def outcome(decoder, table, stream):
@@ -172,16 +148,14 @@ def test_two_level_lookups_on_the_skewed_type2_table():
     p, table = stream_type2_table()
     longest = max(w.length for row in table.encoder for w, _ in row)
     assert longest == 21
-    nodes = table.decoding_tries()
-    words = codeword_maps(table)
-    # every window is 12 bits wide; those that start with a longer
-    # codeword hold an empty run, so the decoder reads that one bit-serially
-    assert {k for k, *_ in nodes} == {LOOKUP_BITS}
-    empty = [(x, w) for x, entry in enumerate(nodes)
-             for w, (run, _, _) in enumerate(window_slots(entry)) if not run]
-    assert empty and all(
-        next(reference_run(table, words, x, w, LOOKUP_BITS), None) is None
-        for x, w in empty)
+    # every first-level window is 12 bits wide; the slots that start a
+    # longer codeword step into a sub-window, and no slot is dead, as the
+    # code is complete
+    m = len(table.symbols)
+    _, codes, windows, _, _ = table.decoding_tries()
+    assert set(window_widths(windows)) == {LOOKUP_BITS}
+    first = codes[:table.n_states << LOOKUP_BITS]
+    assert (first == m).any() and (codes <= m).all()
     rng = random.Random(21)
     rare = list(range(12, 20)) * 4               # long codewords only
     assert_equivalent(rng, table, rare)
@@ -191,19 +165,18 @@ def test_two_level_lookups_on_the_skewed_type2_table():
 
 def test_zero_bit_states():
     table = demo_table()
-    nodes = table.decoding_tries()
+    entries, codes, windows, zeros, _ = table.decoding_tries()
     words = codeword_maps(table)
     zero = [x for x in range(table.n_states) if (0, 0) in words[x]]
-    assert zero == [2, 4]                        # alpha3 and alpha5
+    assert zero == [2, 4] and zeros == 2         # alpha3 and alpha5
     for x in zero:
-        # each window of a zero-bit state is its next state's window, one
-        # symbol earlier, as the reference parses it
+        # every slot of a zero-bit state decodes its one symbol without
+        # reading a bit and names the window of the state it leads to
         s, y = words[x][0, 0]
-        for w, ((run, z, used), (tail, *_)) in enumerate(
-                zip(window_slots(nodes[x]), window_slots(nodes[y]))):
-            assert run == ((table.symbols[s],) + tail)[:RUN_CAP]
-            assert (run, z, used) == last_run(table, words, x, w,
-                                              LOOKUP_BITS)
+        base = int(windows[x]) >> 11
+        assert (codes[base:base + (1 << LOOKUP_BITS)] == s).all()
+        assert (entries[base:base + (1 << LOOKUP_BITS)]
+                == windows[y]).all()
     rng = random.Random(0)
     p = validate_distribution([("a", 5), ("b", 3), ("c", 2)])
     for _ in range(40):
@@ -233,10 +206,11 @@ def ending_on_a_byte(bits):
 
 def test_errors_raised_inside_a_subtable():
     table = long_word_table()
-    nodes = table.decoding_tries()
-    # the windows of the long words' first bits read them bit-serially
-    k, slots = nodes[0][0], window_slots(nodes[0])
-    assert k < 22 and slots[-1] == ((), 0, 0)
+    _, codes, windows, _, _ = table.decoding_tries()
+    # the last slot of state 0's window starts both long words, which go
+    # on through sub-windows
+    k = window_widths(windows)[0]
+    assert k < 22 and codes[(1 << k) - 1] == len(table.symbols)
     cases = {
         # no codeword starts with these 11 bits
         "11" + "1" * 8 + "0": UnmatchedCodeword,
@@ -283,17 +257,16 @@ def test_state_without_codewords(states):
 def test_very_long_codeword_index_is_bounded():
     long = Codeword(1 << 4095, 4096)             # "1" then 4095 zeros
     table = AedsTable.from_rows("ab", [[(Codeword(0, 1), 0), (long, 0)]])
-    tracemalloc.start()
-    started = time.perf_counter()
-    try:
-        nodes = table.decoding_tries()
-        elapsed = time.perf_counter() - started
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+
+    def build():
+        started = time.perf_counter()
+        return table.decoding_tries(), time.perf_counter() - started
+    (index, elapsed), peak = traced_peak(build)
+    # no index for words of more than 63 bits: they decode bit by bit,
+    # after the same prefix check
+    assert index is None
     assert elapsed < 5.0
     assert peak < 8 << 20
-    assert sum(len(window_slots(entry)) for entry in nodes) <= 2 * (1 + 4096)
     validate_aeds(table)
     seq = list("abbab")
     assert decode(table, encode(table, seq)) == seq
@@ -315,9 +288,8 @@ def test_prefix_collisions_name_both_words(words):
 
 def test_prefix_checks_precede_runs_through_other_states():
     # state 1 is entered by 511 copies of "0"; state 0 only by "1" from
-    # state 1, so a run from state 0 parses on through state 1's words,
-    # one run for each copy at every depth, unless state 1's duplicate
-    # words are rejected before any run is built
+    # state 1: state 1's duplicate words are rejected before any slot is
+    # filled, and fast
     m = 256
     nexts = np.ones((2, m), dtype=np.int64)
     nexts[1, m - 1] = 0
@@ -349,7 +321,7 @@ def test_truncation_found_without_decoding_the_declared_length():
 
 
 # ---------------------------------------------------------------------------
-# window runs
+# the slots of the index
 
 
 def zero_bit_cycle_table():
@@ -372,63 +344,13 @@ def zero_bit_cycle_pair():
     return AedsTable.from_rows("ab", rows)
 
 
-def window_slots(entry):
-    """The (run, state, bits used) of every window of one state's entry
-    ``(k, mask, runs, moves)`` of ``decoding_tries()``."""
-    _, _, runs, moves = entry
-    return [(run, *move) for run, move in zip(runs, moves, strict=True)]
-
-
-def codeword_maps(table):
-    """Per state, the map (value, length) -> (symbol index, origin)."""
-    return [{(w.value, w.length): (s, origin) for w, s, origin in entries}
-            for entries in table.decoder_entries]
-
-
-def reference_run(table, words, x, window, k):
-    """Parse the k-bit ``window`` from state x bit by bit, with
-    ``words[x]`` mapping (value, length) to (symbol index, origin), for as
-    long as whole codewords fit in it: yields the (symbols, state, bits
-    used) after each codeword."""
-    symbols, used = (), 0
-    while True:
-        value = depth = 0
-        while (value, depth) not in words[x]:
-            if used + depth == k:
-                return
-            bit = (window >> (k - 1 - used - depth)) & 1
-            value, depth = (value << 1) | bit, depth + 1
-        s, x = words[x][value, depth]
-        symbols, used = symbols + (table.symbols[s],), used + depth
-        yield symbols, x, used
-        if len(symbols) == RUN_CAP:
-            return
-
-
-def last_run(table, words, x, window, k):
-    """The slot the index must hold: the longest reference run, or the
-    empty run that leaves x where it is."""
-    runs = list(reference_run(table, words, x, window, k))
-    return runs[-1] if runs else ((), x, 0)
-
-
-def window_width(table, x):
-    """k: ``LOOKUP_BITS`` within the slot budget, else the smallest of the
-    longest codeword, ``LOOKUP_BITS`` and the bit length of the count."""
-    if table.n_states << LOOKUP_BITS <= RUN_SLOTS:
-        return LOOKUP_BITS
-    entries = table.decoder_entries[x]
-    return min(max((w.length for w, _, _ in entries), default=0),
-               LOOKUP_BITS, len(entries).bit_length())
-
-
 def skewed_type2_table():
     return stream_type2_table()[1]
 
 
 def nine_state_table():
     """A random table one state past the slot budget: per-state widths."""
-    n = (RUN_SLOTS >> LOOKUP_BITS) + 1
+    n = (WINDOW_SLOTS >> LOOKUP_BITS) + 1
     return random_table(random.Random(n), n_states=n, n_symbols=3)
 
 
@@ -443,46 +365,21 @@ def builder_table(codec, states):
     zero_bit_cycle_pair, nine_state_table,
 ] + [pytest.param(functools.partial(builder_table, codec, states), id=codec)
      for codec, states in BUILDERS])
-def test_every_run_is_a_prefix_of_the_reference_parse(make):
+def test_every_slot_is_the_reference_parse_of_its_window(make):
     table = make()
-    nodes = table.decoding_tries()
-    words = codeword_maps(table)
-    assert len(nodes) == table.n_states
-    for x, entry in enumerate(nodes):
-        k, mask, slots = entry[0], entry[1], window_slots(entry)
-        assert k == window_width(table, x)
-        assert mask == (1 << k) - 1 and len(slots) == 1 << k
-        for window, slot in enumerate(slots):
-            # the run is the reference parse of the window, stopped only
-            # where the bit-serial read must take over, or at RUN_CAP
-            assert slot == last_run(table, words, x, window, k)
-
-
-def test_runs_stop_before_long_words():
-    _, table = stream_type2_table()
-    nodes = table.decoding_tries()
-    words = codeword_maps(table)
-    # windows of state 0 that start with a codeword longer than 12 bits
-    long_starts = [w for w in range(1 << LOOKUP_BITS) if next(
-        reference_run(table, words, 0, w, LOOKUP_BITS), None) is None]
-    assert long_starts
-    slots = window_slots(nodes[0])
-    assert all(slots[w] == ((), 0, 0) for w in long_starts)
-    assert max(len(run) for entry in nodes
-               for run, _, _ in window_slots(entry)) == RUN_CAP
-    assert table.decoding_tries() is nodes               # built once
-    (symbols, _, used), = set(
-        window_slots(zero_bit_cycle_table().decoding_tries()[0]))
-    assert (symbols, used) == ((7,) * RUN_CAP, 0)
+    index = table.decoding_tries()
+    assert table.decoding_tries() is index              # built once
+    assert len(index[2]) == table.n_states
+    check_index(table)
 
 
 def test_every_tail_split_on_the_skewed_type2_table():
     p, table = stream_type2_table()
     rng = random.Random(9)
-    for length in range(RUN_CAP + 9):
+    for length in range(25):
         for _ in range(3):
             assert_equivalent(rng, table, random_sequence(rng, p, length))
-        # rare symbols: long codewords, read bit by bit after an empty run
+        # rare symbols: long codewords, through sub-windows
         assert_equivalent(rng, table, rng.choices(p.symbols[8:], k=length))
 
 
@@ -493,26 +390,25 @@ def test_every_tail_split_on_the_skewed_type2_table():
 def test_runs_through_zero_bit_states_and_subtables(make, symbols):
     table = make()
     rng = random.Random(symbols)
-    for length in (RUN_CAP - 1, RUN_CAP, RUN_CAP + 1, 100, 400):
+    for length in (15, 16, 17, 100, 400):
         for _ in range(6):
             assert_equivalent(rng, table, rng.choices(symbols, k=length))
 
 
 def test_zero_bit_cycle_decodes_in_runs():
     table = zero_bit_cycle_table()
-    for length in (0, RUN_CAP - 1, RUN_CAP, 3 * RUN_CAP + 5, 100_000):
+    for length in (0, 15, 16, 53, 100_000):
         stream = Bitstream.assemble(1, 0, length, [], [])
         assert decode(table, stream) == [7] * length
         assert outcome(reference_decode, table, stream) == [7] * length
 
 
 @pytest.mark.parametrize("extra", [0, 1])
-def test_run_level_exists_within_the_slot_budget_only(extra):
-    n = (RUN_SLOTS >> LOOKUP_BITS) + extra
+def test_full_width_windows_within_the_slot_budget_only(extra):
+    n = (WINDOW_SLOTS >> LOOKUP_BITS) + extra
     rng = random.Random(n)
     table = random_table(rng, n_states=n, n_symbols=3)
-    nodes = table.decoding_tries()
-    widths = [k for k, *_ in nodes]
+    widths = window_widths(table.decoding_tries()[2])
     if extra:
         # per-state widths: at most two slots per codeword
         assert widths == [window_width(table, x) for x in range(n)]
@@ -520,30 +416,10 @@ def test_run_level_exists_within_the_slot_budget_only(extra):
         assert sum(1 << k for k in widths) <= 2 * n * len(table.symbols)
     else:
         assert widths == [LOOKUP_BITS] * n
-        assert sum(len(window_slots(entry)) for entry in nodes) == RUN_SLOTS
+        assert sum(1 << k for k in widths) == WINDOW_SLOTS
     p = random_source(rng, symbols=list(table.symbols))
-    for length in (0, RUN_CAP - 1, RUN_CAP, 200, 1000):
+    for length in (0, 15, 16, 200, 1000):
         assert_equivalent(rng, table, random_sequence(rng, p, length))
-
-
-@pytest.mark.parametrize("make", [zero_bit_cycle_table, demo_table])
-def test_run_level_build_is_bounded(make):
-    table = make()
-    tracemalloc.start()
-    started = time.perf_counter()
-    try:
-        nodes = table.decoding_tries()
-        elapsed = time.perf_counter() - started
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert elapsed < 2.0                         # about 0.5 s under tracing
-    assert peak < 4 << 20                        # 3.6 MB for the demo table
-    words = codeword_maps(table)
-    for x, entry in enumerate(nodes):
-        k, mask, slots = entry[0], entry[1], window_slots(entry)
-        for window in (0, mask // 3, mask):
-            assert slots[window] == last_run(table, words, x, window, k)
 
 
 def test_validation_reports_zero_bit_cycles():

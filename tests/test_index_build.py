@@ -1,7 +1,8 @@
-"""The array-filled decoder index of ``AedsTable.decoding_tries`` against
-the slot-at-a-time build it replaced, kept below as an oracle.  Seeded
-random tables must give the same windows, or the same PrefixViolation
-(same state, same two words), from both builds.
+"""The prefix check of the decoder index build (``AedsTable.decoding_tries``)
+against the slot-at-a-time build it replaced, whose clash half is kept
+below as an oracle: seeded random tables must raise the same
+PrefixViolation (same state, same two words) from both, or neither; a
+table without a clash must give the slots of ``conftest.check_index``.
 """
 
 import bisect
@@ -15,85 +16,61 @@ import numpy as np
 import pytest
 
 from aeds import cli
+from aeds.codec import Bitstream, decode
 from aeds.errors import PrefixViolation
 from aeds.model import (
+    INT_BITS,
     LOOKUP_BITS,
-    RUN_CAP,
-    RUN_SLOTS,
+    WINDOW_SLOTS,
     AedsTable,
     Codeword,
     SourceDistribution,
     prefix_clash,
+    zero_bit_cycle,
 )
 
-from conftest import traced_peak
+from conftest import check_index, reference_decode, traced_peak, \
+    window_widths
 
 # ---------------------------------------------------------------------------
-# oracle: one (symbols, state, bits used) tuple per window
+# oracle: the clash that filling one window slot at a time meets first
 
 
-def oracle_collision(table, state, slot, value, length):
-    (symbol,), origin, _ = slot
-    s = table.symbol_index(symbol)
+def oracle_collision(table, state, taken, value, length):
+    s, origin = taken
     words = sorted((Codeword(value, length), Codeword(
         int(table.values[origin, s]), int(table.lengths[origin, s]))))
     raise PrefixViolation(state, *(w.bits for w in words))
 
 
-def oracle_index(table):
+def oracle_clash(table):
+    """Fill each state's k-bit windows in turn with its codewords of at
+    most k bits, shortest first, then check its longer words among
+    themselves and against the filled slots; raise PrefixViolation at the
+    first clash."""
     groups = [[(w.value, w.length, s, origin) for w, s, origin in entries]
               for entries in table.decoder_entries]
-    singles = [(s,) for s in table.symbols]
-    shortest = [g[0][1] if g else LOOKUP_BITS + 1 for g in groups]
-    zero = [g and not g[0][1] and (singles[g[0][2]], g[0][3])
-            for g in groups]
-    wide = table.n_states << LOOKUP_BITS <= RUN_SLOTS
-    tables = []
+    wide = table.n_states << LOOKUP_BITS <= WINDOW_SLOTS
     for x, group in enumerate(groups):
         k = LOOKUP_BITS if wide else min(group[-1][1] if group else 0,
                                          LOOKUP_BITS,
                                          len(group).bit_length())
-        empty = ((), x, 0)
-        slots = [empty] * (1 << k)
+        slots = [None] * (1 << k)
         cut = bisect.bisect_right(group, k, key=itemgetter(1))
-        work = []
         for value, length, s, origin in group[:cut]:
             base, span = value << (k - length), 1 << (k - length)
-            slot = (singles[s], origin, length)
             for taken in slots[base:base + span]:
-                if taken is not empty:
+                if taken is not None:
                     oracle_collision(table, x, taken, value, length)
-            slots[base:base + span] = [slot] * span
-            if shortest[origin] <= k - length:
-                work.append((origin, length, value, slot[0]))
+            slots[base:base + span] = [(s, origin)] * span
         long = group[cut:]
         clash = prefix_clash(Codeword(v, n) for v, n, _, _ in long)
         if clash is not None:
             raise PrefixViolation(x, *(w.bits for w in clash))
         for value, length, _, _ in long:
             taken = slots[value >> (length - k)]
-            if taken[0]:
+            if taken is not None:
                 oracle_collision(table, x, taken, value, length)
-        tables.append((k, slots, work))
-    for x, (k, slots, work) in enumerate(tables):
-        while work:
-            y, used, bits, run = work.pop()
-            room = k - used
-            for value, length, s, origin in groups[y]:
-                if length > room:
-                    break
-                rest = room - length
-                more, at = run + singles[s], (bits << length) | value
-                while zero[origin] and len(more) < RUN_CAP:
-                    single, origin = zero[origin]
-                    more += single
-                span = 1 << rest
-                slots[at * span:(at + 1) * span] = [(more, origin,
-                                                     k - rest)] * span
-                if len(more) < RUN_CAP and shortest[origin] <= rest:
-                    work.append((origin, k - rest, at, more))
-        tables[x] = k, (1 << k) - 1, slots
-    return tables
 
 
 def built(build):
@@ -103,10 +80,9 @@ def built(build):
         return err.state, err.first, err.second
 
 
-def windows(table):
-    return [(k, mask, [(run, *move) for run, move in zip(runs, moves,
-                                                          strict=True)])
-            for k, mask, runs, moves in table.decoding_tries()]
+def checked(table):
+    """Build the index: None, or through ``built`` the clash it names."""
+    table.decoding_tries()
 
 
 # ---------------------------------------------------------------------------
@@ -188,35 +164,35 @@ def random_index_table(rng, n, m, clashes=0):
 
 def test_array_build_matches_the_slot_oracle():
     rng = random.Random(1411)
-    seen, started = set(), time.perf_counter()
+    seen, elapsed = set(), 0.0
     for n in (1, 2, 8, 9, 127, 512):
         for trial in range(16):
             m = rng.choice((1, 2, 3, 5)) if n > 1 else rng.randint(1, 6)
             table = random_index_table(rng, n, m, clashes=trial % 3)
-            want = built(lambda: oracle_index(table))
-            got = built(lambda: windows(table))
-            assert got == want, (n, trial)
-            if isinstance(want, tuple):
+            started = time.perf_counter()
+            want = built(lambda: oracle_clash(table))
+            assert built(lambda: checked(table)) == want, (n, trial)
+            elapsed += time.perf_counter() - started
+            if want is not None:
                 seen.add("clash")
                 continue
             lengths = table.lengths
-            seen.add("windows")
+            if lengths.max() <= INT_BITS:
+                check_index(table)
+                seen.add("windows")
             seen |= {"zero"} if (lengths == 0).any() else set()
             seen |= {"long"} if (lengths > LOOKUP_BITS).any() else set()
             seen |= {"object"} if (lengths > 63).any() else set()
             seen |= {"empty"} if len(set(table.nexts.ravel().tolist())) < n \
                 else set()
-            seen |= {"runs"} if any(len(run) > 1 for row in want
-                                    for run, _, _ in row[2]) else set()
-            seen |= {"cycle"} if any(len(run) == RUN_CAP and not used
-                                     for row in want
-                                     for run, _, used in row[2]) else set()
+            seen |= {"cycle"} if zero_bit_cycle(table.nexts, lengths) \
+                else set()
     assert seen == {"clash", "windows", "zero", "long", "object", "empty",
-                    "runs", "cycle"}
-    assert time.perf_counter() - started < 3.0
+                    "cycle"}
+    assert elapsed < 3.0
 
 
-def test_index_of_the_large_n_table_is_two_lists_of_shared_objects():
+def test_index_of_the_large_n_table_is_one_packed_array():
     # the seed-1 style table-large-n table: 512 states over 256 bytes
     rng = random.Random(1)
     data = bytes(rng.choices(range(256), [1 / (i + 1) ** 1.2
@@ -227,18 +203,18 @@ def test_index_of_the_large_n_table_is_two_lists_of_shared_objects():
     assert table.nexts.size == 131_072
 
     def build():
-        nodes = table.decoding_tries()
+        index = table.decoding_tries()
         gc.collect()
-        return nodes, tracemalloc.get_traced_memory()[0]
-    (nodes, retained), _ = traced_peak(build)
-    slots = sum(1 << k for k, *_ in nodes)
-    assert retained <= 32 * slots      # about 19: two list references
-    # no state needed a run or a word-by-word check, so the build grouped
-    # no cells by state (no lexsort, no per-cell tuples); nor does tans
+        return index, tracemalloc.get_traced_memory()[0]
+    (index, retained), _ = traced_peak(build)
+    entries, codes = index[:2]
+    assert retained <= 11 * len(entries)  # 8 bytes of entry, 2 of code
+    assert codes.dtype == np.uint16
+    # no state needed a word-by-word check, so the build grouped no cells
+    # by state (no lexsort, no per-cell tuples); nor does tans
     tans = cli.build_table(p, "tans", 512)
     tans.decoding_tries()
     assert table._incoming is None and tans._incoming is None
-    assert windows(table) == built(lambda: oracle_index(table))
 
 
 def test_clashes_among_long_words_are_named_first():
@@ -247,8 +223,8 @@ def test_clashes_among_long_words_are_named_first():
     words = ["0", "0" + "1" * 12, "1" * 14, "1" * 15]
     table = AedsTable.from_rows(
         "abcd", [[(Codeword.from_bits(w), 0) for w in words]])
-    assert built(lambda: windows(table)) == built(
-        lambda: oracle_index(table)) == (0, "1" * 14, "1" * 15)
+    assert built(lambda: checked(table)) == built(
+        lambda: oracle_clash(table)) == (0, "1" * 14, "1" * 15)
 
 
 def test_a_run_goes_on_through_a_word_longer_than_the_next_window():
@@ -262,10 +238,10 @@ def test_a_run_goes_on_through_a_word_longer_than_the_next_window():
                         (3, "110", 0), (4, "111", 0)):
         rows[x][0] = w(word), to
     table = AedsTable.from_rows(range(4), rows)
-    got = windows(table)
-    assert [k for k, _, _ in got[:2]] == [3, 1]
-    assert got == built(lambda: oracle_index(table))
-    assert got[0][2][3] == ((0, 0), 0, 3)  # "011": "0" then "11"
+    assert window_widths(table.decoding_tries()[2])[:2] == [3, 1]
+    check_index(table)
+    stream = Bitstream.assemble(9, 0, 2, [0b011], [3])  # "0" then "11"
+    assert decode(table, stream) == reference_decode(table, stream) == [0, 0]
 
 
 def test_overfull_state_fails_before_its_windows_are_filled():
@@ -291,6 +267,8 @@ def test_index_with_every_state_checked_builds_in_linear_time():
     nexts = np.roll(np.arange(n), 1).reshape(n, 1)
     table = AedsTable("a", nexts, np.full((n, 1), 2), np.zeros((n, 1), int))
     started = time.perf_counter()
-    nodes = table.decoding_tries()
+    _, codes, windows, _, _ = table.decoding_tries()
     assert time.perf_counter() - started < 1.0
-    assert all(k == 1 and runs == [(), ()] for k, _, runs, _ in nodes)
+    # "0" steps into the word's sub-window, "1" starts no word
+    assert window_widths(windows) == [1] * n
+    assert codes[:2 * n].tolist() == [1, 2] * n

@@ -1,10 +1,12 @@
-"""The lockstep decode of ``codec.decode_indices`` against the serial run
-loop it falls back on, kept as the oracle (``codec._walk_stream``).  On
-intact, truncated, extended and bit-flipped streams both must give the
-same indices, or raise the same exception with the same message: on every
-CLI table, around the block length where the lockstep starts, with lanes
-that cannot meet, with sub-windows and dead slots, and on tables that
-only decode serially.
+"""The lockstep decode of ``codec.decode_indices`` against the bit-by-bit
+reference decoder (``conftest.reference_decode``), which reads no decoder
+index: the serial loop that the lockstep falls back on reads the same
+slots as its lanes, so it cannot be the oracle.  On intact, truncated,
+extended and bit-flipped streams both must give the same indices, or
+raise the same exception with the same message: on every CLI table,
+around the block length where the lockstep starts, with lanes that cannot
+meet, with sub-windows and dead slots, and on tables that only decode
+serially.
 """
 
 import random
@@ -21,15 +23,17 @@ from aeds.errors import (AedsError, MalformedStream, PrefixViolation,
 from aeds.model import (LOOKUP_BITS, AedsTable, Codeword, demo_table,
                         validate_distribution)
 
-from conftest import random_sequence, random_table, traced_peak
+from conftest import (random_sequence, random_table, reference_decode,
+                      traced_peak)
 
 # ---------------------------------------------------------------------------
-# oracle: the serial run loop
+# oracle: the bit-by-bit reference decoder
 
 
-def serial_indices(table, stream):
+def reference_indices(table, stream):
     stream.check_states(table.n_states)
-    return codec._index_array(table, codec._walk_stream(table, stream))
+    return np.array([table.symbol_index(s)
+                     for s in reference_decode(table, stream)], np.int64)
 
 
 def outcome(decoder, table, stream):
@@ -42,7 +46,7 @@ def outcome(decoder, table, stream):
 def check(table, stream, lockstep=True):
     """Both decoders agree on ``stream``; with ``lockstep``, the lockstep
     decoded it without the serial fallback.  Returns the outcome."""
-    want = outcome(serial_indices, table, stream)
+    want = outcome(reference_indices, table, stream)
     assert outcome(decode_indices, table, stream) == want
     if lockstep:
         got = codec._lockstep_decode(table, stream)
@@ -159,10 +163,14 @@ def short_damaged(rng, stream):
         yield bytes(flipped)
 
 
-def test_short_blocks_after_a_long_one_decode_in_lockstep():
-    # the short last block of a file: the long block built the packed
-    # index, so the lockstep decodes the short one too, without the run
-    # index; a damaged one fails with the serial loop's error
+def test_a_short_block_takes_the_same_path_after_a_long_one(monkeypatch):
+    # the short last block of a file decodes as it would on a fresh table,
+    # although the long block before it built the index; a damaged one
+    # fails with the reference decoder's error
+    built = []
+    real = codec._Lanes
+    monkeypatch.setattr(codec, "_Lanes",
+                        lambda *args: built.append(1) or real(*args))
     table = cli.build_table(ZIPF, "type2", 2)
     rng = random.Random(24)
     long = encode(table, random_sequence(rng, ZIPF, codec.LOCKSTEP_SYMBOLS))
@@ -170,13 +178,18 @@ def test_short_blocks_after_a_long_one_decode_in_lockstep():
     for n in (1, 15, 16, 4096):
         stream = encode(table, random_sequence(rng, ZIPF, n))
         for data in (stream.data, *short_damaged(rng, stream)):
-            fresh = AedsTable(table.symbols, table.nexts, table.lengths,
-                              table.values)
-            decode_indices(fresh, long)
-            got = outcome(decode_indices, fresh, Bitstream(data))
-            assert got == outcome(serial_indices, table, Bitstream(data))
-            if data is stream.data:
-                assert fresh._lookup is None  # no serial step ran
+            counts = []
+            for warm in (False, True):
+                fresh = AedsTable(table.symbols, table.nexts, table.lengths,
+                                  table.values)
+                if warm:
+                    decode_indices(fresh, long)
+                built.clear()
+                got = outcome(decode_indices, fresh, Bitstream(data))
+                counts.append(len(built))
+                assert got == outcome(reference_indices, table,
+                                      Bitstream(data))
+            assert counts == [0, 0]
             seen.add(got[0] if isinstance(got, tuple) else list)
     assert {list, TruncatedStream, TrailingGarbage} <= seen
 
@@ -201,7 +214,7 @@ def test_seed_3_skewed_corpus_where_lanes_do_not_meet(monkeypatch):
                         lambda total, n: -(-total // codec.LANES) + 96)
     table, data, stream = skewed_type2_block(3)
     assert table.lengths.max() > LOOKUP_BITS  # sub-windows on the path
-    lanes = codec._Lanes(table.lockstep_index(), len(table.symbols),
+    lanes = codec._Lanes(table.decoding_tries(), len(table.symbols),
                          stream.data, stream.payload_start,
                          stream.initial_state,
                          codec._lane_rows(stream.length, table.n_states),
@@ -210,7 +223,7 @@ def test_seed_3_skewed_corpus_where_lanes_do_not_meet(monkeypatch):
     got = decode_indices(table, stream)
     assert got.tobytes().translate(bytes(table.symbols).ljust(256, b"\0")) \
         == data
-    assert got.tolist() == serial_indices(table, stream).tolist()
+    assert got.tolist() == reference_indices(table, stream).tolist()
     monkeypatch.undo()
     assert decode_indices(table, stream).tolist() == got.tolist()
 
@@ -277,7 +290,7 @@ def test_byte_alphabets_whose_codes_need_two_bytes(small_lanes, size):
     rng = random.Random(size)
     for name, states in (("huffman", 2), ("large-n", 512)):
         table = cli.build_table(p, name, states)
-        assert table.lockstep_index()[1].dtype == np.uint16
+        assert table.decoding_tries()[1].dtype == np.uint16
         check(table, encode(table, random_sequence(rng, p, 3000)))
 
 
@@ -286,7 +299,7 @@ def test_lanes_too_long_for_two_byte_positions(small_lanes):
     table = cli.build_table(ZIPF, "type2", 2)
     rng = random.Random(8)
     stream = encode(table, random_sequence(rng, ZIPF, 100_000))
-    lanes = codec._Lanes(table.lockstep_index(), len(table.symbols),
+    lanes = codec._Lanes(table.decoding_tries(), len(table.symbols),
                          stream.data, stream.payload_start,
                          stream.initial_state,
                          codec._lane_rows(stream.length, table.n_states),
@@ -298,7 +311,7 @@ def test_lanes_too_long_for_two_byte_positions(small_lanes):
 def test_zero_bit_words_put_points_at_one_bit(small_lanes):
     # the demo table's states alpha3 and alpha5 parse only the empty word
     table = demo_table()
-    assert table.lockstep_index()[3] == 2
+    assert table.decoding_tries()[3] == 2
     rng = random.Random(6)
     for n in (512, 5000):
         stream = encode(table, rng.choices("abc", [1, 5, 1], k=n))
@@ -314,8 +327,9 @@ def test_tables_with_a_zero_bit_cycle_decode_serially(small_lanes):
         ((w("110"), 4), (w("111"), 4))])
     single = AedsTable([7], [[0]], [[0]], [[0]])
     for table, symbols in ((pair, "ab"), (single, [7])):
-        assert table.lockstep_index() is None
+        assert table.decoding_tries() is not None  # the serial loop's
         stream = encode(table, random.Random(7).choices(symbols, k=3000))
+        assert codec._lockstep_decode(table, stream) is None
         check(table, stream, lockstep=False)
 
 
