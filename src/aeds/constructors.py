@@ -12,7 +12,6 @@ Builders return plain AedsTable objects (plus a layout record for the
 large-N variant); ``codec.validate_aeds`` accepts everything built here.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,7 +28,6 @@ from .errors import (
 )
 from .model import (
     EMPTY_WORD,
-    PACK_SLICE,
     AedsTable,
     Codeword,
     ergodicity,
@@ -38,7 +36,7 @@ from .model import (
     value_dtype,
 )
 from .prefix_codes import build_huffman, phased_in_cells, phased_in_words
-from .tans import TansTable, _spread_sorted, tans_to_aeds
+from .tans import TansTable, _spread_sorted, _spread_table, tans_to_aeds
 
 _ZERO = Codeword(0, 1)
 _ONE = Codeword(1, 1)
@@ -126,48 +124,25 @@ def _consecutive_positions(counts, order=None):
     return positions
 
 
-def _runs(sizes, start=0):
-    """Forward sets of consecutive states, of the given sizes."""
-    bounds = np.cumsum([start] + list(sizes)).tolist()
-    return [np.arange(a, b) for a, b in zip(bounds, bounds[1:])]
+def _assemble(p, n_states, positions, sizes):
+    """The table of a state-divided layout whose forward sets are runs.
 
-
-def _assemble(p, n_states, positions, forward, rank=False):
-    """The table of a state-divided layout.
-
-    forward[s][j] is the array of states whose symbol-s transition lands
-    on state positions[s][j]; they emit the words of the phased-in code of
-    the set's size, shortest first, in member order.  With ``rank`` the
-    chain is solved first and, if it is ergodic, the short words go to the
-    heaviest members (ties by state id); the stationary weights depend on
-    the forward sets alone, so ranking never moves them.  The table's
-    three arrays are written a group of symbols at a time, about
-    ``PACK_SLICE`` cells a group, so nothing else of the size of the
-    table is held.
+    For each symbol s the states 0..N-1 are cut into runs of the sizes
+    ``sizes[s]``; the symbol-s transition of the j-th run lands on state
+    positions[s][j], and its members emit the phased-in code of its size,
+    shortest words first, in state order; if the chain is ergodic, the
+    short words go to the heaviest members by its solved weights (ties by
+    state id), which depend on the forward sets alone.
     """
+    if any(sum(runs) != n_states for runs in sizes):
+        raise TableError("the runs of a symbol do not tile the states")
     m = len(p.symbols)
     nexts = np.empty((n_states, m), dtype=np.int32)
     lengths, values = np.empty_like(nexts), np.empty(nexts.shape, np.int64)
-    step = max(PACK_SLICE // n_states, 1)
-    groups = [range(a, min(a + step, m)) for a in range(0, m, step)]
-
-    def sets_of(group):
-        sets = [(x, s, f) for s in group for x, f in zip(positions[s],
-                                                         forward[s])]
-        sizes = np.array([len(f) for _, _, f in sets])
-        return (sets, sizes, np.concatenate([f for _, _, f in sets]),
-                np.repeat([s for _, s, _ in sets], sizes))
-
-    for group in groups:
-        sets, sizes, members, symbol = sets_of(group)
-        cells = members * len(group) + symbol - group.start
-        if not np.array_equal(np.sort(cells),
-                              np.arange(n_states * len(group))):
-            raise TableError("the forward sets of a symbol do not tile "
-                             "the states")
-        nexts[members, symbol] = np.repeat([x for x, _, _ in sets], sizes)
+    for s in range(m):
+        nexts[:, s] = np.repeat(positions[s], sizes[s])
     q = None
-    if rank and ergodicity(nexts, incoming(nexts)).ergodic:
+    if ergodicity(nexts, incoming(nexts)).ergodic:
         # Solver rounding breaks ties between near-equal members, so the
         # ranking solver is part of the table's bits: the dense solve up
         # to DIRECT_SOLVE_LIMIT and power iteration above, whatever
@@ -175,14 +150,12 @@ def _assemble(p, n_states, positions, forward, rank=False):
         method = ("direct-solve" if n_states <= DIRECT_SOLVE_LIMIT
                   else "power-iteration")
         q = _solve_chain(nexts, p, method)[0]
-    for group in groups:
-        sets, sizes, members, symbol = sets_of(group)
+    for s in range(m):
+        rows = np.arange(n_states)
         if q is not None:
-            set_ids = np.repeat(np.arange(len(sets)), sizes)
-            order = np.lexsort((members, -q[members], set_ids))
-            members, symbol = members[order], symbol[order]
-        values[members, symbol], lengths[members, symbol] = \
-            phased_in_cells(sizes)
+            runs = np.repeat(np.arange(len(sizes[s])), sizes[s])
+            rows = np.lexsort((rows, -q, runs))
+        values[rows, s], lengths[rows, s] = phased_in_cells(sizes[s])
     for a in (nexts, lengths, values):
         a.flags.writeable = False  # the table keeps them as they are
     return AedsTable(p.symbols, nexts, lengths, values)
@@ -197,7 +170,8 @@ def build_huffman_matching_saeds(p, max_states=1 << 16):
 
     Uses 2^lmax states, fixed-length codeword sets of the Huffman lengths;
     every codeword of symbol s costs exactly its Huffman length, so the
-    average cannot exceed the Huffman average.
+    average cannot exceed the Huffman average.  It is the tANS table of
+    the spread that gives each symbol a block of consecutive states.
     """
     tree = build_huffman(p)
     lengths = [tree.length_of(s) for s in p.symbols]
@@ -206,8 +180,7 @@ def build_huffman_matching_saeds(p, max_states=1 << 16):
     if n > max_states:
         raise StateBudgetExceeded(f"{n} states exceed the cap {max_states}")
     counts = [1 << (lmax - l) for l in lengths]
-    forward = [_runs([1 << l] * c) for l, c in zip(lengths, counts)]
-    return _assemble(p, n, _consecutive_positions(counts), forward)
+    return _spread_table(p.symbols, counts, np.arange(n))
 
 
 def build_saeds_case1(p, counts):
@@ -218,8 +191,8 @@ def build_saeds_case1(p, counts):
     for s, c in enumerate(counts):
         if n % c:
             raise NonIntegerRatio(p.symbols[s], n / c)
-    forward = [_runs([n // c] * c) for c in counts]
-    return _assemble(p, n, _consecutive_positions(counts), forward, rank=True)
+    sizes = [[n // c] * c for c in counts]
+    return _assemble(p, n, _consecutive_positions(counts), sizes)
 
 
 def build_saeds_case2(p, counts):
@@ -232,13 +205,12 @@ def build_saeds_case2(p, counts):
     """
     counts = _check_counts(p, counts)
     n = sum(counts)
-    forward = []
+    sizes = []
     for c in counts:
         m, r = divmod(n, c)
-        forward.append(_runs([m] * (c - r) + [m + 1] * r))
+        sizes.append([m] * (c - r) + [m + 1] * r)
     order = sorted(range(len(counts)), key=lambda s: (counts[s] > n // 2, s))
-    return _assemble(p, n, _consecutive_positions(counts, order), forward,
-                     rank=True)
+    return _assemble(p, n, _consecutive_positions(counts, order), sizes)
 
 
 def build_saeds_case3(p, counts):
@@ -283,58 +255,58 @@ class LargeNLayout:
 
 
 def _symbol_layout(n, ns):
-    kappa = 0
-    while (ns << kappa) < n:
-        kappa += 1
+    kappa = ((n - 1) // ns).bit_length()  # least with ns << kappa >= n
     if kappa == 0:
         raise DegenerateSingleSymbol("one symbol would own every state")
     head = (ns << kappa) - n
     narrow, short = divmod(head, 1 << (kappa - 1))
-    wide = ns - narrow - 1
-    long_words = (1 << kappa) - 2 * short
-    return SymbolLayout(kappa, narrow, short, wide, long_words, head)
+    return SymbolLayout(kappa, narrow, short, ns - narrow - 1,
+                        (1 << kappa) - 2 * short, head)
 
 
-def _large_n_plan(n, sym):
-    """Forward sets of one symbol, in state order: the narrow group, the
-    wide group, then the mixed set.  Each set takes the phased-in code of
-    its size; the mixed set's short words go to its leading states."""
-    half = 1 << (sym.kappa - 1)
-    forward = _runs([half] * sym.narrow_sets, sym.short_words)
-    forward += _runs([2 * half] * sym.wide_sets, sym.head_size)
-    forward.append(np.concatenate((np.arange(sym.short_words),
-                                   np.arange(n - sym.long_words, n))))
-    return forward
+def _large_n_spread(p, counts):
+    """The rank of each tANS slot (s, y), in ``tans._spread_table``'s
+    order, by (-mass, s, j): p_s times the ``q_star(N)`` weights of its
+    states x = N + i in [y << k, (y + 1) << k), and in the slot y0 = N >> K
+    also from y0 << (K + 1) to 2N, summed exactly and rounded once, as
+    ``math.fsum`` does; j counts the slots of s from y0 on, cyclically."""
+    counts = np.asarray(counts, dtype=np.int64)
+    n, m = int(counts.sum()), len(counts)
+    frac, exp = np.frexp(q_star(n))  # weight i is v[i] * 2^scale exactly
+    scale = int(exp.min()) - 53
+    v = np.ldexp(frac, exp - scale).astype(np.int64)  # summed in 32-bit limbs
+    sums = [np.concatenate(([0], np.cumsum(a))) for a in (v >> 32, v % 2**32)]
+    s = np.repeat(np.arange(m), counts)
+    K = (np.frexp(n // counts)[1] - 1)[s]
+    c, y0 = counts[s], n >> K
+    y = np.arange(n) - (np.cumsum(counts) - counts)[s] + c
+    k = K + (y < y0)
+    ends = (((y + 1) << k) - n, np.maximum(y << k, n) - n, n,
+            np.where(y == y0, (y0 << (K + 1)) - n, n))
+    hi, lo = (a[ends[0]] - a[ends[1]] + a[ends[2]] - a[ends[3]] for a in sums)
+    # carried, both limbs are exact floats (N < 2^30): the sum rounds once
+    hi, lo = hi + (lo >> 32), lo % 2**32
+    mass = np.asarray(p.probs)[s] * np.ldexp(hi * 2.0**32 + lo, scale)
+    j = (y - y0 - (n % (1 << K) > 0)) % c
+    return np.argsort(np.lexsort((j, s, -mass)))  # the inverse order
 
 
 def build_large_n(p, counts):
     """Interval layout whose average length approaches the entropy like 1/N.
 
-    States are ranked by the mass their forward set would carry under the
-    telescoping target weights, which is the descending-probability order
-    the layout aims for; the solved chain is checked against that target
-    a posteriori by ``analysis.check_bound``.
+    This is the tANS table of a ranked spread: states are ranked by the
+    mass their forward set would carry under the telescoping target
+    weights, which is the descending-probability order the layout aims
+    for, and the table is assembled from that spread with integers alone
+    (``tans._spread_table``).  The solved chain is checked against the
+    target a posteriori by ``analysis.check_bound``.
     """
     counts = _check_counts(p, counts)
     if len(counts) < 2:
         raise DegenerateSingleSymbol("need at least two symbols")
     n = sum(counts)
-    specs = [_symbol_layout(n, c) for c in counts]
-    forward = [_large_n_plan(n, sym) for sym in specs]
-    target = np.array(q_star(n))
-
-    scored = []
-    for s, sets in enumerate(forward):
-        for j, members in enumerate(sets):
-            mass = p.probs[s] * math.fsum(target[members].tolist())
-            scored.append((-mass, s, j))
-    scored.sort()
-    positions = [[None] * len(sets) for sets in forward]
-    for rank, (_, s, j) in enumerate(scored):
-        positions[s][j] = rank
-
-    table = _assemble(p, n, positions, forward)
-    return table, LargeNLayout(n, tuple(specs))
+    layout = LargeNLayout(n, tuple(_symbol_layout(n, c) for c in counts))
+    return _spread_table(p.symbols, counts, _large_n_spread(p, counts)), layout
 
 
 # ---------------------------------------------------------------------------

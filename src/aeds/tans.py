@@ -3,14 +3,17 @@ lossless embedding into an AedsTable.
 
 ``build_tans`` lays out the sorted spread, whose embedding is the case-3
 state-divided table; ``constructors.build_saeds_case3`` builds that table
-through ``tans_to_aeds``.  State counts must be powers of two here; the
-table constructors in ``constructors`` cover general N.
+through ``tans_to_aeds``.  ``TansTable`` and ``build_tans`` take powers of
+two only; the embedding, ``_spread_table``, takes any N and reads no
+float, and assembles ``constructors.build_large_n``'s ranked spreads too.
 """
+
+import heapq
 
 import numpy as np
 
 from .errors import NotPowerOfTwo, TableError, TooFewStates
-from .model import AedsTable
+from .model import AedsTable, row_slices
 
 
 def _is_pow2(n):
@@ -21,8 +24,8 @@ def quantize_counts(p, n_states):
     """Integer per-symbol state counts with sum N and every count >= 1.
 
     Largest-remainder apportionment of p(s)*N, ties broken by symbol index;
-    zero counts are repaired by borrowing from the most over-allocated
-    symbol.
+    zero counts, lowest index first, each borrow from the most over-allocated
+    symbol with more than one state, which a heap keeps at hand.
     """
     m = len(p.symbols)
     if n_states < m:
@@ -32,12 +35,13 @@ def quantize_counts(p, n_states):
     leftovers = sorted(range(m), key=lambda i: (-(targets[i] - counts[i]), i))
     for i in leftovers[:n_states - sum(counts)]:
         counts[i] += 1
-    while any(c == 0 for c in counts):
-        needy = counts.index(0)
-        donor = max((i for i in range(m) if counts[i] > 1),
-                    key=lambda i: (counts[i] - targets[i], -i))
-        counts[needy] += 1
-        counts[donor] -= 1
+    donors = [(targets[i] - c, i) for i, c in enumerate(counts) if c > 1]
+    heapq.heapify(donors)
+    for needy in [i for i, c in enumerate(counts) if c == 0]:
+        donor = heapq.heappop(donors)[1]
+        counts[needy], counts[donor] = 1, counts[donor] - 1
+        if counts[donor] > 1:
+            heapq.heappush(donors, (targets[donor] - counts[donor], donor))
     return counts
 
 
@@ -114,15 +118,37 @@ def tans_to_aeds(table):
 
     Pushing symbol s at state x emits the low k bits of x, where
     k = floor(lg(x // counts[s])), and moves to C[s][(x >> k) - counts[s]].
-    For N = 2^R and a j-bit count, k = R - j + [x >= count << (R - j + 1)].
-    The resulting AedsTable indexes states densely (state i is x = N + i)
-    and produces the streams of that recursion bit for bit.
+    Its AedsTable (state i is x = N + i) gives that recursion's streams bit
+    for bit; ``_spread_table`` assembles it, and large-n's, from integers.
     """
-    n = table.n_states
-    x = np.arange(n, 2 * n)[:, None]
-    counts = np.array(table.counts)
-    k = n.bit_length() - 1 - np.frexp(counts)[1]  # R - j
-    k = k + (x >= counts << (k + 1))
-    first = np.cumsum(counts) - counts  # where each C block starts
-    nexts = np.concatenate(table.C)[first + (x >> k) - counts] - n
-    return AedsTable(table.symbols, nexts, k, x & ((1 << k) - 1))
+    return _spread_table(table.symbols, table.counts,
+                         np.concatenate(table.C) - table.n_states)
+
+
+def _spread_table(symbols, counts, targets):
+    """The table of the tANS recursion on N = sum(counts) states, any N,
+    from integers alone: pushing symbol s at slot y moves to the dense
+    state ``targets[first[s] + y - counts[s]]``, first[s] the counts before
+    s.  With K = floor(lg(N // counts[s])), state x takes k = K + [x >=
+    counts[s] << (K + 1)] bits and emits x & (2^k - 1), except when 2^K
+    does not divide N: then the slot N >> K also holds the top states,
+    reached through 2N, and emits its phased-in code, words x - N first."""
+    counts = np.asarray(counts, dtype=np.int32)  # x < 2N fits int32 too
+    n, m = int(counts.sum()), len(counts)
+    K = np.frexp(n // counts)[1] - 1
+    base = np.cumsum(counts) - 2 * counts  # targets index of slot y: base + y
+    nexts = np.empty((n, m), dtype=np.int32)
+    lengths, values = np.empty_like(nexts), np.empty(nexts.shape, np.int64)
+    for rows in row_slices(n, m):
+        x = np.arange(n + rows.start, n + min(rows.stop, n),
+                      dtype=np.int32)[:, None]
+        k = K + (x >= counts << (K + 1))
+        nexts[rows], lengths[rows] = targets[base + (x >> k)], k
+        values[rows] = x & ((1 << k) - 1)
+    for s in np.flatnonzero(n % (1 << K)).tolist():
+        short, top = (((n >> K[s]) + 1) << K[s]) - n, 2 << K[s]
+        values[:short, s] = np.arange(short)
+        values[n - top + 2 * short:, s] = np.arange(2 * short, top)
+    for a in (nexts, lengths, values):
+        a.flags.writeable = False  # the table keeps them as they are
+    return AedsTable(symbols, nexts, lengths, values)

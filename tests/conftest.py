@@ -10,13 +10,16 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from aeds.analysis import q_star
 from aeds.codec import (STREAM_MAGIC, STREAM_VERSION, Bitstream,
                         _backward_pass, _leb128, state_index_bits,
                         symbol_indices)
+from aeds.constructors import _symbol_layout
 from aeds.errors import (TableError, TrailingGarbage, TruncatedStream,
                          UnmatchedCodeword)
 from aeds.model import (LOOKUP_BITS, WINDOW_SLOTS, AedsTable, Codeword,
                         SourceDistribution)
+from aeds.prefix_codes import phased_in_words
 from aeds.tans import TansTable, build_tans, quantize_counts
 
 
@@ -371,3 +374,75 @@ def case3_by_definition(symbols, counts):
             values[run, s] = np.arange(1 << width)
         base += ns
     return AedsTable(symbols, nexts, lengths, values)
+
+
+# ---------------------------------------------------------------------------
+# quantizer and large-N builder as they were first written
+
+
+def quantize_counts_by_scan(p, n_states):
+    """``tans.quantize_counts`` with its zero repair as a scan: each zero
+    count, lowest index first, borrows from the most over-allocated
+    symbol with more than one state, found by looking at every symbol."""
+    m = len(p.symbols)
+    targets = [q * n_states for q in p.probs]
+    counts = [int(t) for t in targets]
+    leftovers = sorted(range(m), key=lambda i: (-(targets[i] - counts[i]), i))
+    for i in leftovers[:n_states - sum(counts)]:
+        counts[i] += 1
+    while any(c == 0 for c in counts):
+        needy = counts.index(0)
+        donor = max((i for i in range(m) if counts[i] > 1),
+                    key=lambda i: (counts[i] - targets[i], -i))
+        counts[needy] += 1
+        counts[donor] -= 1
+    return counts
+
+
+def large_n_forward_sets(n, sym):
+    """Forward sets of one symbol of the large-N layout, in state order:
+    the narrow group, the wide group, then the mixed set.  Each set takes
+    the phased-in code of its size; the mixed set's short words go to its
+    leading states."""
+    half = 1 << (sym.kappa - 1)
+    forward = [np.arange(a, a + half) for a in range(
+        sym.short_words, sym.head_size, half)]
+    forward += [np.arange(a, a + 2 * half) for a in range(
+        sym.head_size, n - sym.long_words, 2 * half)]
+    forward.append(np.concatenate((np.arange(sym.short_words),
+                                   np.arange(n - sym.long_words, n))))
+    return forward
+
+
+def large_n_by_forward_sets(p, counts):
+    """The large-N table built from its materialized forward sets: each
+    set ranked by (-mass, s, j), its mass p_s times the ``math.fsum`` of
+    its ``q_star`` weights, and its members given the words of the
+    phased-in code of its size in member order.  Returns the table and the
+    rank of each tANS slot (s, y) at index first[s] + y - counts[s], each
+    set's slot read off one of its states x = N + i as
+    x >> floor(lg(x // counts[s]))."""
+    n = sum(counts)
+    forward = [large_n_forward_sets(n, _symbol_layout(n, c))
+               for c in counts]
+    target = np.array(q_star(n))
+    scored = sorted((-(p.probs[s] * math.fsum(target[members].tolist())),
+                     s, j)
+                    for s, sets in enumerate(forward)
+                    for j, members in enumerate(sets))
+    positions = [[None] * len(sets) for sets in forward]
+    for rank, (_, s, j) in enumerate(scored):
+        positions[s][j] = rank
+    spread = np.empty(n, dtype=np.int64)
+    rows = [[None] * len(counts) for _ in range(n)]
+    first = 0
+    for s, c in enumerate(counts):
+        for j, members in enumerate(forward[s]):
+            x = n + int(members[0])
+            spread[first + (x >> ((x // c).bit_length() - 1)) - c] = \
+                positions[s][j]
+            for i, word in zip(members.tolist(),
+                               phased_in_words(len(members))):
+                rows[i][s] = (word, positions[s][j])
+        first += c
+    return AedsTable.from_rows(p.symbols, rows), spread

@@ -27,6 +27,7 @@ from aeds.codec import (
     validate_aeds,
 )
 from aeds.constructors import (
+    _large_n_spread,
     build_huffman_matching_saeds,
     build_large_n,
     build_saeds_case1,
@@ -47,7 +48,8 @@ from aeds.prefix_codes import build_huffman, tree_metrics
 from aeds.tans import build_tans, quantize_counts, tans_to_aeds
 
 from conftest import (case3_by_definition, huffman_oracle_mean,
-                      random_sequence, random_source, traced_peak)
+                      large_n_by_forward_sets, random_sequence, random_source,
+                      traced_peak)
 
 SIX = validate_distribution(
     [("a", 0.35), ("b", 0.15), ("c", 0.15), ("d", 0.15),
@@ -340,6 +342,41 @@ def test_large_n_build_at_2048_states_peaks_near_its_table():
     table, retained, peak = build_kept(2048)
     assert retained < 10e6
     assert peak < 22e6
+
+
+def test_case3_build_at_4096_states_is_small():
+    # the tANS assembly writes a slice of rows at a time: 46 MB when it
+    # computed every cell's width, slot and value at once
+    counts = quantize_counts(ZIPF, 4096)
+    table, peak = traced_peak(lambda: build_saeds_case3(ZIPF, counts))
+    assert table.nexts.size == 4096 * 256
+    assert peak < 40e6
+
+
+def test_large_n_equals_its_forward_set_construction():
+    """The exact-interval ranking against the ``math.fsum`` one, and the
+    tANS assembly against the phased-in codes of the materialized forward
+    sets, on N that are and are not powers of two.  At N = 2048 the exact
+    prefix sums of the target weights outgrow int64."""
+    rng = random.Random(67)
+    cases = [(random_source(rng, n_symbols=4), [5, 3, 2, 3])]
+    for n in (13, 62, 102, 64, 256, 700, 2048):
+        for _ in range(6 if n < 2048 else 1):
+            p = random_source(rng, n_symbols=rng.randint(2, min(40, n - 1)))
+            cases.append((p, quantize_counts(p, n)))
+    for n in (102, 512):  # many symbols on a single state
+        m = rng.randint(20, 40)
+        p = validate_distribution([(s, 1 / (s + 1) ** 2) for s in range(m)])
+        cases.append((p, quantize_counts(p, n)))
+    for _ in range(10):  # equal weights, so equal counts tie on mass
+        m = rng.randint(2, 12)
+        p = validate_distribution([(s, 1) for s in range(m)])
+        cases.append((p, [rng.choice((1, 2, 3, 5)) for _ in range(m)]))
+    for p, counts in cases:
+        oracle, spread = large_n_by_forward_sets(p, counts)
+        assert np.array_equal(_large_n_spread(p, counts), spread), counts
+        assert table_digest(build_large_n(p, counts)[0]) == \
+            table_digest(oracle), counts
 
 
 def test_case3_plan_example():

@@ -305,12 +305,12 @@ def test_partition_check_names_the_broken_law(subsets, forward_sets,
 
 
 @pytest.mark.parametrize("forward", [
-    [[np.array([0, 1]), np.array([1])], [np.array([0, 1])]],  # 1 twice
-    [[np.array([0])], [np.array([0, 1])]],                    # 1 missing
+    [[2, 1], [2]],  # the runs of "a" cover 3 of 2 states
+    [[1], [2]],     # the runs of "a" cover 1 of 2 states
 ])
 def test_assemble_rejects_forward_sets_that_do_not_tile(forward):
     p = validate_distribution([("a", 1), ("b", 1)])
-    positions = [list(range(len(sets))) for sets in forward]
+    positions = [list(range(len(sizes))) for sizes in forward]
     with pytest.raises(TableError, match="do not tile the states"):
         _assemble(p, 2, positions, forward)
 
