@@ -18,10 +18,11 @@ that a table of at most 256 cells builds once.  Memory is the cell
 buffer, one work copy of it, the pair words (0.6 MB) and the payload.
 
 Decoding reads the payload forward, one slot of a packed window array
-(the decoder index) a lookup.  Long blocks decode in lockstep: lanes
-started across the payload each take one slot a row, and are stitched
-where their paths meet (``decode_indices``).  Short blocks, and what
-the lockstep cannot settle, run the serial loop over the same slots
+(the decoder index) a lookup, in one pass along the path
+(``decode_indices``).  Long blocks decode in lockstep: lanes started
+across the payload each take one slot a row, and are stitched where
+their paths meet.  Short blocks, the gaps where lanes did not meet and
+the path from its first anomaly run the serial loop over the same slots
 (``_walk``).
 """
 
@@ -34,7 +35,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
-    AedsError,
     HashMismatch,
     MalformedStream,
     MalformedTable,
@@ -65,8 +65,8 @@ CHUNK = 1 << 10
 RERUN_LIMIT = 3
 LOCKSTEP_CHUNKS = 32
 
-# The lockstep decode (``_lockstep_decode``) runs LANES lanes, on blocks of
-# at least LOCKSTEP_SYMBOLS symbols and tables of at most LOCKSTEP_STATES
+# The lockstep decode (``_lanes``) runs LANES lanes, on blocks of at
+# least LOCKSTEP_SYMBOLS symbols and tables of at most LOCKSTEP_STATES
 # states (at N = 4096 most lanes did not meet).  The serial loop reads the
 # same index: on a shared 2-CPU host, with the index built, 2^14 symbols
 # took it 4.6 ms on the type2 table and 4.8 ms on huffman, against 3.3
@@ -79,9 +79,9 @@ LOCKSTEP_CHUNKS = 32
 # left unmet on 16 type2 blocks of 2^20 skewed bytes (seeds 1-8) nor on
 # the 512-state large-n, tans and saeds-case2 tables of 128 KiB of Zipf
 # bytes (seeds 1-4), and at most 2% of them on blocks of 2^14 symbols.
-# After a lane that did not meet the next one the serial loop decodes
-# SERIAL_STEP symbols at a time; with more than UNMET_SHARE of the lanes
-# unmet, the whole block.
+# After a lane that did not meet the next one, and from the first
+# anomaly on the path, the serial loop decodes SERIAL_STEP symbols at a
+# time; with more than UNMET_SHARE of the lanes unmet, the whole block.
 LANES = 1 << 10
 LOCKSTEP_SYMBOLS = 1 << 14
 LOCKSTEP_STATES = 1 << 11
@@ -492,24 +492,39 @@ def decode_indices(table, stream):
     of one byte an index up to 256 symbols, else four; consumes exactly
     the declared payload.
 
-    Both decoders read ``table.decoding_tries()``, one slot a lookup.  A
-    block of at least ``LOCKSTEP_SYMBOLS`` symbols on a table of at most
-    ``LOCKSTEP_STATES`` states decodes in lockstep (``_lockstep_decode``).
-    Shorter blocks, tables without the index or with a zero-bit cycle,
-    blocks where most lanes do not meet, and any block whose lockstep
-    finds an anomaly (a dead slot or a read past the end on its path, or
-    bad padding) run the serial loop (``_walk``), so every error is the
-    serial decoder's.  Memory is bounded by the payload, whatever length
-    the stream declares: the lockstep never starts for more symbols than
-    its bits can hold, and the serial loop holds only what it decoded."""
+    One pass runs along the path.  With lanes (``_lanes``) it takes each
+    stretch of lanes that met whole (``_Lanes.follow``), and after it the
+    serial loop (``_walk``) decodes ``SERIAL_STEP`` symbols at a time
+    until the path lands on a lane's point; without, the serial loop
+    decodes the block.  Decoding is deterministic, so a stretch is the
+    serial path up to its first anomaly: the serial loop takes over at
+    the codeword that holds a dead slot, and a point past the end is its
+    truncation.  So every error is the serial decoder's, and no symbol
+    is decoded twice.  Memory is bounded by the payload, whatever length
+    the stream declares: lanes never start for more symbols than its
+    bits can hold, and the serial loop holds only what it decoded."""
     stream.check_states(table.n_states)
-    got = _lockstep_decode(table, stream)
-    if got is None:
-        got, bit, _ = _walk(table, stream.data + bytes(16),
-                            8 * len(stream.data), stream.payload_start,
-                            stream.initial_state, stream.length)
-        BitReader(stream.data, bit).check_padding()
-    return got
+    lanes = _lanes(table, stream)
+    data, total = stream.data, stream.length
+    end, padded = 8 * len(data), data + bytes(16)
+    bit, x, pieces, count = stream.payload_start, stream.initial_state, [], 0
+    point, step = ((0, 0), SERIAL_STEP) if lanes else (None, total)
+    while count < total:
+        if point:
+            got, bit, x = lanes.follow(*point, total - count)
+            if bit > end:
+                raise TruncatedStream("bit stream exhausted")
+            point = None
+        else:
+            got, bit, x = _walk(table, padded, end, bit, x,
+                                min(total - count, step))
+            point = lanes and lanes.find(bit, x)
+        pieces.append(got)
+        count += len(got)
+    BitReader(data, bit).check_padding()
+    got = (pieces[0] if len(pieces) == 1 else
+           np.concatenate([np.empty(0, np.uint8), *pieces]))
+    return got.astype(_index_dtype(len(table.symbols)), copy=False)
 
 
 def decode(table, stream):
@@ -627,9 +642,13 @@ def _read_codeword(table, data, end, bit, x):
     return s, x, bit
 
 
-def _lockstep_decode(table, stream):
-    """The block's indices decoded in lockstep, or None for the serial
-    loop to decode (or to name the error).
+def _lanes(table, stream):
+    """The lanes of ``stream``'s block (``_Lanes``), or None for the
+    serial loop to decode it whole: a block of fewer than
+    ``LOCKSTEP_SYMBOLS`` symbols, or of more than its bits can hold, a
+    table of more than ``LOCKSTEP_STATES`` states, without the index or
+    with a zero-bit cycle, or more than ``UNMET_SHARE`` of the lanes
+    unmet.
 
     ``LANES`` lanes start at equally spaced bits of the payload:
     lane 0 at its first bit in the stream's state, the others in the same
@@ -642,60 +661,18 @@ def _lockstep_decode(table, stream):
     Wiseman, Comput. J. 46(5), 2003), and paths that met stay together.
     So the true path is lane 0 up to its last codeword, then the next
     lane from the row whose point (bit position, window) equals the
-    point after it, and so on.  After a lane that did not meet the next
-    one, the serial loop goes on from its last point until the true path
-    lands on a point of a later lane."""
+    point after it, and so on."""
     total = stream.length
     if (total < LOCKSTEP_SYMBOLS or table.n_states > LOCKSTEP_STATES
             or (index := table.decoding_tries()) is None
-            or index[3] and zero_bit_cycle(table.nexts, table.lengths)):
+            or index[3] and zero_bit_cycle(table.nexts, table.lengths)
+            or total > (index[3] + 1) * (8 * len(stream.data)
+                                         - stream.payload_start + 1)):
         return None
-    data = stream.data
-    end = 8 * len(data)
-    if total > (index[3] + 1) * (end - stream.payload_start + 1):
-        return None  # more symbols than the bits can hold
-    m = len(table.symbols)
-    lanes = _Lanes(index, m, data, stream.payload_start, stream.initial_state,
-                   _lane_rows(total, table.n_states), LANES)
-    if lanes.meets.count(-1) > UNMET_SHARE * lanes.count:
-        return None
-    padded = data + bytes(16)
-    pieces, count, lane, row, bit = [], 0, 0, 0, 0
-    try:
-        while count < total and bit <= end:
-            chain = []  # (lane, first row, end row) along met lanes
-            while lane < lanes.count - 1 and lanes.meets[lane] >= 0:
-                chain.append((lane, row, lanes.last[lane]))
-                lane, row = lane + 1, lanes.meets[lane]
-            chain.append((lane, row, lanes.last[lane]))
-            got = np.concatenate([lanes.codes[i, a:b] for i, a, b in chain])
-            steps = np.flatnonzero(got == m)  # rows into a sub-window
-            cut = _rows_holding(steps, total - count)
-            done = cut < len(got)  # the block ends in this chain
-            if done:
-                bit = lanes.bit_after(chain, cut)
-                got, steps = got[:cut], steps[steps < cut]
-            if (got > m).any():
-                return None  # a dead slot: the serial loop names it
-            if not done:
-                bit, x = lanes.end(lane)
-            pieces.append(np.delete(got, steps) if steps.size else got)
-            count += len(pieces[-1])
-            lane = None
-            while lane is None and count < total and bit <= end:
-                # serially, until the true path is on a later lane's points
-                piece, bit, x = _walk(table, padded, end, bit, x,
-                                      min(total - count, SERIAL_STEP))
-                count += len(piece)
-                pieces.append(piece)
-                lane, row = lanes.find(bit, x)
-    except AedsError:
-        return None
-    got = np.concatenate(pieces) if len(pieces) > 1 else pieces[0]
-    if (bit > end or count != total or end - bit >= 8
-            or data[-1] & ((1 << (end - bit)) - 1)):
-        return None  # a read past the end, or bad padding
-    return got.astype(_index_dtype(m), copy=False)
+    lanes = _Lanes(index, len(table.symbols), stream.data,
+                   stream.payload_start, stream.initial_state,
+                   _lane_rows(total, table.n_states))
+    return None if lanes.meets.count(-1) > UNMET_SHARE * LANES else lanes
 
 
 def _peek(data):
@@ -724,19 +701,20 @@ def _rows_holding(steps, left):
 
 
 class _Lanes:
-    """``count`` decoders that run ``rows`` rows in lockstep over the
+    """``LANES`` decoders that run ``rows`` rows in lockstep over the
     payload of ``data`` from bit ``start``, each from state x's window
-    (see ``_lockstep_decode``).  ``pos[r, i]`` is lane i's bit position
-    before row r, counted from the start of byte ``first[i]``, where it
-    starts; ``slots[r, i]`` is the slot it reads in row r, and
-    ``codes[i, r]`` that slot's symbol code.  ``last[i]`` is the last
-    row, up to ``rows``, before which lane i stands between two
-    codewords, and ``meets[i]`` the row of lane i + 1 that stands at the
-    same point, or -1."""
+    (see ``_lanes``).  ``pos[r, i]`` is lane i's bit position before row
+    r, counted from the start of byte ``first[i]``, where it starts;
+    ``slots[r, i]`` is the slot it reads in row r, and ``codes[i, r]``
+    that slot's symbol code.  ``last[i]`` is the last row, up to
+    ``rows``, before which lane i stands between two codewords, and
+    ``meets[i]`` the row of lane i + 1 that stands at the same point, or
+    -1."""
 
-    def __init__(self, index, none, data, start, x, rows, count):
+    def __init__(self, index, none, data, start, x, rows):
         self.entries, symbol, windows, self.zeros, step = index
-        self.rows, self.count = rows, count
+        self.rows, self.none = rows, none
+        self.count = count = LANES
         self.windows = windows.tolist()
         self.window0 = self.windows[x]
         begin = start >> 3
@@ -829,29 +807,45 @@ class _Lanes:
             meets[hit] = row[hit]
         return meets
 
-    def bit(self, lane, row):
-        return 8 * self.first[lane] + int(self.pos[row, lane])
-
     def window(self, lane, row):
         return int(self._windows(np.array(row), np.array(lane)))
 
-    def bit_after(self, chain, cut):
-        """The bit after the first ``cut`` rows of ``chain``."""
+    def follow(self, lane, row, left):
+        """The symbol indices along the path from ``lane``'s row ``row``
+        through every lane that met the next one, and the point (bit,
+        state) after them.  The stretch stops after ``left`` symbols, at
+        the last point of the first lane that met no next one, or at the
+        start of the codeword that holds its first dead slot: the rows
+        before that slot that step into a sub-window are that codeword's."""
+        chain = []  # (lane, first row, end row) along met lanes
+        while lane < self.count - 1 and self.meets[lane] >= 0:
+            chain.append((lane, row, self.last[lane]))
+            lane, row = lane + 1, self.meets[lane]
+        chain.append((lane, row, self.last[lane]))
+        got = np.concatenate([self.codes[i, a:b] for i, a, b in chain])
+        m = self.none
+        steps = np.flatnonzero(got == m)  # rows into a sub-window
+        cut = min(_rows_holding(steps, left), len(got))
+        dead = np.flatnonzero(got[:cut] > m)
+        if dead.size:
+            cut = int(dead[0])
+            while cut and got[cut - 1] == m:
+                cut -= 1
+        rest = cut
         for lane, a, b in chain:
-            if cut <= b - a:
-                return self.bit(lane, a + cut)
-            cut -= b - a
-
-    def end(self, lane):
-        """The bit and the state at which ``lane`` stands before its row
-        ``last[lane]``."""
-        row = self.last[lane]
-        return self.bit(lane, row), self.windows.index(self.window(lane, row))
+            if rest <= b - a:
+                break
+            rest -= b - a
+        row = a + rest
+        got, steps = got[:cut], steps[:np.searchsorted(steps, cut)]
+        return ((np.delete(got, steps) if steps.size else got),
+                8 * self.first[lane] + int(self.pos[row, lane]),
+                self.windows.index(self.window(lane, row)))
 
     def find(self, bit, x):
         """A (lane, row) that stands at bit ``bit`` in state x's window:
         of the last lane that starts at or before ``bit``, or of the one
-        before it; else (None, None)."""
+        before it; else None."""
         window = self.windows[x]
         last = bisect.bisect_right(self.first, bit >> 3) - 1
         for lane in range(last, max(last - 2, -1), -1):
@@ -861,7 +855,7 @@ class _Lanes:
             for row in range(row, min(row + self.zeros + 1, self.rows + 1)):
                 if column[row] == rel and self.window(lane, row) == window:
                     return lane, row
-        return None, None
+        return None
 
 
 # ---------------------------------------------------------------------------

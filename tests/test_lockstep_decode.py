@@ -1,7 +1,7 @@
 """The lockstep decode of ``codec.decode_indices`` against the bit-by-bit
 reference decoder (``conftest.reference_decode``), which reads no decoder
-index: the serial loop that the lockstep falls back on reads the same
-slots as its lanes, so it cannot be the oracle.  On intact, truncated,
+index: the serial loop that takes the path over from the lanes reads the
+same slots as they do, so it cannot be the oracle.  On intact, truncated,
 extended and bit-flipped streams both must give the same indices, or
 raise the same exception with the same message: on every CLI table,
 around the block length where the lockstep starts, with lanes that cannot
@@ -44,15 +44,15 @@ def outcome(decoder, table, stream):
 
 
 def check(table, stream, lockstep=True):
-    """Both decoders agree on ``stream``; with ``lockstep``, the lockstep
-    decoded it without the serial fallback.  Returns the outcome."""
+    """Both decoders agree on ``stream``; with ``lockstep``, it decoded
+    along lanes, to indices of the alphabet's dtype.  Returns the
+    outcome."""
     want = outcome(reference_indices, table, stream)
     assert outcome(decode_indices, table, stream) == want
     if lockstep:
-        got = codec._lockstep_decode(table, stream)
-        assert got is not None and got.tolist() == want
-        assert got.dtype == (np.uint8 if len(table.symbols) <= 256
-                             else np.uint32)
+        assert codec._lanes(table, stream) is not None
+        assert decode_indices(table, stream).dtype == (
+            np.uint8 if len(table.symbols) <= 256 else np.uint32)
     return want
 
 
@@ -145,7 +145,7 @@ def test_blocks_where_most_lanes_do_not_meet_decode_serially(small_lanes,
     monkeypatch.setattr(codec, "_lane_rows", lambda total, n: 4)
     table = cli.build_table(ZIPF, "type2", 2)
     stream = encode(table, random_sequence(random.Random(4), ZIPF, 5000))
-    assert codec._lockstep_decode(table, stream) is None
+    assert codec._lanes(table, stream) is None
     check(table, stream, lockstep=False)
 
 
@@ -217,8 +217,7 @@ def test_seed_3_skewed_corpus_where_lanes_do_not_meet(monkeypatch):
     lanes = codec._Lanes(table.decoding_tries(), len(table.symbols),
                          stream.data, stream.payload_start,
                          stream.initial_state,
-                         codec._lane_rows(stream.length, table.n_states),
-                         codec.LANES)
+                         codec._lane_rows(stream.length, table.n_states))
     assert 0 < lanes.meets.count(-1) <= codec.UNMET_SHARE * codec.LANES
     got = decode_indices(table, stream)
     assert got.tobytes().translate(bytes(table.symbols).ljust(256, b"\0")) \
@@ -235,6 +234,61 @@ def test_damaged_long_streams_name_the_serial_error():
         stream.data) // 2 + 3]))
     seen |= check_damaged(rng, table, stream)
     assert {TruncatedStream, TrailingGarbage} <= seen
+
+
+def walk_requests(monkeypatch):
+    """The symbol counts that ``codec._walk`` is asked for, in order."""
+    asked, real = [], codec._walk
+    monkeypatch.setattr(codec, "_walk",
+                        lambda *args: asked.append(args[-1]) or real(*args))
+    return asked
+
+
+def flipped(data, pos):
+    """``data`` with bit ``pos`` flipped."""
+    out = bytearray(data)
+    out[pos >> 3] ^= 0x80 >> (pos & 7)
+    return bytes(out)
+
+
+def damaged_near_the_end(stream):
+    """``stream`` with one bit flipped 200 bits before its payload's end,
+    cut by 5 bytes, and with a byte appended."""
+    data, end = stream.data, stream.payload_start + stream.exact_payload_bits
+    return flipped(data, end - 200), data[:-5], data + b"\x01"
+
+
+def test_the_serial_loop_starts_at_the_first_anomaly(monkeypatch):
+    # the path stitched from the lanes is the serial path up to its first
+    # anomaly, so the serial loop never decodes the block again
+    table, data, stream = skewed_type2_block(1)
+    asked = walk_requests(monkeypatch)
+    for damaged in map(Bitstream, damaged_near_the_end(stream)):
+        asked.clear()
+        want = outcome(reference_indices, table, damaged)
+        assert isinstance(want, tuple)
+        assert outcome(decode_indices, table, damaged) == want
+        assert sum(asked) <= 4 * codec.SERIAL_STEP
+
+
+def test_a_damaged_long_block_fails_within_twice_its_decode_time():
+    table, data, stream = skewed_type2_block(1)
+
+    def best(raw):
+        times = []
+        for _ in range(3):
+            started = time.perf_counter()
+            try:
+                decode_indices(table, Bitstream(raw))
+            except AedsError:
+                pass
+            times.append(time.perf_counter() - started)
+        return min(times)
+    intact = best(stream.data)
+    for damaged in damaged_near_the_end(stream):
+        with pytest.raises(AedsError):
+            decode_indices(table, Bitstream(damaged))
+        assert best(damaged) < 2 * intact
 
 
 def reshaped(rng, table):
@@ -270,6 +324,59 @@ def test_random_tables_with_sub_windows_and_dead_slots(small_lanes,
             UnmatchedCodeword} <= seen
 
 
+def damaged_at_the_ends(stream):
+    """``stream`` with its first payload bit flipped, cut right after its
+    header, and with its last payload bit flipped."""
+    data, start = stream.data, stream.payload_start
+    return (flipped(data, start), data[:-(-start // 8)],
+            flipped(data, start + stream.exact_payload_bits - 1))
+
+
+def check_ends(asked, table, stream):
+    """Each stream of ``damaged_at_the_ends`` decodes as the reference
+    does, and the serial loop decodes less than the whole block where
+    the block has lanes, else the whole block once.  Returns the
+    outcomes' kinds."""
+    seen = set()
+    for damaged in map(Bitstream, damaged_at_the_ends(stream)):
+        asked.clear()
+        want = check(table, damaged, lockstep=False)
+        if codec._lanes(table, damaged) is None:
+            assert asked == [damaged.length]
+        else:
+            assert sum(asked) < damaged.length
+        seen.add(want[0] if isinstance(want, tuple) else list)
+    return seen
+
+
+@pytest.mark.parametrize("name,states", BUILDERS)
+def test_damage_at_either_end_of_a_block_with_lanes(monkeypatch, name,
+                                                    states):
+    table = cli.build_table(ZIPF, name, states)
+    rng = random.Random(f"{name} ends")
+    stream = encode(table, random_sequence(rng, ZIPF,
+                                           codec.LOCKSTEP_SYMBOLS))
+    assert codec._lanes(table, stream) is not None
+    assert TruncatedStream in check_ends(walk_requests(monkeypatch), table,
+                                         stream)
+
+
+def test_dead_slots_at_either_end_of_a_block_with_lanes(small_lanes,
+                                                        monkeypatch):
+    monkeypatch.setattr(codec, "UNMET_SHARE", 1)
+    asked = walk_requests(monkeypatch)
+    rng = random.Random(2604)
+    seen = set()
+    for trial in range(12):
+        table = reshaped(rng, random_table(rng))
+        p = validate_distribution(
+            (s, rng.uniform(0.1, 1)) for s in table.symbols)
+        stream = encode(table, random_sequence(rng, p, 2000))
+        assert codec._lanes(table, stream) is not None
+        seen |= check_ends(asked, table, stream)
+    assert {TruncatedStream, UnmatchedCodeword} <= seen
+
+
 def test_more_than_256_symbols(small_lanes):
     # one state, 212 words of 8 bits and 88 of 9
     lengths = [8] * 212 + [9] * 88
@@ -302,8 +409,7 @@ def test_lanes_too_long_for_two_byte_positions(small_lanes):
     lanes = codec._Lanes(table.decoding_tries(), len(table.symbols),
                          stream.data, stream.payload_start,
                          stream.initial_state,
-                         codec._lane_rows(stream.length, table.n_states),
-                         codec.LANES)
+                         codec._lane_rows(stream.length, table.n_states))
     assert lanes.pos.dtype == np.uint32
     check(table, stream)
 
@@ -329,7 +435,7 @@ def test_tables_with_a_zero_bit_cycle_decode_serially(small_lanes):
     for table, symbols in ((pair, "ab"), (single, [7])):
         assert table.decoding_tries() is not None  # the serial loop's
         stream = encode(table, random.Random(7).choices(symbols, k=3000))
-        assert codec._lockstep_decode(table, stream) is None
+        assert codec._lanes(table, stream) is None
         check(table, stream, lockstep=False)
 
 
