@@ -79,9 +79,9 @@ LOCKSTEP_CHUNKS = 32
 # left unmet on 16 type2 blocks of 2^20 skewed bytes (seeds 1-8) nor on
 # the 512-state large-n, tans and saeds-case2 tables of 128 KiB of Zipf
 # bytes (seeds 1-4), and at most 2% of them on blocks of 2^14 symbols.
-# After a lane that did not meet the next one, and from the first
-# anomaly on the path, the serial loop decodes SERIAL_STEP symbols at a
-# time; with more than UNMET_SHARE of the lanes unmet, the whole block.
+# After an unmet lane, and from the first anomaly on the path, the serial
+# loop decodes a lane's share of symbols, at most SERIAL_STEP, at a time;
+# with more than UNMET_SHARE of the lanes unmet, the whole block.
 LANES = 1 << 10
 LOCKSTEP_SYMBOLS = 1 << 14
 LOCKSTEP_STATES = 1 << 11
@@ -494,21 +494,23 @@ def decode_indices(table, stream):
 
     One pass runs along the path.  With lanes (``_lanes``) it takes each
     stretch of lanes that met whole (``_Lanes.follow``), and after it the
-    serial loop (``_walk``) decodes ``SERIAL_STEP`` symbols at a time
-    until the path lands on a lane's point; without, the serial loop
-    decodes the block.  Decoding is deterministic, so a stretch is the
-    serial path up to its first anomaly: the serial loop takes over at
-    the codeword that holds a dead slot, and a point past the end is its
-    truncation.  So every error is the serial decoder's, and no symbol
-    is decoded twice.  Memory is bounded by the payload, whatever length
-    the stream declares: lanes never start for more symbols than its
-    bits can hold, and the serial loop holds only what it decoded."""
+    serial loop (``_walk``) decodes a lane's share of the symbols, at most
+    ``SERIAL_STEP``, at a time until the path lands on a lane's point;
+    without, the serial loop decodes the block.  Decoding is
+    deterministic, so a stretch is the serial path up to its first
+    anomaly: the serial loop takes over at the codeword that holds a dead
+    slot, and a point past the end is its truncation.  So every error is
+    the serial decoder's, and no symbol is decoded twice.  Memory is
+    bounded by the payload, whatever length the stream declares: lanes
+    never start for more symbols than its bits can hold, and the serial
+    loop holds only what it decoded."""
     stream.check_states(table.n_states)
     lanes = _lanes(table, stream)
     data, total = stream.data, stream.length
     end, padded = 8 * len(data), data + bytes(16)
     bit, x, pieces, count = stream.payload_start, stream.initial_state, [], 0
-    point, step = ((0, 0), SERIAL_STEP) if lanes else (None, total)
+    point, step = (((0, 0), min(-(-total // LANES), SERIAL_STEP)) if lanes
+                   else (None, total))
     while count < total:
         if point:
             got, bit, x = lanes.follow(*point, total - count)
@@ -865,6 +867,10 @@ _SYM_INT = 0
 _SYM_STR = 1
 _SYM_BYTES = 2
 
+# The bytes from the last byte of a cell's next state to the next cell,
+# by the first byte of its length: 0 for a length of two bytes or more.
+_SKIP = [2 + ((b + 7) >> 3) if b < 0x80 else 0 for b in range(256)]
+
 
 def _write_symbol(w, symbol):
     if isinstance(symbol, bool):
@@ -909,37 +915,48 @@ def _table_body(table):
     for s in table.symbols:
         _write_symbol(w, s)
     body = bytearray(w.getvalue())
-    nexts, lengths, values = (a.ravel() for a in (
-        table.nexts, table.lengths, table.values))
-    for i in range(0, len(lengths), PACK_SLICE):
-        part = slice(i, i + PACK_SLICE)
-        body += _grid_bytes(nexts[part], lengths[part], values[part])
+    grid = [a.ravel() for a in (table.nexts, table.lengths, table.values)]
+    for i in range(0, table.nexts.size, PACK_SLICE):
+        body += _grid_bytes(*(a[i:i + PACK_SLICE] for a in grid))
     return body
 
 
 def _grid_bytes(nexts, lengths, values):
-    """Cells of the encoder grid in x-major order, ``PACK_SLICE`` of them
-    at a time: the next state and the codeword length as LEB128, then the
-    value in ceil(length / 8) big-endian bytes, one byte lane at a time
-    as arrays (``int.to_bytes`` for values of more than ``INT_BITS``
-    bits)."""
-    vsize, long = (lengths + 7) >> 3, lengths > INT_BITS
-    leb = [(a, sum(a >> k > 0 for k in (7, 14, 21, 28)) + 1)
-           for a in (nexts, lengths)]
-    at = np.cumsum(leb[0][1] + leb[1][1] + vsize)
-    out = np.zeros(int(at[-1]) if at.size else 0, np.uint8)
-    at -= leb[0][1] + leb[1][1] + vsize
-    for a, size in leb:
-        for j in range(int(size.max(initial=0))):
-            m = size > j
-            out[at[m] + j] = a[m] >> 7 * j & 0x7F | (size[m] > j + 1) << 7
-        at += size
-    for j in range(8):  # value bytes, the last one first
-        m = (vsize > j) & ~long
-        out[at[m] + vsize[m] - 1 - j] = values[m] >> 8 * j & 0xFF
-    for i in np.flatnonzero(long).tolist():
-        out[at[i]:at[i] + vsize[i]] = list(values[i].to_bytes(vsize[i], "big"))
-    return out.tobytes()
+    """Cells of the encoder grid in x-major order, ``PACK_SLICE`` at a
+    time: the next state and the codeword length as LEB128, then the value
+    in ceil(length / 8) big-endian bytes.  A cell is a uint8 row as wide as
+    the slice's widest fields, masked to its own bytes: one ``rows[keep]``
+    writes the slice, and values of more than ``INT_BITS`` bits go in
+    after their rows, by ``int.to_bytes``."""
+    long = lengths > INT_BITS
+    vsize = np.where(long, 0, (lengths + 7) >> 3)
+    width = int(vsize.max(initial=0))
+    v = (np.where(long, 0, values) if values.dtype == object
+         else values).astype(np.uint64)
+    v <<= (8 * (width - vsize)).astype(np.uint64)  # on top of the width
+    leb = [(a, j) for a in (nexts, lengths)
+           for j in range(max(int(a.max(initial=0)).bit_length() + 6, 7) // 7)]
+    rows = np.empty((len(v), len(leb) + width), np.uint8)
+    keep = np.ones(rows.shape, bool)
+    for c, (a, j) in enumerate(leb):  # 7 bits, and 0x80 before a next byte
+        np.copyto(rows[:, c], t := a >> 7 * j, "unsafe")
+        np.bitwise_or(rows[:, c], 0x80, out=rows[:, c], where=t > 0x7F)
+        if j:  # byte 0 is always kept
+            np.greater(t, 0, out=keep[:, c])
+    for j in range(width - 1, -1, -1):  # value bytes, the last one first
+        np.copyto(rows[:, len(leb) + j], v, "unsafe")
+        np.greater(vsize, j, out=keep[:, len(leb) + j])
+        v >>= np.uint64(8)
+    out = rows[keep].data
+    if long.any():
+        ends = np.cumsum(keep.sum(axis=1, dtype=np.int32), dtype=np.int32)
+        out, rest, at = bytearray(), out, 0
+        for k in np.flatnonzero(long).tolist():
+            out += rest[at:ends[k]]
+            out += values[k].to_bytes((int(lengths[k]) + 7) >> 3, "big")
+            at = ends[k]
+        out += rest[at:]
+    return out
 
 
 def _leb128(value):
@@ -996,9 +1013,8 @@ def deserialize_table(data):
             starts[i] = pos
             while body[pos] > 0x7F:
                 pos += 1
-            length = body[pos + 1]
-            if length < 0x80:
-                pos += 2 + ((length + 7) >> 3)
+            if skip := _SKIP[body[pos + 1]]:  # a one-byte length
+                pos += skip
             else:
                 r = BitReader(body, 8 * pos + 8)
                 length = r.read_leb128()

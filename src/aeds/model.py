@@ -213,10 +213,12 @@ def incoming(nexts):
     """The cells x|A| + s of a next-state array grouped by the state they
     lead to, in x-major order within a group, and the group bounds: the
     cells entering state x are ``order[bounds[x]:bounds[x + 1]]``.  The
-    cells are int32 when they fit, as a table's next states are."""
+    cells are int32 when they fit, as a table's next states are.  Up to
+    2^16 states the keys are uint16, which numpy's stable sort radix-sorts."""
     flat = nexts.ravel()
     counts = np.bincount(flat, minlength=len(nexts))
-    order = np.argsort(flat, kind="stable")
+    order = np.argsort(flat.astype(np.uint16) if len(nexts) <= 1 << 16
+                       else flat, kind="stable")
     if flat.size <= np.iinfo(np.int32).max:
         order = order.astype(np.int32)
     return order, np.concatenate(([0], np.cumsum(counts)))

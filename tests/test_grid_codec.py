@@ -35,7 +35,8 @@ from aeds.errors import (
     TruncatedStream,
     VersionMismatch,
 )
-from aeds.model import AedsTable, Codeword, demo_table
+from aeds.model import (INT_BITS, PACK_SLICE, AedsTable, Codeword,
+                        demo_table)
 
 from conftest import random_table, traced_peak
 
@@ -192,6 +193,29 @@ def test_three_byte_next_states_serialize_like_the_oracle():
     blob = serialize_table(table)
     assert blob == oracle_serialize(table)
     assert np.array_equal(deserialize_table(blob).nexts, table.nexts)
+
+
+def test_a_table_of_several_slices_serializes_like_the_oracle():
+    # three grid slices: words over INT_BITS in the first and the last
+    # only, next states of one to three LEB128 bytes, zero-length words
+    rng = random.Random(28)
+    n = 2 * PACK_SLICE + 5
+    lengths = [rng.choice((0, 0, 1, 9, 17, 63)) for _ in range(n)]
+    for i in (3, PACK_SLICE - 1, 2 * PACK_SLICE + 2):
+        lengths[i] = rng.choice((64, 200, 4096))
+    nexts = [rng.choice((rng.randrange(128), rng.randrange(128, 1 << 14),
+                         rng.randrange(1 << 14, n))) for _ in range(n)]
+    table = AedsTable([0], [[x] for x in nexts], [[k] for k in lengths],
+                      np.array([[rng.getrandbits(k) if k else 0]
+                                for k in lengths], dtype=object))
+    long = np.flatnonzero(table.lengths.ravel() > INT_BITS) // PACK_SLICE
+    assert sorted(set(long.tolist())) == [0, 2]
+    assert {max(x.bit_length() + 6, 7) // 7 for x in nexts} == {1, 2, 3}
+    assert 0 in lengths
+    blob = serialize_table(table)
+    assert blob == oracle_serialize(table)
+    assert outcome(deserialize_table, blob) == outcome(oracle_deserialize,
+                                                       blob)
 
 
 def test_builder_tables_serialize_like_the_oracle():

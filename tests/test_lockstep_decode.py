@@ -324,6 +324,25 @@ def test_random_tables_with_sub_windows_and_dead_slots(small_lanes,
             UnmatchedCodeword} <= seen
 
 
+def test_bridging_an_unmet_lane_takes_steps_of_a_lane_share(monkeypatch):
+    # the fifth of these 4-state tables meets late: 87 of the 1,024 lanes
+    # of its 2^14-symbol block do not meet the next one, and the serial
+    # loop bridges each with steps of a lane's 16 symbols, where steps of
+    # SERIAL_STEP sent 8,848 of the symbols through it
+    rng = random.Random(2603)
+    for _ in range(5):
+        table = reshaped(rng, random_table(rng))
+        p = validate_distribution(
+            (s, rng.uniform(0.1, 1)) for s in table.symbols)
+        sequence = random_sequence(rng, p, codec.LOCKSTEP_SYMBOLS)
+    stream = encode(table, sequence)
+    lanes = codec._lanes(table, stream)
+    assert table.n_states == 4 and lanes.meets.count(-1) == 87
+    asked = walk_requests(monkeypatch)
+    assert decode(table, stream) == reference_decode(table, stream)
+    assert sum(asked) <= 4424
+
+
 def damaged_at_the_ends(stream):
     """``stream`` with its first payload bit flipped, cut right after its
     header, and with its last payload bit flipped."""

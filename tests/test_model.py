@@ -251,6 +251,21 @@ def _ergodicity_cases():
 ERGODICITY_CASES = _ergodicity_cases()
 
 
+@pytest.mark.parametrize("n,m", [
+    (1, 1), (1, 3), (1, 256), (255, 1), (255, 3), (255, 256), (256, 1),
+    (256, 3), (256, 256), (65536, 1), (65536, 3), (65537, 1), (65537, 3)])
+def test_incoming_is_the_stable_sort_of_the_next_states(n, m):
+    # up to 2^16 states the keys sort as uint16, from 65537 as they are;
+    # 2^16 states of 256 cells each would need hundreds of MB
+    nexts = np.random.default_rng(n * 1000 + m).integers(
+        0, n, (n, m), dtype=np.int32)
+    order, bounds = incoming(nexts)
+    assert order.dtype == np.int32
+    assert np.array_equal(order, np.argsort(nexts.ravel(), kind="stable"))
+    assert np.array_equal(bounds, np.concatenate((
+        [0], np.cumsum(np.bincount(nexts.ravel(), minlength=n)))))
+
+
 @pytest.mark.parametrize("name", sorted(ERGODICITY_CASES))
 def test_ergodicity_and_depths_equal_the_sorting_bfs(name):
     nexts = ERGODICITY_CASES[name]
