@@ -18,12 +18,13 @@ that a table of at most 256 cells builds once.  Memory is the cell
 buffer, one work copy of it, the pair words (0.6 MB) and the payload.
 
 Decoding reads the payload forward, one slot of a packed window array
-(the decoder index) a lookup, in one pass along the path
-(``decode_indices``).  Long blocks decode in lockstep: lanes started
-across the payload each take one slot a row, and are stitched where
-their paths meet.  Short blocks, the gaps where lanes did not meet and
-the path from its first anomaly run the serial loop over the same slots
-(``_walk``).
+(the decoder index, which every table has) a lookup, in one pass along
+the path (``decode_indices``).  Long blocks decode in lockstep: lanes
+started across the payload each take one slot a row, and are stitched
+where their paths meet.  Short blocks, the gaps where lanes did not meet
+and the path from its first anomaly run the serial loop over the same
+slots (``_walk``).  At a dead slot, the error is named from the
+codewords of the state its codeword starts in (``_unmatched``).
 """
 
 import bisect
@@ -45,7 +46,7 @@ from .errors import (
     UnmatchedCodeword,
     VersionMismatch,
 )
-from .model import (INT_BITS, LOOKUP_BITS, PACK_SLICE, AedsTable,
+from .model import (INT_BITS, LOOKUP_BITS, PACK_SLICE, AedsTable, Codeword,
                     ErgodicityReport, value_dtype, zero_bit_cycle)
 
 STREAM_MAGIC = b"AEDS"
@@ -256,12 +257,12 @@ class ValidationReport:
     """``zero_bit_cycle`` lists the decoder states, ascending, on a cycle
     of zero-length codewords: from them a stream decodes any number of
     symbols without reading a bit.  Such tables decode serially, one
-    lookup a symbol, until the declared symbol count ends the decode; the
-    output holds only the symbols decoded.  On every other table a path
-    reads a bit at least every z + 1 symbols (z zero-length codewords),
-    and the lockstep starts only for blocks that declare at most that
-    many symbols per payload bit, so its arrays are bounded by the
-    payload whatever length the stream declares."""
+    index lookup a symbol, until the declared symbol count ends the
+    decode; the output holds only the symbols decoded.  On every other
+    table a path reads a bit at least every z + 1 symbols (z zero-length
+    codewords), and the lockstep starts only for blocks that declare at
+    most that many symbols per payload bit, so its arrays are bounded by
+    the payload whatever length the stream declares."""
 
     well_formed: bool
     ergodicity: ErgodicityReport
@@ -547,19 +548,15 @@ def _walk(table, data, end, bit, x, total):
     stream's) in state x.  Returns their indices as a numpy array, the bit
     after them and the state there.
 
-    Lookups run in ``_lookups``.  From a dead slot, and for every
-    codeword of a table without the index, one codeword is read bit by
-    bit (``_read_codeword``), which names the damage or the truncation."""
-    index = table.decoding_tries()
+    Lookups run in ``_lookups``.  A dead slot stops them at the start of
+    its codeword, where ``_unmatched`` names the damage or the
+    truncation."""
     m = len(table.symbols)
     out = bytearray() if m <= 256 else array("I")
-    while True:
-        if index is not None:
-            bit, x = _lookups(index, m, data, end, bit, x, total, out)
-        if len(out) == total:
-            break
-        s, x, bit = _read_codeword(table, data, end, bit, x)
-        out.append(s)
+    bit, x = _lookups(table.decoding_tries(), m, data, end, bit, x, total,
+                      out)
+    if len(out) < total:
+        raise _unmatched(table, data, end, bit, x)
     if bit > end:
         raise TruncatedStream("bit stream exhausted")
     return np.frombuffer(out, _index_dtype(m)), bit, x
@@ -619,38 +616,34 @@ def _lookups(index, m, data, end, bit, x, total, out):
     return 8 * pos - lag - 64, int(np.searchsorted(windows, base << 11))
 
 
-def _read_codeword(table, data, end, bit, x):
-    """One codeword read bit by bit from bit ``bit`` in state x through
-    ``table.codeword_trie``: its symbol index, the state after it and the
-    bit after it.  Raises UnmatchedCodeword at the first bit that no
-    codeword of x continues with, and TruncatedStream for a read past
-    ``end``."""
+def _unmatched(table, data, end, bit, x):
+    """The error of the codeword that starts at bit ``bit`` in state x and
+    meets a dead slot: the next bits share a prefix of L bits at most
+    with x's codewords (L = -1 when x has none), and the stream ends
+    within them (TruncatedStream), or their first L + 1 bits start no
+    codeword (UnmatchedCodeword)."""
     if bit > end:
-        raise TruncatedStream("bit stream exhausted")
-    trie, leaves = table.codeword_trie(x)
-    node = 0 if leaves else None  # None: no codeword starts here
-    value = depth = 0
-    while node not in leaves:
-        if node is None:
-            raise UnmatchedCodeword(
-                x, format(value, f"0{depth}b") if depth else "")
-        if bit == end:
-            raise TruncatedStream("bit stream exhausted")
-        b = data[bit >> 3] >> (7 - (bit & 7)) & 1
-        bit += 1
-        value, depth = (value << 1) | b, depth + 1
-        node = trie.get((node, b))
-    s, x = leaves[node]
-    return s, x, bit
+        return TruncatedStream("bit stream exhausted")
+    cells = table._cells(x)
+    need = min(max((n for _, n, _, _ in cells), default=0), end - bit)
+    bits = BitReader(data, bit).read(need)
+    common = -1
+    for value, n, _, _ in cells:
+        d = min(n, need)
+        common = max(common, d - ((bits >> need - d)
+                                  ^ (value >> n - d)).bit_length())
+    if common == end - bit:
+        return TruncatedStream("bit stream exhausted")
+    return UnmatchedCodeword(x, Codeword(bits >> need - common - 1,
+                                         common + 1).bits)
 
 
 def _lanes(table, stream):
     """The lanes of ``stream``'s block (``_Lanes``), or None for the
     serial loop to decode it whole: a block of fewer than
     ``LOCKSTEP_SYMBOLS`` symbols, or of more than its bits can hold, a
-    table of more than ``LOCKSTEP_STATES`` states, without the index or
-    with a zero-bit cycle, or more than ``UNMET_SHARE`` of the lanes
-    unmet.
+    table of more than ``LOCKSTEP_STATES`` states or with a zero-bit
+    cycle, or more than ``UNMET_SHARE`` of the lanes unmet.
 
     ``LANES`` lanes start at equally spaced bits of the payload:
     lane 0 at its first bit in the stream's state, the others in the same
@@ -666,8 +659,8 @@ def _lanes(table, stream):
     point after it, and so on."""
     total = stream.length
     if (total < LOCKSTEP_SYMBOLS or table.n_states > LOCKSTEP_STATES
-            or (index := table.decoding_tries()) is None
-            or index[3] and zero_bit_cycle(table.nexts, table.lengths)
+            or (index := table.decoding_tries())[3]
+            and zero_bit_cycle(table.nexts, table.lengths)
             or total > (index[3] + 1) * (8 * len(stream.data)
                                          - stream.payload_start + 1)):
         return None

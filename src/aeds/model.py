@@ -351,7 +351,7 @@ class AedsTable:
     """
 
     __slots__ = ("symbols", "n_states", "nexts", "lengths", "values",
-                 "state_names", "_index", "_tries", "_ergodicity",
+                 "state_names", "_index", "_ergodicity",
                  "_encoder", "_entries", "_incoming", "_pairs", "_packed")
 
     def __init__(self, symbols, nexts, lengths, values, state_names=None):
@@ -398,7 +398,7 @@ class AedsTable:
             a.flags.writeable = False
         fields = dict(symbols=symbols, n_states=n, nexts=nexts,
                       lengths=lengths, values=values, state_names=state_names,
-                      _index={s: i for i, s in enumerate(symbols)}, _tries={})
+                      _index={s: i for i, s in enumerate(symbols)})
         for name in self.__slots__:
             object.__setattr__(self, name, fields.get(name))
 
@@ -485,18 +485,21 @@ class AedsTable:
     # -- decoder index -----------------------------------------------------
 
     def decoding_tries(self):
-        """The decoder index, built once: one packed array of window slots
-        that the serial loop and the lockstep decode both read, a slot a
-        lookup.  None for a table with a codeword of more than
-        ``INT_BITS`` bits, which decodes through ``codeword_trie``.
-        Raises PrefixViolation if some state's codewords are not
-        prefix-free.
+        """The decoder index of every table, built once: one packed array
+        of window slots that the serial loop and the lockstep decode both
+        read, a slot a lookup.  Raises PrefixViolation if some state's
+        codewords are not prefix-free.
 
         Returns ``(entries, symbol, windows, zeros, step)``.  A window is
         a table of 2^w slots read with the next w bits (w <=
         ``LOOKUP_BITS``), named by ``base << 11 | (64 - w) << 4``;
         ``windows[x]`` names state x's window of ``_window_fill``, and the
         sub-windows of the codewords longer than it follow all of those.
+        A sub-window is as wide as the smallest of the longest remainder
+        of the codewords that go on into it, ``LOOKUP_BITS`` and the bit
+        length of their count: it has at most two slots per codeword, and
+        each codeword reads at least one bit of it, so the sub-windows
+        hold at most two slots per codeword bit.
         Slot i holds the entry ``next window | used`` and the symbol code
         ``symbol[i]``: a codeword that ends in the window uses its
         remaining bits, names the window of the state it leads to and has
@@ -510,11 +513,9 @@ class AedsTable:
         shared 2-CPU host the large-n index of 512 states over 256 bytes
         builds in 0.011 s, that of 4096 states in 0.10 s."""
         if self._packed is None:
-            fill = self._window_fill()  # the prefix check, for every table
-            packed = (self._build_packed(*fill)
-                      if self.lengths.max() <= INT_BITS else False)
-            object.__setattr__(self, "_packed", packed)
-        return self._packed or None
+            object.__setattr__(self, "_packed",
+                               self._build_packed(*self._window_fill()))
+        return self._packed
 
     def _window_fill(self):
         """The first level of the decoder index, after the prefix check:
@@ -582,70 +583,52 @@ class AedsTable:
     def _build_packed(self, k, ends, cells, span, slot):
         m = len(self.symbols)
         nexts, lengths = self.nexts.ravel(), self.lengths.ravel()
-        values = self.values.ravel().astype(np.int64)
-        base, total = ends - (1 << k), int(ends[-1])
-        named = [(base, k)]  # every window, in slot order
+        base, total, none = ends - (1 << k), int(ends[-1]), np.zeros(0, int)
+        # per level: the slots that step into its windows, the bits they
+        # use, and the windows' bases and widths
+        levels = [(none, none, base, k)]
         ends_at = [(cells, lengths[cells], slot, span)]  # codewords placed
-        starts_at = []  # slots that start sub-windows, and their entries
         at = np.flatnonzero(lengths > k[nexts])
-        into = nexts[at]
-        under, width = base[into], k[into]
-        rest, value = lengths[at].astype(np.int64), values[at]
+        # values of more than INT_BITS bits stay Python ints
+        rest, value = lengths[at].astype(np.int64), self.values.ravel()[at]
+        # in bit-string order within a state, every level's heads ascend
+        order = np.lexsort((value << (rest.max(initial=0) - rest), nexts[at]))
+        at, rest, value = at[order], rest[order], value[order]
+        under, width = base[nexts[at]], k[nexts[at]]
         while at.size:  # one level of sub-windows a round
-            head = under + (value >> (rest - width))
             rest -= width
-            value &= (1 << rest) - 1
-            # the groups of np.unique, which would import numpy.ma
-            order = np.argsort(head, kind="stable")
-            new = np.diff(head[order], prepend=-1) != 0
-            heads, first = head[order][new], order[new]
-            group = np.empty_like(order)
-            group[order] = np.cumsum(new) - 1
-            sub = np.zeros(len(heads), np.int64)
-            np.maximum.at(sub, group, np.minimum(rest, LOOKUP_BITS))
-            sub_base = total + np.cumsum(1 << sub) - (1 << sub)
-            total += int((1 << sub).sum())
-            named.append((sub_base, sub))
-            starts_at.append((heads, sub_base << 11 | (64 - sub) << 4
-                              | width[first]))
+            digit = value >> rest
+            value = value ^ digit << rest
+            head = under + digit.astype(np.int64, copy=False)
+            new = np.append(True, head[1:] != head[:-1])
+            first, group = np.flatnonzero(new), new.cumsum() - 1
+            sub = np.minimum(np.maximum.reduceat(np.minimum(
+                rest, LOOKUP_BITS), first), np.frexp(np.bincount(group))[1])
+            sub_base = np.cumsum(1 << sub) + (total - (1 << sub))
+            total = int(sub_base[-1] + (1 << sub[-1]))
+            levels.append((head[first], width[first], sub_base, sub))
             under, width = sub_base[group], sub[group]
-            fits = rest <= width
-            room = width[fits] - rest[fits]
-            ends_at.append((at[fits], rest[fits], ranges(
-                under[fits] + (value[fits] << room), 1 << room), 1 << room))
-            at, under, width, rest, value = (
-                a[~fits] for a in (at, under, width, rest, value))
-        windows = [(b << 11 | (64 - w) << 4).astype(np.uint64)
-                   for b, w in named]
-        entries = np.repeat(np.concatenate(windows), np.concatenate(
-            [1 << w for _, w in named])) | np.uint64(1)
+            if (fits := rest <= width).any():
+                room = width[fits] - rest[fits]
+                ends_at.append((at[fits], rest[fits], ranges(
+                    under[fits] + (value[fits].astype(np.int64) << room),
+                    1 << room), 1 << room))
+                at, under, width, rest, value = (
+                    a[~fits] for a in (at, under, width, rest, value))
+        heads, used, bases, widths = map(np.concatenate, zip(*levels))
+        del levels  # copied whole: free each level's own arrays
+        names = (bases << 11 | (64 - widths) << 4).astype(np.uint64)
+        entries = np.repeat(names, 1 << widths)
+        entries |= np.uint64(1)
         symbol = np.full(total, m + 1, np.min_scalar_type(m + 1))
-        for cell, used, slots, count in ends_at:
-            entries[slots] = np.repeat(windows[0][cell // m]
-                                       | used.astype(np.uint64), count)
+        for cell, bits, slots, count in ends_at:
+            entries[slots] = np.repeat(names[cell // m]
+                                       | bits.astype(np.uint64), count)
             symbol[slots] = np.repeat(cell % m, count)
-        for heads, entry in starts_at:
-            entries[heads] = entry
-            symbol[heads] = m
-        return (entries, symbol, windows[0], int((lengths == 0).sum()),
+        entries[heads] = names[len(k):] | used.astype(np.uint64)
+        symbol[heads] = m
+        return (entries, symbol, names[:len(k)], int((lengths == 0).sum()),
                 int(np.gcd.reduce(lengths)))
-
-    def codeword_trie(self, state):
-        """The bit-serial parse of ``state``: a binary trie over its
-        codewords as a map (node, bit) -> child, with node 0 the root, and
-        the map from each node that ends a codeword to its (symbol index,
-        origin).  Its size is linear in the total codeword length.  Built
-        on first use from ``_cells(state)`` and kept, as is the grouping of
-        cells by state."""
-        if state not in self._tries:
-            trie, leaves = {}, {}
-            for value, length, s, origin in self._cells(state):
-                node = 0  # the slice drops the "0" that formats length 0
-                for bit in map(int, format(value, f"0{length}b")[:length]):
-                    node = trie.setdefault((node, bit), len(trie) + 1)
-                leaves[node] = s, origin
-            self._tries[state] = trie, leaves
-        return self._tries[state]
 
     # -- structure queries -------------------------------------------------
 

@@ -185,35 +185,41 @@ def check_index(table):
         check_window(table, words, x, name)
 
 
-def check_window(table, words, x, name, prefix=0, depth=0):
-    """Every slot of the window ``name`` that state x reads after the
-    ``depth`` bits ``prefix`` of a codeword, against x's codeword set
-    ``words[x]``: the slot of w bits that a codeword of x continues and
-    ends holds its symbol, its remaining bits and its state's window; one
-    that longer codewords continue steps into a sub-window as wide as
-    their longest remainder, up to ``LOOKUP_BITS``, which is checked in
-    turn; any other slot is dead."""
+def check_window(table, words, x, name):
+    """Every slot of state x's window ``name``, and of each sub-window it
+    steps into, against x's codeword set ``words[x]``.  In a window of w
+    slot bits read after the ``depth`` bits ``prefix`` of a codeword, the
+    slot that a codeword of x continues and ends holds its symbol, its
+    remaining bits and its state's window; one that longer codewords
+    continue steps into a sub-window as wide as the smallest of their
+    longest remainder, ``LOOKUP_BITS`` and the bit length of their count,
+    which is checked in turn (from a stack: a chain of sub-windows may be
+    thousands deep); any other slot is dead."""
     entries, codes, windows, _, _ = table.decoding_tries()
     m = len(table.symbols)
-    base, w = name >> 11, 64 - (name >> 4 & 127)
-    for i in range(1 << w):
-        bits, end = (prefix << w) | i, depth + w
-        entry, code = int(entries[base + i]), int(codes[base + i])
-        ends = [(n, s, origin) for (v, n), (s, origin) in words[x].items()
-                if depth <= n <= end and v == bits >> (end - n)]
-        longer = [n for v, n in words[x]
-                  if n > end and v >> (n - end) == bits]
-        if ends:
-            (n, s, origin), = ends
-            assert (code, entry) == (s, int(windows[origin]) | n - depth)
-        elif longer:
-            sub = entry >> 4 << 4
-            assert code == m and entry & 15 == w and sub >> 11 >= len(
-                windows) and 64 - (sub >> 4 & 127) == min(
-                    max(longer) - end, LOOKUP_BITS)
-            check_window(table, words, x, sub, bits, end)
-        else:
-            assert (code, entry) == (m + 1, name | 1)
+    todo = [(name, 0, 0)]
+    while todo:
+        name, prefix, depth = todo.pop()
+        base, w = name >> 11, 64 - (name >> 4 & 127)
+        for i in range(1 << w):
+            bits, end = (prefix << w) | i, depth + w
+            entry, code = int(entries[base + i]), int(codes[base + i])
+            ends = [(n, s, origin) for (v, n), (s, origin) in words[x].items()
+                    if depth <= n <= end and v == bits >> (end - n)]
+            longer = [n for v, n in words[x]
+                      if n > end and v >> (n - end) == bits]
+            if ends:
+                (n, s, origin), = ends
+                assert (code, entry) == (s, int(windows[origin]) | n - depth)
+            elif longer:
+                sub = entry >> 4 << 4
+                assert code == m and entry & 15 == w and sub >> 11 >= len(
+                    windows) and 64 - (sub >> 4 & 127) == min(
+                        max(longer) - end, LOOKUP_BITS,
+                        len(longer).bit_length())
+                todo.append((sub, bits, end))
+            else:
+                assert (code, entry) == (m + 1, name | 1)
 
 
 def huffman_oracle_mean(probs, max_len=10):

@@ -14,8 +14,8 @@ from aeds import codec
 from aeds.codec import Bitstream
 from aeds.cli import (CODECS, build_table, main, read_container,
                       write_container_stream)
-from aeds.errors import (HashMismatch, MalformedStream, NotPowerOfTwo,
-                         TooFewStates, TrailingGarbage)
+from aeds.errors import (AedsError, HashMismatch, MalformedStream,
+                         NotPowerOfTwo, TooFewStates, TrailingGarbage)
 from aeds.model import AedsTable, validate_distribution
 
 SIX_WEIGHTS = [35, 15, 15, 15, 10, 10]
@@ -29,7 +29,7 @@ def make_input(tmp_path, size=200_000, seed=1):
     return path, data
 
 
-@pytest.mark.parametrize("codec,states", [
+CODEC_STATES = [
     ("huffman", 2),
     ("type1", 2),
     ("type2", 2),
@@ -38,7 +38,10 @@ def make_input(tmp_path, size=200_000, seed=1):
     ("saeds-case3", 16),
     ("large-n", 20),
     ("tans", 16),
-])
+]
+
+
+@pytest.mark.parametrize("codec,states", CODEC_STATES)
 def test_compress_decompress_roundtrip(tmp_path, codec, states):
     src, data = make_input(tmp_path, size=30_000)
     out = tmp_path / "out.aedc"
@@ -245,6 +248,46 @@ def test_damaged_containers(tmp_path, data, damage, error, message):
     bad.write_bytes(damage(blob))
     assert main(["decompress", "--input", str(bad),
                  "--output", str(tmp_path / "out")]) == 3
+
+
+def mutations(rng, blob, count):
+    """``count`` seeded mutations of ``blob``, each at a random place: one
+    to three flipped bits, a cut, or one to four bytes inserted or
+    deleted."""
+    for _ in range(count):
+        out, at = bytearray(blob), rng.randrange(len(blob))
+        kind = rng.choice(("flip", "cut", "insert", "delete"))
+        if kind == "flip":
+            for _ in range(rng.randint(1, 3)):
+                pos = rng.randrange(8 * len(out))
+                out[pos >> 3] ^= 0x80 >> (pos & 7)
+        elif kind == "cut":
+            del out[at:]
+        elif kind == "insert":
+            out[at:at] = rng.randbytes(rng.randint(1, 4))
+        else:
+            del out[at:at + rng.randint(1, 4)]
+        yield bytes(out)
+
+
+def test_mutated_containers_restore_or_raise_a_named_error():
+    # every read gives the original bytes back or raises an AedsError,
+    # and soon: no other exception, no hang, on any CLI table
+    rng = random.Random(4)
+    for codec_name, states in CODEC_STATES:
+        data = bytes(rng.choices(b"abcdef", weights=SIX_WEIGHTS, k=400))
+        table = build_table(validate_distribution(
+            (b, data.count(b)) for b in b"abcdef"), codec_name, states)
+        blob = bytearray()
+        write_container_stream(io.BytesIO(data).read, blob.extend,
+                               zlib.crc32(data), len(data), table)
+        for mutated in mutations(rng, bytes(blob), 300):
+            started = time.perf_counter()
+            try:
+                assert read_container(mutated) == data
+            except AedsError:
+                pass
+            assert time.perf_counter() - started < 1.0
 
 
 def test_usage_errors_exit_two(tmp_path):

@@ -5,13 +5,16 @@
 state, straight from ``decoder_entries``.  ``codec.decode`` must give the
 same symbols, or raise the same exception with the same message, on
 intact, truncated, extended and bit-flipped streams, through first-level
-windows, sub-windows and bit-serial reads alike.  Every slot of the
+windows, sub-windows and dead slots alike, codewords over 63 bits
+included.  Every slot of the
 decoder index is checked against the same codeword sets.
 """
 
 import functools
+import io
 import random
 import time
+import zlib
 
 import numpy as np
 import pytest
@@ -184,13 +187,13 @@ def test_zero_bit_states():
                           random_sequence(rng, p, rng.randint(1, 40)))
 
 
-def long_word_table():
-    """One state parsing {0, 10, 11 + 20 ones, 11 + 19 ones + 0}: the two
-    long words share a chain of subtables, and "11" followed by any other
-    bit pattern is unmatched deep inside it."""
+def long_word_table(ones=20):
+    """One state parsing {0, 10, 11 + 20 ones, 11 + 19 ones + 0}, or as
+    many ``ones``: the two long words share a chain of subtables, and
+    "11" followed by any other bit pattern is unmatched deep inside it."""
     w = Codeword.from_bits
-    rows = [[(w("0"), 0), (w("10"), 0), (w("11" + "1" * 20), 0),
-             (w("11" + "1" * 19 + "0"), 0)]]
+    rows = [[(w("0"), 0), (w("10"), 0), (w("11" + "1" * ones), 0),
+             (w("11" + "1" * (ones - 1) + "0"), 0)]]
     return AedsTable.from_rows("abcd", rows)
 
 
@@ -262,9 +265,9 @@ def test_very_long_codeword_index_is_bounded():
         started = time.perf_counter()
         return table.decoding_tries(), time.perf_counter() - started
     (index, elapsed), peak = traced_peak(build)
-    # no index for words of more than 63 bits: they decode bit by bit,
-    # after the same prefix check
-    assert index is None
+    # words of more than 63 bits have the index too: past the first
+    # window, the long word goes on through 1-bit sub-windows
+    assert index is not None
     assert elapsed < 5.0
     assert peak < 8 << 20
     validate_aeds(table)
@@ -272,6 +275,25 @@ def test_very_long_codeword_index_is_bounded():
     assert decode(table, encode(table, seq)) == seq
     back = deserialize_table(serialize_table(table))
     assert decode(back, encode(back, seq)) == seq
+    check_index(table)
+
+
+def test_a_table_of_long_words_is_no_decompression_bomb():
+    # 8 states over 256 bytes, each entered by 256 words of 63 bits with
+    # distinct 12-bit heads: sub-windows as wide as their longest
+    # remainder (up to 12 bits), however few words go on into them, took
+    # 337 MB to restore 5 bytes from this 21 KB container
+    nexts = np.repeat(np.arange(8), 256).reshape(8, 256)
+    rng = random.Random(63)
+    values = [[s << 51 | rng.getrandbits(51) for s in range(256)]
+              for _ in range(8)]
+    table = AedsTable(range(256), nexts, np.full((8, 256), 63), values)
+    data, blob = b"hello", bytearray()
+    cli.write_container_stream(io.BytesIO(data).read, blob.extend,
+                               zlib.crc32(data), len(data), table)
+    got, peak = traced_peak(lambda: cli.read_container(bytes(blob)))
+    assert got == data
+    assert peak < 16 << 20
 
 
 @pytest.mark.parametrize("words", [
@@ -360,9 +382,14 @@ def builder_table(codec, states):
     return cli.build_table(p, codec, states)
 
 
+def very_long_word_table():
+    """``long_word_table`` with words of 72 bits, past ``INT_BITS``."""
+    return long_word_table(70)
+
+
 @pytest.mark.parametrize("make", [
-    skewed_type2_table, demo_table, long_word_table, zero_bit_cycle_table,
-    zero_bit_cycle_pair, nine_state_table,
+    skewed_type2_table, demo_table, long_word_table, very_long_word_table,
+    zero_bit_cycle_table, zero_bit_cycle_pair, nine_state_table,
 ] + [pytest.param(functools.partial(builder_table, codec, states), id=codec)
      for codec, states in BUILDERS])
 def test_every_slot_is_the_reference_parse_of_its_window(make):
@@ -385,7 +412,7 @@ def test_every_tail_split_on_the_skewed_type2_table():
 
 @pytest.mark.parametrize("make,symbols", [
     (demo_table, "abc"), (long_word_table, "aabbcd"),
-    (zero_bit_cycle_pair, "aab"),
+    (very_long_word_table, "aabbcd"), (zero_bit_cycle_pair, "aab"),
 ])
 def test_runs_through_zero_bit_states_and_subtables(make, symbols):
     table = make()

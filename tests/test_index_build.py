@@ -177,12 +177,11 @@ def test_array_build_matches_the_slot_oracle():
                 seen.add("clash")
                 continue
             lengths = table.lengths
-            if lengths.max() <= INT_BITS:
-                check_index(table)
-                seen.add("windows")
+            check_index(table)
+            seen.add("windows")
             seen |= {"zero"} if (lengths == 0).any() else set()
             seen |= {"long"} if (lengths > LOOKUP_BITS).any() else set()
-            seen |= {"object"} if (lengths > 63).any() else set()
+            seen |= {"object"} if (lengths > INT_BITS).any() else set()
             seen |= {"empty"} if len(set(table.nexts.ravel().tolist())) < n \
                 else set()
             seen |= {"cycle"} if zero_bit_cycle(table.nexts, lengths) \
