@@ -617,21 +617,15 @@ def _lookups(index, m, data, end, bit, x, total, out):
 
 
 def _unmatched(table, data, end, bit, x):
-    """The error of the codeword that starts at bit ``bit`` in state x and
-    meets a dead slot: the next bits share a prefix of L bits at most
-    with x's codewords (L = -1 when x has none), and the stream ends
-    within them (TruncatedStream), or their first L + 1 bits start no
-    codeword (UnmatchedCodeword)."""
+    """The error of the codeword that starts at bit ``bit`` in state x at a
+    dead slot: TruncatedStream if the stream ends within the longest
+    prefix the next bits share with x's codewords, else UnmatchedCodeword
+    with one bit more (``AedsTable.matched_prefix``)."""
     if bit > end:
         return TruncatedStream("bit stream exhausted")
-    cells = table._cells(x)
-    need = min(max((n for _, n, _, _ in cells), default=0), end - bit)
+    need = min(int(table.lengths.max()), end - bit)
     bits = BitReader(data, bit).read(need)
-    common = -1
-    for value, n, _, _ in cells:
-        d = min(n, need)
-        common = max(common, d - ((bits >> need - d)
-                                  ^ (value >> n - d)).bit_length())
+    common = table.matched_prefix(x, bits, need)
     if common == end - bit:
         return TruncatedStream("bit stream exhausted")
     return UnmatchedCodeword(x, Codeword(bits >> need - common - 1,

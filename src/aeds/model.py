@@ -472,6 +472,16 @@ class AedsTable:
         that state's cells alone."""
         return frozenset(Codeword(v, n) for v, n, _, _ in self._cells(state))
 
+    def matched_prefix(self, x, bits, n):
+        """The length of the longest prefix that the n-bit string ``bits``
+        shares with a codeword of state x, or -1 if x has none."""
+        cells = self._cells(x)
+        need = min(max((k for _, k, _, _ in cells), default=0), n)
+        bits >>= n - need
+        return max((d - ((bits >> need - d) ^ (v >> k - d)).bit_length()
+                    for v, k, _, _ in cells for d in [min(k, need)]),
+                   default=-1)
+
     def state_name(self, x):
         return self.state_names[x] if self.state_names else f"state{x}"
 
@@ -591,15 +601,15 @@ class AedsTable:
         at = np.flatnonzero(lengths > k[nexts])
         # values of more than INT_BITS bits stay Python ints
         rest, value = lengths[at].astype(np.int64), self.values.ravel()[at]
-        # in bit-string order within a state, every level's heads ascend
-        order = np.lexsort((value << (rest.max(initial=0) - rest), nexts[at]))
-        at, rest, value = at[order], rest[order], value[order]
         under, width = base[nexts[at]], k[nexts[at]]
         while at.size:  # one level of sub-windows a round
             rest -= width
             digit = value >> rest
             value = value ^ digit << rest
             head = under + digit.astype(np.int64, copy=False)
+            order = np.argsort(head)  # heads in order, grouped by neighbours
+            at, head, width, rest, value = (
+                a[order] for a in (at, head, width, rest, value))
             new = np.append(True, head[1:] != head[:-1])
             first, group = np.flatnonzero(new), new.cumsum() - 1
             sub = np.minimum(np.maximum.reduceat(np.minimum(

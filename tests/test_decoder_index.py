@@ -287,13 +287,23 @@ def test_a_table_of_long_words_is_no_decompression_bomb():
     rng = random.Random(63)
     values = [[s << 51 | rng.getrandbits(51) for s in range(256)]
               for _ in range(8)]
-    table = AedsTable(range(256), nexts, np.full((8, 256), 63), values)
-    data, blob = b"hello", bytearray()
-    cli.write_container_stream(io.BytesIO(data).read, blob.extend,
-                               zlib.crc32(data), len(data), table)
-    got, peak = traced_peak(lambda: cli.read_container(bytes(blob)))
-    assert got == data
-    assert peak < 16 << 20
+    tables = [AedsTable(range(256), nexts, np.full((8, 256), 63), values)]
+    # 128 states, each entered by 256 words of 10 bits (past the 9-bit
+    # first windows), but for one word of 4096 bits: a sort key that
+    # left-aligned every word to the longest took 20 MB from 132 KB
+    nexts = np.repeat(np.arange(128), 256).reshape(128, 256)
+    lengths = np.full((128, 256), 10)
+    lengths[0, 255] = 4096
+    values = np.tile(np.arange(256).astype(object), (128, 1))
+    values[0, 255] = 1 << 4095
+    tables.append(AedsTable(range(256), nexts, lengths, values))
+    for table in tables:
+        data, blob = b"hello", bytearray()
+        cli.write_container_stream(io.BytesIO(data).read, blob.extend,
+                                   zlib.crc32(data), len(data), table)
+        got, peak = traced_peak(lambda: cli.read_container(bytes(blob)))
+        assert got == data
+        assert peak < 16 << 20
 
 
 @pytest.mark.parametrize("words", [
